@@ -177,31 +177,9 @@ def cmd_choose_k(args):
                    {"distortion": config["output"]})
 
 
-def _grid_from(config):
-    return make_scale_grid(config["omin"], config["omax"], config["voices"])
-
-
-def cmd_dissim(args):
-    config = _resolve_config(
-        args,
-        {"input": None, "output": None, "measure": "wer", "omin": 1,
-         "omax": 6, "voices": 8, "omega0": 6.0, "normalization": "L1",
-         "theta": 0.95, "threads": 1, "binary_output": None},
-        required=("input", "output"),
-    )
-    dataset = io.read_dataset(config["input"])
-    measure = _canonical_measure(config["measure"])
-    matrix = build_dissimilarity_matrix(
-        dataset, measure=measure, grid=_grid_from(config),
-        omega0=config["omega0"], normalization=config["normalization"],
-        theta=config["theta"], threads=config["threads"])
-    io.write_dissimilarity(config["output"], matrix)
-    outputs = {"dissimilarity": config["output"]}
-    if config["binary_output"]:
-        io.write_complex_binary(config["binary_output"], matrix.values)
-        outputs["dissimilarity_binary"] = config["binary_output"]
-    print(f"wrote {matrix.n} x {matrix.n} {measure} dissimilarities")
-    return _finish("dissim", config, {"dataset": config["input"]}, outputs)
+#: Settings shared by ``dissim`` and ``cluster --pipeline spectrum``.
+_SPECTRAL_DEFAULTS = {"omin": 1, "omax": 6, "voices": 8, "omega0": 6.0,
+                      "normalization": "L1", "theta": 0.95, "threads": 1}
 
 
 def _canonical_measure(name):
@@ -213,13 +191,36 @@ def _canonical_measure(name):
     return mapping[key]
 
 
+def _spectral_matrix(config, dataset):
+    """The dissimilarity matrix the resolved spectral settings ask for."""
+    return build_dissimilarity_matrix(
+        dataset, measure=_canonical_measure(config["measure"] or "wer"),
+        grid=make_scale_grid(config["omin"], config["omax"],
+                             config["voices"]),
+        omega0=config["omega0"], normalization=config["normalization"],
+        theta=config["theta"], threads=config["threads"])
+
+
+def cmd_dissim(args):
+    config = _resolve_config(
+        args,
+        {"input": None, "output": None, "measure": "wer",
+         **_SPECTRAL_DEFAULTS},
+        required=("input", "output"),
+    )
+    matrix = _spectral_matrix(config, io.read_dataset(config["input"]))
+    io.write_dissimilarity(config["output"], matrix)
+    print(f"wrote {matrix.n} x {matrix.n} {matrix.measure} dissimilarities")
+    return _finish("dissim", config, {"dataset": config["input"]},
+                   {"dissimilarity": config["output"]})
+
+
 def cmd_cluster(args):
     config = _resolve_config(
         args,
         {"input": None, "output": None, "pipeline": "features", "k": None,
-         "restarts": 20, "seed": 0, "threads": 1, "measure": None,
-         "omin": 1, "omax": 6, "voices": 8, "omega0": 6.0,
-         "normalization": "L1", "theta": 0.95, "dissim_input": None},
+         "restarts": 20, "seed": 0, "measure": None, "dissim_input": None,
+         **_SPECTRAL_DEFAULTS},
         required=("input", "output", "k"),
     )
     if config["pipeline"] == "features":
@@ -237,13 +238,8 @@ def cmd_cluster(args):
             matrix = io.read_dissimilarity(config["dissim_input"])
             inputs = {"dissimilarity": config["dissim_input"]}
         else:
-            dataset = io.read_dataset(config["input"])
-            measure = _canonical_measure(config["measure"] or "wer")
-            matrix = build_dissimilarity_matrix(
-                dataset, measure=measure, grid=_grid_from(config),
-                omega0=config["omega0"],
-                normalization=config["normalization"],
-                theta=config["theta"], threads=config["threads"])
+            matrix = _spectral_matrix(config,
+                                      io.read_dataset(config["input"]))
             inputs = {"dataset": config["input"]}
         part = pam(matrix, config["k"], seed=config["seed"])
         distances = matrix.values[np.arange(matrix.n),
@@ -423,7 +419,6 @@ def build_parser():
     p = commands.add_parser("dissim", help="all-pairs dissimilarity matrix")
     p.add_argument("--input")
     p.add_argument("--output")
-    p.add_argument("--binary-output", dest="binary_output")
     add_spectral_flags(p)
     p.add_argument("--config")
     p.set_defaults(func=cmd_dissim)

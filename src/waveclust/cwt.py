@@ -20,6 +20,7 @@ cone-of-influence flag rather than trustworthy coefficients.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,9 +102,6 @@ class Spectrum:
     def n_samples(self):
         return self.matrix.shape[1]
 
-    def power(self):
-        return np.abs(self.matrix) ** 2
-
 
 def cwt_morlet(curve, grid=None, omega0=6.0, normalization="L1"):
     """Morlet CWT of one curve over the scale grid.
@@ -149,30 +147,43 @@ def _boxcar_width(voices, n_scales):
     return max(w, 1)
 
 
-def smooth_spectrum(values, grid):
-    """Smooth a time-scale field in time, then across scales.
+@lru_cache(maxsize=16)
+def _smoothing_kernels(grid, n):
+    """FFTs of the per-row Gaussians, shape (n_scales, n), and of the
+    scale boxcar, shape (n_scales, 1) or None for width 1. Cached per
+    (grid, n) and read-only, since every caller shares them."""
+    time_hat = np.array([np.fft.fft(_gaussian_row_kernel(a, n))
+                         for a in grid.scales])
+    time_hat.flags.writeable = False
+    width = _boxcar_width(grid.voices, grid.n_scales)
+    if width == 1:
+        return time_hat, None
+    j_s = grid.n_scales
+    box = np.zeros(j_s)
+    box[np.arange(-(width // 2), width // 2 + 1) % j_s] = 1.0 / width
+    scale_hat = np.fft.fft(box)[:, None]
+    scale_hat.flags.writeable = False
+    return time_hat, scale_hat
 
-    In time, row ``j`` is circularly convolved with a unit-sum Gaussian
-    whose standard deviation equals the row's scale in samples (wider
-    scales get proportionally wider smoothing). Across scales, each
-    column is circularly convolved with a unit-sum boxcar spanning the
-    nearest odd count to ``0.6 * voices`` rows. Unit-sum kernels preserve
-    constant fields and the total sum of the field.
+
+def smooth_spectrum(values, grid):
+    """Smooth time-scale fields in time, then across scales.
+
+    ``values`` is one (n_scales, N) field or a stack of them with shape
+    (..., n_scales, N); each field is smoothed on its own, and a stacked
+    call gives the same values as one call per field. In time, row ``j``
+    is circularly convolved with a unit-sum Gaussian whose standard
+    deviation equals the row's scale in samples (wider scales get
+    proportionally wider smoothing). Across scales, each column is
+    circularly convolved with a unit-sum boxcar spanning the nearest odd
+    count to ``0.6 * voices`` rows. Unit-sum kernels preserve constant
+    fields and the total sum of the field.
     """
     values = np.asarray(values)
-    if values.shape[0] != grid.n_scales:
+    if values.ndim < 2 or values.shape[-2] != grid.n_scales:
         raise ValueError("row count must match the scale grid")
-    complex_in = np.iscomplexobj(values)
-    n = values.shape[1]
-    out = np.empty(values.shape, dtype=complex)
-    for j, a in enumerate(grid.scales):
-        kernel_hat = np.fft.fft(_gaussian_row_kernel(a, n))
-        out[j] = np.fft.ifft(np.fft.fft(values[j]) * kernel_hat)
-    width = _boxcar_width(grid.voices, grid.n_scales)
-    if width > 1:
-        j_s = grid.n_scales
-        box = np.zeros(j_s)
-        box[np.arange(-(width // 2), width // 2 + 1) % j_s] = 1.0 / width
-        out = np.fft.ifft(np.fft.fft(out, axis=0) * np.fft.fft(box)[:, None],
-                          axis=0)
-    return out if complex_in else out.real
+    time_hat, scale_hat = _smoothing_kernels(grid, values.shape[-1])
+    out = np.fft.ifft(np.fft.fft(values, axis=-1) * time_hat, axis=-1)
+    if scale_hat is not None:
+        out = np.fft.ifft(np.fft.fft(out, axis=-2) * scale_hat, axis=-2)
+    return out if np.iscomplexobj(values) else out.real

@@ -10,9 +10,11 @@ by its share of squared singular value. Two plain Euclidean measures
 (on normalized spectrum magnitudes and on raw curves) complete the set
 so spectral measures can be benchmarked against naive ones.
 
-All pair computations are pure; ``build_dissimilarity_matrix`` evaluates
-the n(n-1)/2 pairs (optionally on a thread pool), mirrors them into a
-symmetric matrix, and forces a zero diagonal.
+All pair computations are pure. ``build_dissimilarity_matrix`` fills
+the upper triangle one row at a time (optionally on a thread pool over
+rows) and mirrors it into a symmetric matrix with a zero diagonal. For
+WER it smooths each curve's auto-spectrum once and all cross-spectra of
+a row in one batch; no measure holds more than one row of differences.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -102,6 +104,39 @@ def time_averaged_coherence(wz, wx):
     return (field.values ** 2).mean(axis=1)
 
 
+def _auto_sums(w, grid):
+    """Per-scale time sums of the smoothed auto-spectrum of one field.
+
+    The product takes the same path as the cross term in ``_wer_row`` (not
+    abs()**2, which rounds differently) so that for x = z the smoothed
+    fields agree bitwise, WER^2 is exactly 1 and the distance exactly 0.
+    """
+    return np.abs(smooth_spectrum(w * np.conj(w), grid)).sum(axis=1)
+
+
+def _wer_row(w, auto, others, auto_others, grid, row=None):
+    """WER distances from field ``w`` to each field in the sequence
+    ``others``, given the ``_auto_sums`` of all of them.
+
+    When ``row`` is given, ``w`` is curve ``row`` and ``others`` are the
+    curves after it, and an error names the first pair that fails.
+    """
+    den = (auto * auto_others).sum(axis=-1)
+    bad = np.flatnonzero(den <= 0)
+    if bad.size:
+        where = "" if row is None else f"pair ({row}, {row + 1 + bad[0]}): "
+        raise DegenerateInputError(
+            where + "zero auto-spectra: the WER distance is undefined")
+    # One product per pair, then one smoothing call for the row: the
+    # product broadcast over a stack of fields can round differently.
+    cross = np.abs(smooth_spectrum(np.stack([w * np.conj(x) for x in others]),
+                                   grid))
+    cross_sums = cross.sum(axis=-1)
+    wer2 = (cross_sums * cross_sums).sum(axis=-1) / den
+    j_s, n = w.shape
+    return np.sqrt(j_s * n * np.maximum(0.0, 1.0 - wer2))
+
+
 def wer_distance(wz, wx):
     """WER distance between two spectra.
 
@@ -117,22 +152,9 @@ def wer_distance(wz, wx):
     """
     _check_same_layout(wz, wx)
     grid = wz.grid
-    # Same product path for cross and auto terms as in wavelet_coherence:
-    # for x = z the three fields agree bitwise, WER^2 is exactly 1 and the
-    # distance exactly 0.
-    cross = np.abs(smooth_spectrum(wz.matrix * np.conj(wx.matrix), grid))
-    auto_z = np.abs(smooth_spectrum(wz.matrix * np.conj(wz.matrix), grid))
-    auto_x = np.abs(smooth_spectrum(wx.matrix * np.conj(wx.matrix), grid))
-    cross_sums = cross.sum(axis=1)
-    num = (cross_sums * cross_sums).sum()
-    den = (auto_z.sum(axis=1) * auto_x.sum(axis=1)).sum()
-    if den <= 0:
-        raise DegenerateInputError(
-            "zero auto-spectra: the WER distance is undefined"
-        )
-    wer2 = num / den
-    j_s, n = wz.n_scales, wz.n_samples
-    return float(np.sqrt(j_s * n * max(0.0, 1.0 - wer2)))
+    return float(_wer_row(wz.matrix, _auto_sums(wz.matrix, grid),
+                          [wx.matrix], _auto_sums(wx.matrix, grid)[None],
+                          grid)[0])
 
 
 @dataclass
@@ -235,10 +257,6 @@ def _spectrum_feature_rows(spectra):
     return np.vstack(rows)
 
 
-def _pair_indices(n):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def build_dissimilarity_matrix(dataset, measure="WER", grid=None,
                                omega0=6.0, normalization="L1", theta=0.95,
                                threads=1):
@@ -250,9 +268,9 @@ def build_dissimilarity_matrix(dataset, measure="WER", grid=None,
     measure : {"WER", "MCA", "euclid-features", "euclid-raw"}
     grid, omega0, normalization : CWT settings for spectral measures.
     theta : inertia threshold for MCA.
-    threads : size of the worker pool over curve pairs. The result is
-        identical for any thread count (pairs are independent and each
-        lands in its own slot).
+    threads : size of the worker pool over matrix rows (curve i against
+        every curve after it). The result is identical for any thread
+        count (rows are independent and each lands in its own slots).
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; pick from {MEASURES}")
@@ -260,46 +278,43 @@ def build_dissimilarity_matrix(dataset, measure="WER", grid=None,
     n = curves.shape[0]
     if n < 2:
         raise ValueError("need at least two curves")
-    values = np.zeros((n, n))
-
-    if measure == "euclid-raw":
-        diff = curves[:, None, :] - curves[None, :, :]
-        values = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        np.fill_diagonal(values, 0.0)
-        return DissimilarityMatrix(values=values, measure=measure)
-
     grid = grid if grid is not None else ScaleGrid()
-    spectra = [cwt_morlet(c, grid=grid, omega0=omega0,
-                          normalization=normalization) for c in curves]
+    spectra = [] if measure == "euclid-raw" else [
+        cwt_morlet(c, grid=grid, omega0=omega0, normalization=normalization)
+        for c in curves]
 
-    if measure == "euclid-features":
-        rows = _spectrum_feature_rows(spectra)
-        diff = rows[:, None, :] - rows[None, :, :]
-        values = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        np.fill_diagonal(values, 0.0)
-        return DissimilarityMatrix(values=values, measure=measure)
+    if measure in ("euclid-raw", "euclid-features"):
+        rows = curves if measure == "euclid-raw" else \
+            _spectrum_feature_rows(spectra)
 
-    if measure == "WER":
-        def pair(i, j):
-            return wer_distance(spectra[i], spectra[j])
+        def row(i):
+            return np.linalg.norm(rows[i + 1:] - rows[i], axis=1)
+    elif measure == "WER":
+        fields = [spec.matrix for spec in spectra]
+        auto = np.array([_auto_sums(w, grid) for w in fields])
+
+        def row(i):
+            return _wer_row(fields[i], auto[i], fields[i + 1:],
+                            auto[i + 1:], grid, row=i)
     else:
-        def pair(i, j):
-            return mca_distance(spectra[i], spectra[j], theta=theta)
+        def row(i):
+            out = []
+            for j in range(i + 1, n):
+                try:
+                    out.append(mca_distance(spectra[i], spectra[j],
+                                            theta=theta))
+                except DegenerateInputError as exc:
+                    raise DegenerateInputError(
+                        f"pair ({i}, {j}): {exc}") from exc
+            return out
 
-    def compute(ij):
-        i, j = ij
-        try:
-            return i, j, pair(i, j)
-        except DegenerateInputError as exc:
-            raise DegenerateInputError(f"pair ({i}, {j}): {exc}") from exc
-
-    pairs = _pair_indices(n)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(compute, pairs))
+            upper = list(pool.map(row, range(n - 1)))
     else:
-        results = [compute(ij) for ij in pairs]
-    for i, j, d in results:
-        values[i, j] = d
-        values[j, i] = d
+        upper = [row(i) for i in range(n - 1)]
+    values = np.zeros((n, n))
+    for i, d in enumerate(upper):
+        values[i, i + 1:] = d
+        values[i + 1:, i] = d
     return DissimilarityMatrix(values=values, measure=measure)

@@ -55,10 +55,6 @@ class WaveletFilter:
     lowpass: np.ndarray
     highpass: np.ndarray
 
-    @property
-    def length(self):
-        return self.lowpass.size
-
 
 def get_filter(name):
     """Return the named filter pair ("haar" or "symmlet6").

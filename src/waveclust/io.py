@@ -2,10 +2,8 @@
 
 Text artifacts are CSV with '\\n' line endings and floats rendered by
 ``repr`` (the shortest string that round-trips the exact double), so a
-rerun with the same inputs produces byte-identical files. Spectra use a
-compact binary layout: two little-endian int32 header words (row count,
-column count) followed by row-major float64 pairs (real, imaginary).
-JSON artifacts are written with sorted keys for the same reason.
+rerun with the same inputs produces byte-identical files. JSON artifacts
+are written with sorted keys for the same reason.
 """
 
 import hashlib
@@ -122,48 +120,6 @@ def read_dissimilarity(path):
             for ln in _data_lines(path)]
     return DissimilarityMatrix(values=np.vstack(rows),
                                measure=fields.get("measure", "WER"))
-
-
-def write_complex_binary(path, matrix):
-    """Binary layout: int32 rows, int32 cols (little-endian), then
-    row-major float64 (real, imag) pairs."""
-    matrix = np.asarray(matrix, dtype=complex)
-    rows, cols = matrix.shape
-    interleaved = np.empty((rows, cols, 2))
-    interleaved[:, :, 0] = matrix.real
-    interleaved[:, :, 1] = matrix.imag
-    with open(path, "wb") as handle:
-        handle.write(np.array([rows, cols], dtype="<i4").tobytes())
-        handle.write(interleaved.astype("<f8").tobytes(order="C"))
-
-
-def read_complex_binary(path):
-    with open(path, "rb") as handle:
-        header = np.frombuffer(handle.read(8), dtype="<i4")
-        if header.size != 2:
-            raise ValueError(f"{path}: truncated header")
-        rows, cols = int(header[0]), int(header[1])
-        body = np.frombuffer(handle.read(), dtype="<f8")
-    if body.size != rows * cols * 2:
-        raise ValueError(f"{path}: expected {rows * cols * 2} floats, "
-                         f"found {body.size}")
-    body = body.reshape(rows, cols, 2)
-    return body[:, :, 0] + 1j * body[:, :, 1]
-
-
-def write_spectrum(path, spectrum):
-    write_complex_binary(path, spectrum.matrix)
-
-
-def write_spectrum_magnitude(path, spectrum):
-    """CSV of |W| with the scale in the first column, for plotting."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        n = spectrum.n_samples
-        handle.write("scale," + ",".join(f"t{j}" for j in range(n)) + "\n")
-        magnitude = np.abs(spectrum.matrix)
-        for scale, row in zip(spectrum.grid.scales, magnitude):
-            handle.write(_fmt(scale) + "," +
-                         ",".join(_fmt(v) for v in row) + "\n")
 
 
 def write_partition(path, partition, distances):

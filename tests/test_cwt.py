@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from waveclust import cwt_morlet, make_scale_grid, morlet_kernel, smooth_spectrum
 from waveclust.cwt import _boxcar_width
@@ -154,3 +154,14 @@ def test_smoothing_complex_field_matches_componentwise():
     out = smooth_spectrum(field, grid)
     assert_allclose(out.real, smooth_spectrum(field.real, grid), atol=1e-12)
     assert_allclose(out.imag, smooth_spectrum(field.imag, grid), atol=1e-12)
+
+
+def test_smoothing_stacked_fields_match_one_by_one():
+    grid = make_scale_grid(1, 4, 4)
+    rng = np.random.default_rng(27)
+    fields = rng.normal(size=(3, grid.n_scales, 64)) + 1j * rng.normal(
+        size=(3, grid.n_scales, 64))
+    stacked = smooth_spectrum(fields, grid)
+    assert stacked.shape == fields.shape
+    for field, out in zip(fields, stacked):
+        assert_array_equal(out, smooth_spectrum(field, grid))

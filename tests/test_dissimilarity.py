@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -182,6 +184,21 @@ def test_identical_pair_wer_matrix_is_zero():
     assert_allclose(mat.values, 0.0, atol=1e-6)
 
 
+def test_identical_long_curves_are_exactly_zero_apart():
+    """On 41 x 512 fields each cross product must round like the auto
+    product. A product broadcast over a stack of fields can take another
+    rounding path, depending on the arrays' alignment, and then leaves a
+    distance of ~1e-6 between a curve and its copy."""
+    curves = np.random.default_rng(37).normal(size=(10, 512))
+    mat = build_dissimilarity_matrix(np.repeat(curves, 2, axis=0),
+                                     measure="WER")
+    assert_array_equal(np.diag(mat.values, 1)[::2], np.zeros(10))
+    grid = make_scale_grid()
+    for curve in curves:
+        spec = cwt_morlet(curve, grid)
+        assert wer_distance(spec, spec) == 0.0
+
+
 @pytest.mark.parametrize("measure", ["WER", "MCA", "euclid-features",
                                      "euclid-raw"])
 def test_matrix_symmetry_zero_diagonal(measure):
@@ -195,14 +212,35 @@ def test_matrix_symmetry_zero_diagonal(measure):
 
 
 def test_matrix_determinism_and_thread_invariance():
+    """Every off-diagonal entry is the pair function's value, bitwise, for
+    WER and MCA at any pool size."""
     ds = far_dataset(32, n=8)
     grid = make_scale_grid(1, 4, 4)
-    one = build_dissimilarity_matrix(ds, measure="WER", grid=grid, threads=1)
-    again = build_dissimilarity_matrix(ds, measure="WER", grid=grid, threads=1)
-    pooled = build_dissimilarity_matrix(ds, measure="WER", grid=grid,
-                                        threads=4)
-    assert_array_equal(one.values, again.values)
-    assert_array_equal(one.values, pooled.values)
+    spec = [cwt_morlet(c, grid) for c in ds.curves]
+    for measure, pair in (("WER", wer_distance), ("MCA", mca_distance)):
+        expected = np.zeros((8, 8))
+        for i in range(8):
+            for j in range(i + 1, 8):
+                expected[i, j] = expected[j, i] = pair(spec[i], spec[j])
+        for threads in (1, 2, 4):
+            mat = build_dissimilarity_matrix(ds, measure=measure, grid=grid,
+                                             threads=threads)
+            assert_array_equal(mat.values, expected, err_msg=(
+                f"{measure} at threads={threads}"))
+
+
+def test_euclid_builds_stay_linear_in_memory():
+    """No n x n x L temporaries: 100 curves of 256 samples on the default
+    41-scale grid (an n x n x L difference tensor would need ~825 MiB)."""
+    curves = np.random.default_rng(36).normal(size=(100, 256))
+    for measure in ("euclid-raw", "euclid-features"):
+        tracemalloc.start()
+        try:
+            build_dissimilarity_matrix(curves, measure=measure)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2 ** 20, f"{measure} peaked at {peak} bytes"
 
 
 def test_euclid_raw_matches_plain_distances():

@@ -1,5 +1,4 @@
 import json
-import struct
 
 import numpy as np
 import pytest
@@ -66,38 +65,6 @@ def test_dissimilarity_round_trip(tmp_path, dataset):
     back = io.read_dissimilarity(path)
     assert_array_equal(back.values, mat.values)
     assert back.measure == "euclid-raw"
-
-
-def test_complex_binary_layout_by_hand(tmp_path):
-    """Little-endian '<i4' rows/cols header then row-major (re, im) pairs."""
-    matrix = np.array([[1 + 2j, 3 - 4j]], dtype=complex)
-    path = tmp_path / "spec.bin"
-    io.write_complex_binary(path, matrix)
-    raw = path.read_bytes()
-    rows, cols = struct.unpack("<ii", raw[:8])
-    assert (rows, cols) == (1, 2)
-    assert struct.unpack("<4d", raw[8:]) == (1.0, 2.0, 3.0, -4.0)
-    assert_array_equal(io.read_complex_binary(path), matrix)
-
-
-def test_spectrum_round_trip(tmp_path):
-    spec = wc.cwt_morlet(np.random.default_rng(0).normal(size=64),
-                         wc.make_scale_grid(1, 4, 4))
-    path = tmp_path / "spec.bin"
-    io.write_spectrum(path, spec)
-    assert_array_equal(io.read_complex_binary(path), spec.matrix)
-
-
-def test_spectrum_magnitude_csv(tmp_path):
-    spec = wc.cwt_morlet(np.random.default_rng(1).normal(size=32),
-                         wc.make_scale_grid(1, 3, 2))
-    path = tmp_path / "spec.csv"
-    io.write_spectrum_magnitude(path, spec)
-    lines = path.read_text().splitlines()
-    assert lines[0].split(",")[0] == "scale"
-    first = np.array(lines[1].split(","), dtype=float)
-    assert_allclose(first[0], 2.0)
-    assert_allclose(first[1:], np.abs(spec.matrix[0]), rtol=1e-15)
 
 
 def test_partition_round_trip(tmp_path, dataset):
