@@ -253,6 +253,16 @@ def cmd_cluster(args):
                    {"partition": config["output"]})
 
 
+def _partition_from_labels(values, labels):
+    """The k-means partition a label vector induces on feature rows: the
+    cluster means as centers, their within-cluster SSE as cost."""
+    k = int(labels.max()) + 1
+    centers = np.vstack([values[labels == j].mean(axis=0) for j in range(k)])
+    cost = float(((values - centers[labels]) ** 2).sum())
+    return Partition(labels=labels, k=k, cost=cost, centers=centers,
+                     method="kmeans")
+
+
 def cmd_diagnose(args):
     config = _resolve_config(
         args,
@@ -264,11 +274,7 @@ def cmd_diagnose(args):
     labels, _ = io.read_partition(config["partition"])
     if labels.size != features.n_curves:
         raise ValueError("partition length does not match the feature rows")
-    k = int(labels.max()) + 1
-    centers = np.vstack([features.values[labels == j].mean(axis=0)
-                         for j in range(k)])
-    part = Partition(labels=labels, k=k, cost=0.0, centers=centers,
-                     method="kmeans")
+    part = _partition_from_labels(features.values, labels)
     shadows = shadow_values(features.values, part)
     graph = neighborhood_graph(features.values, part)
     prefix = config["output_prefix"]

@@ -29,6 +29,8 @@ from .rng import derived_rng
 _REFERENCE_SEED = 83230
 #: Number of uniform surrogates behind the screening threshold.
 _REFERENCE_COUNT = 200
+#: Lloyd iteration cap of each subset k-means run.
+SELECT_MAX_ITER = 40
 
 
 def clusterability_index(column):
@@ -106,11 +108,12 @@ class SelectionReport:
     no_structure: bool = False
 
 
-def _batched_kmeans_labels(rows, k, restarts, rng, max_iter=40):
-    """Labels of the best of ``restarts`` k-means runs, all vectorized.
+def _plus_plus_centers(rows, k, restarts, rng):
+    """k-means++ centers of ``restarts`` runs at once, shape (restarts, k, p).
 
-    Runs every restart simultaneously via broadcasting; returns the
-    labels of the minimum-cost restart (ties to the lowest index).
+    Centers are added one at a time, each from one vector of draws, so
+    the first K centers of a k-center seeding equal the K-center seeding
+    drawn from the same stream.
     """
     n, p = rows.shape
     centers = np.empty((restarts, k, p))
@@ -126,32 +129,68 @@ def _batched_kmeans_labels(rows, k, restarts, rng, max_iter=40):
         d2 = np.minimum(
             d2, ((rows[None, :, :] - centers[:, j, None, :]) ** 2).sum(-1)
         )
-    labels = np.zeros((restarts, n), dtype=int)
-    for _ in range(max_iter):
-        dist = ((rows[None, :, None, :] - centers[:, None, :, :]) ** 2).sum(-1)
-        new_labels = dist.argmin(axis=2)
-        # Reseed any empty cluster at its restart's farthest point.
-        d1 = np.take_along_axis(dist, new_labels[:, :, None], 2)[:, :, 0]
-        for r in range(restarts):
-            counts = np.bincount(new_labels[r], minlength=k)
-            for empty in np.flatnonzero(counts == 0):
-                far = int(np.argmax(d1[r]))
+    return centers
+
+
+def _assign(rows, centers):
+    """Nearest-center labels of every restart, with no cluster left empty.
+
+    Returns ``(dist, labels, counts, refilled)``: squared distances
+    (restarts, n, k), labels (restarts, n), cluster sizes (restarts, k)
+    and whether any center was moved. An empty cluster's center moves
+    onto the farthest point whose own cluster keeps another member
+    (pigeonhole: one exists whenever a cluster is empty and k <= n), and
+    that point joins it; ``dist`` is updated to match. So coincident
+    centers, which send every tied point to the lower index, cannot
+    leave a cluster empty.
+    """
+    restarts, k, _ = centers.shape
+    dist = ((rows[None, :, None, :] - centers[:, None, :, :]) ** 2).sum(-1)
+    labels = dist.argmin(axis=2)
+    offsets = k * np.arange(restarts)[:, None]
+    counts = np.bincount((labels + offsets).ravel(),
+                         minlength=restarts * k).reshape(restarts, k)
+    refilled = not counts.all()
+    if refilled:
+        points = np.arange(rows.shape[0])
+        for r in np.flatnonzero((counts == 0).any(axis=1)):
+            for empty in np.flatnonzero(counts[r] == 0):
+                d1 = dist[r, points, labels[r]]
+                eligible = counts[r, labels[r]] > 1
+                far = int(np.argmax(np.where(eligible, d1, -np.inf)))
+                counts[r, labels[r, far]] -= 1
+                counts[r, empty] += 1
+                labels[r, far] = empty
                 centers[r, empty] = rows[far]
-                new_labels[r, far] = empty
-                d1[r, far] = 0.0
+                dist[r, :, empty] = ((rows - rows[far]) ** 2).sum(-1)
+    return dist, labels, counts, refilled
+
+
+def _batched_kmeans_labels(rows, centers):
+    """Labels of the best of the restarts seeded at ``centers``.
+
+    ``centers`` (restarts, k, p) is updated in place; every restart
+    runs at once via broadcasting. Returns the labels of the
+    minimum-cost restart (ties to the lowest index); no cluster of any
+    restart is empty.
+    """
+    restarts, k, _ = centers.shape
+    labels = np.zeros((restarts, rows.shape[0]), dtype=int)
+    for _ in range(SELECT_MAX_ITER):
+        dist, new_labels, counts, refilled = _assign(rows, centers)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
         onehot = labels[:, None, :] == np.arange(k)[None, :, None]
-        counts = onehot.sum(axis=2)
-        sums = onehot @ rows
-        np.divide(sums, counts[:, :, None], out=centers,
-                  where=counts[:, :, None] > 0)
-    dist = ((rows[None, :, None, :] - centers[:, None, :, :]) ** 2).sum(-1)
-    labels = dist.argmin(axis=2)
+        np.divide(onehot @ rows, counts[:, :, None], out=centers)
+    else:
+        refilled = True
+    if refilled:
+        # Assign again to the final centers: the loop hit its cap, or
+        # the converged assignment moved a center.
+        dist, labels, _, _ = _assign(rows, centers)
     costs = np.take_along_axis(dist, labels[:, :, None], 2)[:, :, 0].sum(axis=1)
-    best = int(np.argmin(costs))
-    return labels[best]
+    return labels[int(np.argmin(costs))]
 
 
 def _partition_sse(rows, labels, k):
@@ -167,6 +206,61 @@ def _partition_sse(rows, labels, k):
     return total - centered
 
 
+def _search(features, ks, screen_quantile, penalty, restarts, seed):
+    """Screen once, then score every subset against every K in ``ks``.
+
+    Each subset draws its random stream once and seeds ``max(ks)``
+    centers per restart; the run for K starts from the first K of them.
+    Returns a dict mapping each K to its SelectionReport.
+    """
+    values = np.atleast_2d(np.asarray(getattr(features, "values", features),
+                                      dtype=float))
+    n, n_features = values.shape
+    k_max = max(ks)
+    if min(ks) < 2:
+        raise ValueError("k must be at least 2")
+    if k_max > n:
+        raise ValueError(f"k must be at most the number of rows, {n}")
+    if n_features > 16:
+        raise ValueError("exhaustive search supports at most 16 features")
+    index = np.array([clusterability_index(values[:, j])
+                      for j in range(n_features)])
+    threshold = screening_threshold(n, screen_quantile)
+    screened = tuple(int(j) for j in np.flatnonzero(index >= threshold))
+
+    best_by_size = {k: {} for k in ks}
+    picks = {k: ((), float("nan"), float("inf")) for k in ks}
+    if screened:
+        cols = values[:, screened]
+        standardized = (cols - cols.min(axis=0)) / (cols.max(axis=0)
+                                                    - cols.min(axis=0))
+        position = {j: i for i, j in enumerate(screened)}
+    for size in range(1, len(screened) + 1):
+        for subset in combinations(screened, size):
+            rows = standardized[:, [position[j] for j in subset]]
+            rng = derived_rng(seed, "select", sum(1 << j for j in subset))
+            seeds = _plus_plus_centers(rows, k_max, restarts, rng)
+            for k in ks:
+                labels = _batched_kmeans_labels(rows, seeds[:, :k].copy())
+                sse = _partition_sse(standardized, labels, k)
+                by_size = best_by_size[k]
+                if size not in by_size or sse < by_size[size][1]:
+                    by_size[size] = (subset, sse)
+                score = sse * (1.0 + penalty * size)
+                if score < picks[k][2]:
+                    picks[k] = (subset, sse, score)
+    return {
+        k: SelectionReport(
+            index=index.copy(), threshold=threshold, screened_in=screened,
+            best_by_size=best_by_size[k], selected=picks[k][0],
+            selected_sse=picks[k][1], k=k, penalty=penalty,
+            screen_quantile=screen_quantile, seed=seed,
+            no_structure=not screened,
+        )
+        for k in ks
+    }
+
+
 def select_features(features, k, screen_quantile=0.5, penalty=0.05,
                     restarts=6, seed=0):
     """Screen feature columns, then pick the subset best worth keeping.
@@ -174,57 +268,15 @@ def select_features(features, k, screen_quantile=0.5, penalty=0.05,
     Parameters
     ----------
     features : FeatureMatrix or (n, J) array
-    k : number of clusters the subsets are judged against.
+    k : number of clusters the subsets are judged against, in 2..n.
     screen_quantile : quantile of the uniform-surrogate index
         distribution a column must reach to survive screening.
     penalty : size penalty; the winner minimizes
         ``SSE * (1 + penalty * |subset|)``.
     restarts, seed : k-means restarts per subset and the master seed.
     """
-    values = np.atleast_2d(np.asarray(getattr(features, "values", features),
-                                      dtype=float))
-    n, n_features = values.shape
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if n_features > 16:
-        raise ValueError("exhaustive search supports at most 16 features")
-    index = np.array([clusterability_index(values[:, j])
-                      for j in range(n_features)])
-    threshold = screening_threshold(n, screen_quantile)
-    screened = tuple(int(j) for j in np.flatnonzero(index >= threshold))
-    if not screened:
-        return SelectionReport(
-            index=index, threshold=threshold, screened_in=(),
-            best_by_size={}, selected=(), selected_sse=float("nan"),
-            k=k, penalty=penalty, screen_quantile=screen_quantile,
-            seed=seed, no_structure=True,
-        )
-    cols = values[:, screened]
-    standardized = (cols - cols.min(axis=0)) / (cols.max(axis=0)
-                                                - cols.min(axis=0))
-    position = {j: i for i, j in enumerate(screened)}
-
-    best_by_size = {}
-    selected, selected_sse, best_score = (), float("inf"), float("inf")
-    for size in range(1, len(screened) + 1):
-        for subset in combinations(screened, size):
-            mask = np.fromiter((position[j] for j in subset), dtype=int)
-            rng = derived_rng(seed, "select",
-                              sum(1 << j for j in subset))
-            labels = _batched_kmeans_labels(standardized[:, mask], k,
-                                            restarts, rng)
-            sse = _partition_sse(standardized, labels, k)
-            if size not in best_by_size or sse < best_by_size[size][1]:
-                best_by_size[size] = (subset, sse)
-            score = sse * (1.0 + penalty * size)
-            if score < best_score:
-                best_score, selected, selected_sse = score, subset, sse
-    return SelectionReport(
-        index=index, threshold=threshold, screened_in=screened,
-        best_by_size=best_by_size, selected=selected,
-        selected_sse=selected_sse, k=k, penalty=penalty,
-        screen_quantile=screen_quantile, seed=seed,
-    )
+    return _search(features, [k], screen_quantile, penalty, restarts,
+                   seed)[k]
 
 
 def select_features_stable(features, k_max, screen_quantile=0.5,
@@ -234,14 +286,22 @@ def select_features_stable(features, k_max, screen_quantile=0.5,
     Returns ``(final_subset, reports)`` where ``reports`` maps each K to
     its SelectionReport and ``final_subset`` is the most frequently
     selected subset (ties to the lexicographically smallest).
+
+    Every K shares one pass: the columns are screened once, and each
+    subset draws its random stream once and seeds ``k_max`` k-means++
+    centers per restart. The run for K starts from the first K of those
+    centers. This is exact, not an approximation: k-means++ adds centers
+    one at a time, each from draws that do not depend on how many will
+    follow, and the stream is derived from the seed and the subset alone,
+    never from K. So the first K centers are the ones a K-only search
+    would seed, and each report equals ``select_features(features, K)``
+    bit for bit. Lloyd iterations stop at convergence or at a fixed cap
+    of ``SELECT_MAX_ITER`` (40) per run.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
-    reports = {
-        k: select_features(features, k, screen_quantile=screen_quantile,
-                           penalty=penalty, restarts=restarts, seed=seed)
-        for k in range(2, k_max + 1)
-    }
+    reports = _search(features, range(2, k_max + 1), screen_quantile,
+                      penalty, restarts, seed)
     tallies = {}
     for report in reports.values():
         tallies[report.selected] = tallies.get(report.selected, 0) + 1

@@ -2,11 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
 import waveclust as wc
 from waveclust import io
-from waveclust.cli import main
+from waveclust.cli import _partition_from_labels, main
 
 
 def run(*argv):
@@ -135,6 +135,18 @@ def test_diagnose_artifacts(bench, tmp_path):
     assert (tmp_path / "diag.graph.csv").exists()
     validation = json.loads((tmp_path / "diag.validation.json").read_text())
     assert 0 <= validation["rate"] <= 1
+
+
+def test_diagnose_partition_reports_its_within_cluster_sse():
+    values = np.array([[0.0, 1.0], [2.0, 1.0], [10.0, 0.0], [14.0, 2.0]])
+    part = _partition_from_labels(values, np.array([0, 0, 1, 1]))
+    assert_array_equal(part.centers, [[1.0, 1.0], [12.0, 1.0]])
+    assert part.cost == 1.0 + 1.0 + 5.0 + 5.0
+    rng = np.random.default_rng(4)
+    rows = np.vstack([rng.normal(c, 0.3, size=(20, 3)) for c in (0, 4, 8)])
+    fitted = wc.kmeans(rows, 3, restarts=4, seed=4)
+    again = _partition_from_labels(rows, fitted.labels)
+    assert_allclose(again.cost, fitted.cost, rtol=1e-12)
 
 
 def test_manifest_written_with_digests(bench, tmp_path):

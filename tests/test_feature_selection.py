@@ -4,6 +4,8 @@ from numpy.testing import assert_allclose
 
 from waveclust import (
     clusterability_index,
+    feature_matrix,
+    gen_benchmark,
     screening_threshold,
     select_features,
     select_features_stable,
@@ -145,3 +147,37 @@ def test_stable_selection_is_mode_across_k():
     picks = [reports[k].selected for k in sorted(reports)]
     assert final in picks
     assert picks.count(final) == max(picks.count(p) for p in picks)
+
+
+def _report_fields(report):
+    return (report.index.tobytes(), report.threshold, report.screened_in,
+            report.best_by_size, report.selected, report.selected_sse)
+
+
+@pytest.mark.parametrize("case", ["planted", "benchmark"])
+def test_one_pass_search_equals_per_k_runs(case):
+    """Every K's report of the shared search matches its own run bitwise.
+
+    The shared search seeds k_max centers once per subset and starts the
+    run for K from the first K of them; this checks that the prefix is
+    exactly the K-center seeding.
+    """
+    if case == "planted":
+        X, seed, k_max = planted_two_columns(18), 18, 6
+    else:
+        dataset, _ = gen_benchmark(seed=5)
+        X, seed, k_max = feature_matrix(dataset, kind="logitRC").values, 5, 20
+    _, reports = select_features_stable(X, k_max, seed=seed)
+    assert sorted(reports) == list(range(2, k_max + 1))
+    for k, report in reports.items():
+        alone = select_features(X, k, seed=seed)
+        assert report.k == alone.k == k
+        assert _report_fields(report) == _report_fields(alone)
+
+
+def test_selection_rejects_k_above_rows():
+    X = planted_two_columns(19, n=12)
+    with pytest.raises(ValueError):
+        select_features(X, 13)
+    with pytest.raises(ValueError):
+        select_features_stable(X, 13)

@@ -10,9 +10,15 @@ from numpy.testing import assert_array_equal
 from waveclust import (
     build_dissimilarity_matrix,
     cwt_morlet,
+    kmeans,
     make_scale_grid,
     wer_distance,
 )
+from waveclust.feature_selection import (
+    _batched_kmeans_labels,
+    _plus_plus_centers,
+)
+from waveclust.rng import derived_rng
 
 GRID = make_scale_grid(1, 3, 4)
 
@@ -57,3 +63,34 @@ def test_wer_matrix_symmetric_bounded_and_pairwise(curves):
     for i in range(n):
         for j in range(i + 1, n):
             assert values[i, j] == wer_distance(spectra[i], spectra[j])
+
+
+@st.composite
+def duplicated_rows(draw):
+    """Up to 30 rows of 1-3 columns, drawn from at most 4 values per column,
+    so most rows repeat another one exactly."""
+    n = draw(st.integers(2, 30))
+    p = draw(st.integers(1, 3))
+    n_values = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(0, n_values - 1), min_size=n * p,
+                          max_size=n * p))
+    return np.asarray(cells, dtype=float).reshape(n, p)
+
+
+@SMALL
+@given(duplicated_rows(), st.data())
+def test_kmeans_never_returns_an_empty_cluster(rows, data):
+    k = data.draw(st.integers(1, rows.shape[0]), label="k")
+    part = kmeans(rows, k, restarts=3, seed=k)
+    assert np.bincount(part.labels, minlength=k).min() > 0
+
+
+@SMALL
+@given(duplicated_rows())
+def test_selection_engine_never_returns_an_empty_cluster(rows):
+    n = rows.shape[0]
+    for k in range(1, n + 1):
+        centers = _plus_plus_centers(rows, k, 6, derived_rng(k, "property"))
+        labels = _batched_kmeans_labels(rows, centers)
+        counts = np.bincount(labels, minlength=k)
+        assert counts.size == k and counts.min() > 0, (k, counts)
