@@ -163,14 +163,13 @@ def cmd_choose_k(args):
     config = _resolve_config(
         args,
         {"input": None, "output": None, "kmax": 10, "restarts": 10,
-         "seed": 0, "threads": 1},
+         "seed": 0},
         required=("input", "output"),
     )
     features = io.read_features(config["input"])
     k_star, curve = choose_k_by_jump(features, config["kmax"],
                                      restarts=config["restarts"],
-                                     seed=config["seed"],
-                                     threads=config["threads"])
+                                     seed=config["seed"])
     io.write_distortion(config["output"], curve)
     print(f"jump method selects K = {k_star}")
     return _finish("choose-k", config, {"features": config["input"]},
@@ -229,7 +228,7 @@ def cmd_cluster(args):
                              "pipeline='spectrum'")
         features = io.read_features(config["input"])
         part = kmeans(features, config["k"], restarts=config["restarts"],
-                      seed=config["seed"], threads=config["threads"])
+                      seed=config["seed"])
         diffs = features.values - part.centers[part.labels]
         distances = np.sqrt((diffs ** 2).sum(axis=1))
         inputs = {"features": config["input"]}
@@ -394,7 +393,6 @@ def build_parser():
     p.add_argument("--output")
     p.add_argument("--kmax", type=int)
     p.add_argument("--restarts", type=int)
-    p.add_argument("--threads", type=int)
     _add_common(p)
     p.set_defaults(func=cmd_choose_k)
 

@@ -2,23 +2,25 @@
 dissimilarity matrices, and cluster-count detection via the transformed
 distortion jump.
 
-k-means runs Lloyd iterations from k-means++ seeding, restarted from
-independent derived random streams; the minimum-cost restart wins, with
-ties broken by restart index so results are reproducible for any thread
-count. PAM is fully deterministic: a greedy BUILD initialization
+k-means has one engine, which subset selection
+(:mod:`waveclust.feature_selection`) shares: k-means++ seeding and Lloyd
+iterations run all restarts at once, and each step measures its squared
+distances with one ``cdist`` call over every restart's centers.
+``kmeans`` seeds all its restarts from one random stream derived from
+``seed``; the minimum-cost restart wins, ties to the lowest restart
+index. PAM is fully deterministic: a greedy BUILD initialization
 followed by best-improvement SWAP steps until no single medoid/non-medoid
 exchange lowers the total dissimilarity.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .rng import derived_rng
 
-#: Lloyd iteration cap per restart.
+#: Lloyd iteration cap of a ``kmeans`` run.
 MAX_ITER = 100
 
 #: A swap must beat the current PAM cost by more than this to be taken.
@@ -56,78 +58,104 @@ def _feature_rows(features):
     return np.atleast_2d(np.asarray(values, dtype=float))
 
 
-def _plus_plus_seeding(rows, k, rng):
-    """k-means++ style center initialization."""
-    n = rows.shape[0]
-    centers = np.empty((k, rows.shape[1]))
-    centers[0] = rows[rng.integers(n)]
-    d2 = cdist(rows, centers[:1], "sqeuclidean")[:, 0]
+def _plus_plus_centers(rows, k, restarts, rng):
+    """k-means++ centers of ``restarts`` runs at once, shape (restarts, k, p).
+
+    Centers are added one at a time, each from one vector of draws, so
+    the first K centers of a k-center seeding equal the K-center seeding
+    drawn from the same stream.
+    """
+    n, p = rows.shape
+    centers = np.empty((restarts, k, p))
+    centers[:, 0] = rows[rng.integers(n, size=restarts)]
+    d2 = cdist(centers[:, 0], rows, "sqeuclidean")
     for j in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = rng.choice(n, p=d2 / total)
-        else:
-            idx = rng.integers(n)
-        centers[j] = rows[idx]
-        d2 = np.minimum(d2, cdist(rows, centers[j : j + 1],
-                                  "sqeuclidean")[:, 0])
+        totals = d2.sum(axis=1)
+        u = rng.random(restarts) * np.where(totals > 0, totals, 1.0)
+        cum = np.cumsum(np.where(totals[:, None] > 0, d2, 1.0), axis=1)
+        idx = np.minimum((cum < u[:, None]).sum(axis=1), n - 1)
+        centers[:, j] = rows[idx]
+        d2 = np.minimum(d2, cdist(centers[:, j], rows, "sqeuclidean"))
     return centers
 
 
-def _lloyd(rows, k, rng):
-    """One k-means run: returns (cost, labels, centers, iterations)."""
+def _assign(rows, centers):
+    """Nearest-center labels of every restart, with no cluster left empty.
+
+    Returns ``(dist, labels, counts, refilled)``: squared distances
+    (restarts, n, k), labels (restarts, n), cluster sizes (restarts, k)
+    and whether any center was moved. The distances come from one
+    ``cdist`` call over all restarts' centers; a (restarts, n, k, p)
+    broadcast would make wide rows several times slower. An empty
+    cluster's center moves onto the farthest point whose own cluster
+    keeps another member (pigeonhole: one exists whenever a cluster is
+    empty and k <= n), and that point joins it; ``dist`` is updated to
+    match. So coincident centers, which send every tied point to the
+    lower index, cannot leave a cluster empty.
+    """
+    restarts, k, p = centers.shape
     n = rows.shape[0]
-    centers = _plus_plus_seeding(rows, k, rng)
-    prev_labels = None
-    prev_cost = np.inf
-    for iteration in range(MAX_ITER):
-        dists = cdist(rows, centers, "sqeuclidean")
-        labels = dists.argmin(axis=1)
-        if prev_labels is not None:
-            # Keep the previous assignment on exact distance ties so that
-            # duplicated points cannot oscillate between coincident
-            # centers (which would re-empty a repaired cluster).
-            old = dists[np.arange(n), prev_labels]
-            labels = np.where(old <= dists[np.arange(n), labels],
-                              prev_labels, labels)
-        d1 = dists[np.arange(n), labels]
-        counts = np.bincount(labels, minlength=k)
-        reseeded = False
-        for empty in np.flatnonzero(counts == 0):
-            # Reseed the empty cluster at the farthest point whose own
-            # cluster keeps at least one other member (pigeonhole: such
-            # a point exists whenever a cluster is empty and k <= n).
-            eligible = counts[labels] > 1
-            far = int(np.argmax(np.where(eligible, d1, -np.inf)))
-            counts[labels[far]] -= 1
-            counts[empty] += 1
-            centers[empty] = rows[far]
-            labels[far] = empty
-            d1[far] = 0.0
-            reseeded = True
-        cost = float(d1.sum())
-        if not reseeded:
-            assert cost <= prev_cost * (1 + 1e-12) + 1e-12
-            if prev_labels is not None and np.array_equal(labels, prev_labels):
-                return cost, labels, centers, iteration + 1
-        prev_cost = cost
-        prev_labels = labels
-        frozen = centers.copy()
-        for j in range(k):
-            members = rows[labels == j]
-            if members.size:
-                centers[j] = members.mean(axis=0)
-    # Iteration cap hit: report the state whose cost was last measured.
-    return cost, labels, frozen, MAX_ITER
+    dist = cdist(rows, centers.reshape(-1, p), "sqeuclidean")
+    dist = dist.reshape(n, restarts, k).transpose(1, 0, 2)
+    labels = dist.argmin(axis=2)
+    offsets = k * np.arange(restarts)[:, None]
+    counts = np.bincount((labels + offsets).ravel(),
+                         minlength=restarts * k).reshape(restarts, k)
+    refilled = not counts.all()
+    if refilled:
+        points = np.arange(n)
+        for r in np.flatnonzero((counts == 0).any(axis=1)):
+            for empty in np.flatnonzero(counts[r] == 0):
+                d1 = dist[r, points, labels[r]]
+                eligible = counts[r, labels[r]] > 1
+                far = int(np.argmax(np.where(eligible, d1, -np.inf)))
+                counts[r, labels[r, far]] -= 1
+                counts[r, empty] += 1
+                labels[r, far] = empty
+                centers[r, empty] = rows[far]
+                dist[r, :, empty] = cdist(rows, rows[far:far + 1],
+                                          "sqeuclidean")[:, 0]
+    return dist, labels, counts, refilled
 
 
-def kmeans(features, k, restarts=20, seed=0, threads=1):
+def _lloyd(rows, centers, max_iter):
+    """Lloyd iterations of every restart at once from seeded ``centers``.
+
+    ``centers`` (restarts, k, p) is updated in place to each restart's
+    final centers. Returns ``(labels, costs)``: labels (restarts, n) and
+    within-cluster sums of squares (restarts,), each cost measured
+    against the returned centers. Iteration stops when no restart's
+    labels change, or after ``max_iter`` steps; no cluster of any
+    restart is empty.
+    """
+    restarts, k, _ = centers.shape
+    # Start from labels no assignment gives, so the first step always
+    # moves the centers to means (a start at 0 would stop k = 1 at once).
+    labels = np.full((restarts, rows.shape[0]), -1)
+    for _ in range(max_iter):
+        dist, new_labels, counts, refilled = _assign(rows, centers)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        onehot = labels[:, None, :] == np.arange(k)[None, :, None]
+        np.divide(onehot @ rows, counts[:, :, None], out=centers)
+    else:
+        refilled = True
+    if refilled:
+        # Assign again to the final centers: the loop hit its cap, or
+        # the converged assignment moved a center.
+        dist, labels, _, _ = _assign(rows, centers)
+    costs = np.take_along_axis(dist, labels[:, :, None], 2)[:, :, 0].sum(axis=1)
+    return labels, costs
+
+
+def kmeans(features, k, restarts=20, seed=0):
     """Best-of-restarts k-means.
 
-    Each restart draws from its own stream derived from ``seed`` and the
-    restart index, so the result is identical whether restarts run
-    sequentially or on a pool of ``threads`` workers; ties in cost go to
-    the lowest restart index.
+    All restarts are seeded by k-means++ from one stream,
+    ``derived_rng(seed, "kmeans")``, and iterate together for at most
+    ``MAX_ITER`` Lloyd steps. The minimum-cost restart wins; ties in cost
+    go to the lowest restart index.
     """
     rows = _feature_rows(features)
     n = rows.shape[0]
@@ -135,19 +163,13 @@ def kmeans(features, k, restarts=20, seed=0, threads=1):
         raise ValueError(f"k must be in 1..{n}, got {k}")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-
-    def run(r):
-        return _lloyd(rows, k, derived_rng(seed, "kmeans", r))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, range(restarts)))
-    else:
-        outcomes = [run(r) for r in range(restarts)]
-    best = min(range(restarts), key=lambda r: (outcomes[r][0], r))
-    cost, labels, centers, _ = outcomes[best]
-    return Partition(labels=labels, k=k, cost=cost, centers=centers,
-                     seed=seed, restarts=restarts, method="kmeans")
+    centers = _plus_plus_centers(rows, k, restarts,
+                                 derived_rng(seed, "kmeans"))
+    labels, costs = _lloyd(rows, centers, MAX_ITER)
+    best = int(np.argmin(costs))
+    return Partition(labels=labels[best], k=k, cost=float(costs[best]),
+                     centers=centers[best], seed=seed, restarts=restarts,
+                     method="kmeans")
 
 
 @dataclass
@@ -170,7 +192,7 @@ class DistortionCurve:
     capped: bool = False
 
 
-def choose_k_by_jump(features, k_max, restarts=10, seed=0, threads=1):
+def choose_k_by_jump(features, k_max, restarts=10, seed=0):
     """Pick the cluster count at the largest jump of d_K ** (-p/2)."""
     rows = _feature_rows(features)
     if k_max < 2:
@@ -178,7 +200,7 @@ def choose_k_by_jump(features, k_max, restarts=10, seed=0, threads=1):
     n, p = rows.shape
     distortions = np.empty(k_max)
     for k in range(1, k_max + 1):
-        part = kmeans(rows, k, restarts=restarts, seed=seed, threads=threads)
+        part = kmeans(rows, k, restarts=restarts, seed=seed)
         distortions[k - 1] = part.cost / (n * p)
     with np.errstate(over="ignore", divide="ignore"):
         transformed = distortions ** (-p / 2.0)
@@ -224,7 +246,8 @@ def pam(dissimilarity, k, seed=0):
     most, until no exchange improves it. Both phases are deterministic;
     ``seed`` is recorded for interface symmetry with k-means but unused.
     Labels assign each observation to its nearest medoid, ties to the
-    smaller medoid index.
+    smaller medoid index; a medoid always belongs to its own cluster, even
+    when another medoid is 0 away from it (a duplicated point).
     """
     d = getattr(dissimilarity, "values", dissimilarity)
     d = np.asarray(d, dtype=float)
@@ -261,6 +284,7 @@ def pam(dissimilarity, k, seed=0):
         medoids[best_swap[0]] = best_swap[1]
     medoids = np.sort(np.asarray(medoids, dtype=int))
     labels = np.argmin(d[:, medoids], axis=1)
+    labels[medoids] = np.arange(k)
     cost = float(d[np.arange(n), medoids[labels]].sum())
     return Partition(labels=labels, k=k, cost=cost, medoids=medoids,
                      seed=seed, restarts=1, method="pam")

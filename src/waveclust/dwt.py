@@ -24,6 +24,10 @@ from .errors import DegenerateInputError
 #: Clamp for relative contributions before the logit, keeping it finite.
 LOGIT_EPS = 1e-6
 
+#: A curve is constant when its detail energy is at most this share of
+#: its total energy, i.e. its detail RMS is within 1e-12 of its own.
+CONSTANT_ENERGY_RTOL = 1e-24
+
 # Scaling (lowpass) filter taps. The symmlet-6 taps solve the defining
 # system -- even-shift orthonormality plus six vanishing moments for the
 # quadrature-mirror highpass -- to within 7e-14; sum h = sqrt(2) and
@@ -171,7 +175,7 @@ def energy_contributions(decomposition):
     return cont
 
 
-def relative_contributions(ac):
+def relative_contributions(ac, energy=None):
     """Relative and logit-relative contributions from absolute ones.
 
     Returns the pair ``(rc, logit_rc)`` where ``rc`` normalizes each
@@ -179,19 +183,30 @@ def relative_contributions(ac):
     ``log(p / (1 - p))`` after clamping ``p`` into
     ``[LOGIT_EPS, 1 - LOGIT_EPS]`` so the features stay finite.
 
+    ``energy`` is each curve's total energy ``||x||**2``; by Parseval it
+    is the detail energy plus the squared approximation coefficient.
+    Without it, only an exactly zero detail energy counts as constant.
+
     Raises
     ------
     DegenerateInputError
-        If a curve has zero total detail energy (a constant curve): its
-        relative energy distribution is undefined.
+        If a curve's detail energy is at most ``CONSTANT_ENERGY_RTOL``
+        (1e-24) times its total energy: a constant curve, whose relative
+        energy distribution is undefined. The details of a constant
+        curve are roundoff, not exact zeros; they carry at most about
+        1e-31 of its energy for lengths 2 to 8192 with either filter,
+        while a ripple of 1e-6 of the level carries about 1e-12.
     """
     ac = np.atleast_2d(np.asarray(ac, dtype=float))
     total = ac.sum(axis=1)
-    if np.any(total <= 0):
-        bad = int(np.flatnonzero(total <= 0)[0])
+    if energy is None:
+        energy = total
+    constant = total <= CONSTANT_ENERGY_RTOL * np.asarray(energy)
+    if np.any(constant):
+        bad = int(np.flatnonzero(constant)[0])
         raise DegenerateInputError(
-            f"curve {bad} has zero total detail energy; relative "
-            "contributions are undefined for constant curves"
+            f"curve {bad} is constant (detail energy {total[bad]:.3g}); "
+            "relative contributions are undefined for constant curves"
         )
     rc = ac / total[:, None]
     p = np.clip(rc, LOGIT_EPS, 1.0 - LOGIT_EPS)
@@ -270,6 +285,7 @@ def feature_matrix(dataset_or_curves, kind="logitRC", wavelet="symmlet6"):
     if kind == "AC":
         values = cont
     else:
-        rc, logit_rc = relative_contributions(cont)
+        rc, logit_rc = relative_contributions(
+            cont, energy=cont.sum(axis=1) + dec.approx ** 2)
         values = rc if kind == "RC" else logit_rc
     return FeatureMatrix(values=values, kind=kind, wavelet=dec.filter.name)

@@ -6,15 +6,17 @@ split error to the total sum of squares on the range-transformed column
 -- and drops columns scoring below a quantile (default: the median) of
 the same index measured on uniform-noise surrogates of equal length.
 Selection then searches all non-empty subsets of the surviving columns:
-k-means is run on each subset's columns (each standardized to [0, 1]),
-the induced partition is scored by its within-cluster sum of squares
-over *all* screened columns, and the subset minimizing
-``SSE * (1 + penalty * size)`` wins. Scoring every candidate partition
-in the common screened space keeps subset scores comparable, which is
-what lets a genuinely informative pair beat either of its halves; the
-per-size best scores are then nonincreasing in size whenever the larger
-subset's partition is at least as good, and the multiplicative penalty
-arbitrates the remaining ties in favor of fewer features.
+k-means (the engine of :mod:`waveclust.clustering`, capped at
+``SELECT_MAX_ITER`` Lloyd steps) is run on each subset's columns (each
+standardized to [0, 1]), the induced partition is scored by its
+within-cluster sum of squares over *all* screened columns, and the
+subset minimizing ``SSE * (1 + penalty * size)`` wins. Scoring every
+candidate partition in the common screened space keeps subset scores
+comparable, which is what lets a genuinely informative pair beat either
+of its halves; the per-size best scores are then nonincreasing in size
+whenever the larger subset's partition is at least as good, and the
+multiplicative penalty arbitrates the remaining ties in favor of fewer
+features.
 """
 
 from dataclasses import dataclass
@@ -23,6 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .clustering import _feature_rows, _lloyd, _plus_plus_centers
 from .rng import derived_rng
 
 #: Internal seed for the uniform-surrogate reference distribution.
@@ -108,91 +111,6 @@ class SelectionReport:
     no_structure: bool = False
 
 
-def _plus_plus_centers(rows, k, restarts, rng):
-    """k-means++ centers of ``restarts`` runs at once, shape (restarts, k, p).
-
-    Centers are added one at a time, each from one vector of draws, so
-    the first K centers of a k-center seeding equal the K-center seeding
-    drawn from the same stream.
-    """
-    n, p = rows.shape
-    centers = np.empty((restarts, k, p))
-    idx = rng.integers(n, size=restarts)
-    centers[:, 0] = rows[idx]
-    d2 = ((rows[None, :, :] - centers[:, 0, None, :]) ** 2).sum(-1)
-    for j in range(1, k):
-        totals = d2.sum(axis=1)
-        u = rng.random(restarts) * np.where(totals > 0, totals, 1.0)
-        cum = np.cumsum(np.where(totals[:, None] > 0, d2, 1.0), axis=1)
-        idx = np.minimum((cum < u[:, None]).sum(axis=1), n - 1)
-        centers[:, j] = rows[idx]
-        d2 = np.minimum(
-            d2, ((rows[None, :, :] - centers[:, j, None, :]) ** 2).sum(-1)
-        )
-    return centers
-
-
-def _assign(rows, centers):
-    """Nearest-center labels of every restart, with no cluster left empty.
-
-    Returns ``(dist, labels, counts, refilled)``: squared distances
-    (restarts, n, k), labels (restarts, n), cluster sizes (restarts, k)
-    and whether any center was moved. An empty cluster's center moves
-    onto the farthest point whose own cluster keeps another member
-    (pigeonhole: one exists whenever a cluster is empty and k <= n), and
-    that point joins it; ``dist`` is updated to match. So coincident
-    centers, which send every tied point to the lower index, cannot
-    leave a cluster empty.
-    """
-    restarts, k, _ = centers.shape
-    dist = ((rows[None, :, None, :] - centers[:, None, :, :]) ** 2).sum(-1)
-    labels = dist.argmin(axis=2)
-    offsets = k * np.arange(restarts)[:, None]
-    counts = np.bincount((labels + offsets).ravel(),
-                         minlength=restarts * k).reshape(restarts, k)
-    refilled = not counts.all()
-    if refilled:
-        points = np.arange(rows.shape[0])
-        for r in np.flatnonzero((counts == 0).any(axis=1)):
-            for empty in np.flatnonzero(counts[r] == 0):
-                d1 = dist[r, points, labels[r]]
-                eligible = counts[r, labels[r]] > 1
-                far = int(np.argmax(np.where(eligible, d1, -np.inf)))
-                counts[r, labels[r, far]] -= 1
-                counts[r, empty] += 1
-                labels[r, far] = empty
-                centers[r, empty] = rows[far]
-                dist[r, :, empty] = ((rows - rows[far]) ** 2).sum(-1)
-    return dist, labels, counts, refilled
-
-
-def _batched_kmeans_labels(rows, centers):
-    """Labels of the best of the restarts seeded at ``centers``.
-
-    ``centers`` (restarts, k, p) is updated in place; every restart
-    runs at once via broadcasting. Returns the labels of the
-    minimum-cost restart (ties to the lowest index); no cluster of any
-    restart is empty.
-    """
-    restarts, k, _ = centers.shape
-    labels = np.zeros((restarts, rows.shape[0]), dtype=int)
-    for _ in range(SELECT_MAX_ITER):
-        dist, new_labels, counts, refilled = _assign(rows, centers)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        onehot = labels[:, None, :] == np.arange(k)[None, :, None]
-        np.divide(onehot @ rows, counts[:, :, None], out=centers)
-    else:
-        refilled = True
-    if refilled:
-        # Assign again to the final centers: the loop hit its cap, or
-        # the converged assignment moved a center.
-        dist, labels, _, _ = _assign(rows, centers)
-    costs = np.take_along_axis(dist, labels[:, :, None], 2)[:, :, 0].sum(axis=1)
-    return labels[int(np.argmin(costs))]
-
-
 def _partition_sse(rows, labels, k):
     """Within-cluster sum of squares of ``rows`` under given labels."""
     total = float(np.sum(rows * rows))
@@ -213,8 +131,7 @@ def _search(features, ks, screen_quantile, penalty, restarts, seed):
     centers per restart; the run for K starts from the first K of them.
     Returns a dict mapping each K to its SelectionReport.
     """
-    values = np.atleast_2d(np.asarray(getattr(features, "values", features),
-                                      dtype=float))
+    values = _feature_rows(features)
     n, n_features = values.shape
     k_max = max(ks)
     if min(ks) < 2:
@@ -241,7 +158,9 @@ def _search(features, ks, screen_quantile, penalty, restarts, seed):
             rng = derived_rng(seed, "select", sum(1 << j for j in subset))
             seeds = _plus_plus_centers(rows, k_max, restarts, rng)
             for k in ks:
-                labels = _batched_kmeans_labels(rows, seeds[:, :k].copy())
+                labels, costs = _lloyd(rows, seeds[:, :k].copy(),
+                                       SELECT_MAX_ITER)
+                labels = labels[int(np.argmin(costs))]
                 sse = _partition_sse(standardized, labels, k)
                 by_size = best_by_size[k]
                 if size not in by_size or sse < by_size[size][1]:

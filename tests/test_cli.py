@@ -216,5 +216,16 @@ def test_data_errors_exit_two(tmp_path):
                "--config", bad, "--k", 2, "--output", out) == 2
 
 
+def test_constant_curves_exit_two_with_one_line(tmp_path, capsys):
+    curves = tmp_path / "constant.csv"
+    curves.write_text("\n".join([",".join(["1.0"] * 64)] * 6) + "\n")
+    out = tmp_path / "features.csv"
+    assert run("features", "--input", curves, "--output", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: curve 0 is constant")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_missing_required_field_exits_two(tmp_path):
     assert run("features", "--output", tmp_path / "out.csv") == 2

@@ -62,11 +62,12 @@ def test_best_of_restarts_never_worse_than_single():
                for r in range(3))
 
 
-def test_kmeans_deterministic_and_thread_invariant():
+def test_kmeans_rerun_deterministic():
     X = np.random.default_rng(4).normal(size=(50, 3))
-    a = kmeans(X, 3, restarts=8, seed=4, threads=1)
-    b = kmeans(X, 3, restarts=8, seed=4, threads=4)
+    a = kmeans(X, 3, restarts=8, seed=4)
+    b = kmeans(X, 3, restarts=8, seed=4)
     assert_array_equal(a.labels, b.labels)
+    assert_array_equal(a.centers, b.centers)
     assert a.cost == b.cost
 
 
@@ -144,6 +145,17 @@ def test_pam_k_equals_n():
     part = pam(DissimilarityMatrix(values, "euclid-raw"), 6)
     assert part.cost == 0.0
     assert sorted(part.medoids) == list(range(6))
+
+
+def test_pam_duplicated_points_each_keep_a_cluster():
+    values = np.zeros((3, 3))
+    values[2, :2] = values[:2, 2] = 1.0  # points 0 and 1 coincide
+    part = pam(values, 2)
+    assert_array_equal(part.labels[part.medoids], [0, 1])
+    assert part.cost == pam_cost(values, part.medoids, part.labels)
+    part = pam(np.zeros((2, 2)), 2)
+    assert_array_equal(part.labels, [0, 1])
+    assert part.cost == 0.0
 
 
 def test_pam_k1_minimizes_column_sum():

@@ -152,6 +152,26 @@ def test_relative_contributions_zero_energy_degenerate():
         relative_contributions(np.zeros((1, 4)))
 
 
+@pytest.mark.parametrize("wavelet", ["haar", "symmlet6"])
+def test_constant_curves_are_degenerate_despite_roundoff(wavelet):
+    curves = np.ones((6, 64))
+    # The details are roundoff, not zeros, so only the relative test sees it.
+    assert energy_contributions(dwt_forward(curves, wavelet)).sum() > 0
+    with pytest.raises(DegenerateInputError, match="curve 0 is constant"):
+        feature_matrix(curves, kind="logitRC", wavelet=wavelet)
+    with pytest.raises(DegenerateInputError):
+        feature_matrix(123.456 * curves, kind="RC", wavelet=wavelet)
+
+
+def test_small_ripple_on_a_level_still_has_features():
+    rng = np.random.default_rng(16)
+    curves = 1.0 + 1e-6 * rng.normal(size=(4, 64))
+    values = feature_matrix(curves, kind="logitRC").values
+    assert np.isfinite(values).all()
+    rc = feature_matrix(curves, kind="RC").values
+    assert_allclose(rc.sum(axis=1), 1.0, atol=1e-9)
+
+
 def test_rc_rows_sum_to_one():
     curves = np.random.default_rng(15).normal(size=(9, 64))
     rc = feature_matrix(curves, kind="RC").values

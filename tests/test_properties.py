@@ -1,23 +1,26 @@
 """Property tests: invariants checked over generated inputs rather than a
-few hand-picked ones. Kept small (N <= 64, at most 25 examples each) and
+few hand-picked ones. Kept small (N <= 256, at most 25 examples each) and
 derandomized, so every run draws the same examples."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_array_equal
+from hypothesis.extra.numpy import arrays
+from numpy.testing import assert_allclose, assert_array_equal
 
+from test_clustering import swap_is_optimal
 from waveclust import (
     build_dissimilarity_matrix,
     cwt_morlet,
+    dwt_forward,
+    dwt_inverse,
     kmeans,
     make_scale_grid,
+    pam,
     wer_distance,
 )
-from waveclust.feature_selection import (
-    _batched_kmeans_labels,
-    _plus_plus_centers,
-)
+from waveclust.clustering import _lloyd, _plus_plus_centers
+from waveclust.feature_selection import SELECT_MAX_ITER
 from waveclust.rng import derived_rng
 
 GRID = make_scale_grid(1, 3, 4)
@@ -83,6 +86,8 @@ def test_kmeans_never_returns_an_empty_cluster(rows, data):
     k = data.draw(st.integers(1, rows.shape[0]), label="k")
     part = kmeans(rows, k, restarts=3, seed=k)
     assert np.bincount(part.labels, minlength=k).min() > 0
+    sse = ((rows - part.centers[part.labels]) ** 2).sum()
+    assert np.isclose(part.cost, sse, rtol=1e-12, atol=1e-12)
 
 
 @SMALL
@@ -91,6 +96,53 @@ def test_selection_engine_never_returns_an_empty_cluster(rows):
     n = rows.shape[0]
     for k in range(1, n + 1):
         centers = _plus_plus_centers(rows, k, 6, derived_rng(k, "property"))
-        labels = _batched_kmeans_labels(rows, centers)
-        counts = np.bincount(labels, minlength=k)
-        assert counts.size == k and counts.min() > 0, (k, counts)
+        labels, _ = _lloyd(rows, centers, SELECT_MAX_ITER)
+        for restart in labels:
+            counts = np.bincount(restart, minlength=k)
+            assert counts.size == k and counts.min() > 0, (k, counts)
+
+
+@st.composite
+def dyadic_batches(draw):
+    """One to three curves of a dyadic length in 16..256, in hundredths of
+    integers; most samples share one value, so flat runs and spikes mix."""
+    n_samples = draw(st.sampled_from([16, 32, 64, 128, 256]))
+    n_curves = draw(st.integers(1, 3))
+    ints = draw(arrays(np.int64, (n_curves, n_samples),
+                       elements=st.integers(-10000, 10000)))
+    return ints / 100.0
+
+
+@SMALL
+@given(dyadic_batches(), st.sampled_from(["haar", "symmlet6"]))
+def test_dwt_parseval_and_inverse_round_trip(curves, wavelet):
+    dec = dwt_forward(curves, wavelet=wavelet)
+    coeffs = dec.coefficient_vector()
+    energy_in = (curves ** 2).sum(axis=1)
+    energy_out = (coeffs ** 2).sum(axis=1)
+    assert_allclose(energy_out, energy_in, rtol=1e-12, atol=0.0)
+    scale = max(float(np.abs(curves).max()), 1.0)
+    assert_allclose(dwt_inverse(dec), curves, rtol=0.0, atol=1e-12 * scale)
+
+
+@st.composite
+def tied_dissimilarities(draw):
+    """A symmetric matrix over 2-10 points with entries in {0, 1, 2, 3}:
+    many ties, and points drawn more than once sit 0 apart."""
+    m = draw(st.integers(1, 6))
+    upper = draw(st.lists(st.integers(0, 3), min_size=m * (m - 1) // 2,
+                          max_size=m * (m - 1) // 2))
+    base = np.zeros((m, m))
+    base[np.triu_indices(m, 1)] = upper
+    base += base.T
+    picks = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=10))
+    return base[np.ix_(picks, picks)]
+
+
+@SMALL
+@given(tied_dissimilarities(), st.data())
+def test_pam_is_swap_optimal_with_ties_and_duplicates(values, data):
+    k = data.draw(st.integers(1, values.shape[0]), label="k")
+    part = pam(values, k)
+    assert np.bincount(part.labels, minlength=k).min() > 0
+    assert swap_is_optimal(values, list(part.medoids), part.labels)
