@@ -178,7 +178,7 @@ def cmd_choose_k(args):
 
 #: Settings shared by ``dissim`` and ``cluster --pipeline spectrum``.
 _SPECTRAL_DEFAULTS = {"omin": 1, "omax": 6, "voices": 8, "omega0": 6.0,
-                      "normalization": "L1", "theta": 0.95, "threads": 1}
+                      "normalization": "L1", "theta": 0.95, "threads": None}
 
 
 def _canonical_measure(name):
@@ -197,7 +197,7 @@ def _spectral_matrix(config, dataset):
         grid=make_scale_grid(config["omin"], config["omax"],
                              config["voices"]),
         omega0=config["omega0"], normalization=config["normalization"],
-        theta=config["theta"], threads=config["threads"])
+        theta=config["theta"], threads=config["threads"] or 1)
 
 
 def cmd_dissim(args):
@@ -223,9 +223,10 @@ def cmd_cluster(args):
         required=("input", "output", "k"),
     )
     if config["pipeline"] == "features":
-        if config["measure"] is not None:
-            raise ValueError("field 'measure' applies only to "
-                             "pipeline='spectrum'")
+        for key in ("measure", "threads"):
+            if config[key] is not None:
+                raise ValueError(f"field {key!r} applies only to "
+                                 "pipeline='spectrum'")
         features = io.read_features(config["input"])
         part = kmeans(features, config["k"], restarts=config["restarts"],
                       seed=config["seed"])

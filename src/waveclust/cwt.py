@@ -103,12 +103,31 @@ class Spectrum:
         return self.matrix.shape[1]
 
 
+@lru_cache(maxsize=16)
+def _morlet_bank(grid, n, omega0, p):
+    """``conj(fft(psi_a))`` of every scale of the grid, shape (n_scales, n),
+    and the normalizers ``a ** p``, shape (n_scales, 1). Cached per
+    (grid, n, omega0, p) and read-only, since every caller shares them."""
+    bank = np.array([np.conj(np.fft.fft(morlet_kernel(a, n, omega0=omega0)))
+                     for a in grid.scales])
+    bank.flags.writeable = False
+    # Scalar powers, as in the defining sum: an array power may take
+    # sqrt for p = 1/2 and round differently.
+    norm = np.array([a ** p for a in grid.scales])[:, None]
+    norm.flags.writeable = False
+    return bank, norm
+
+
 def cwt_morlet(curve, grid=None, omega0=6.0, normalization="L1"):
     """Morlet CWT of one curve over the scale grid.
 
     The circular correlation at every scale is evaluated exactly via the
     FFT: ``ifft(fft(z) * conj(fft(psi_a)))[k]`` equals the direct sum
-    ``sum_i z[i] * conj(psi_a)[(i - k) mod N]``.
+    ``sum_i z[i] * conj(psi_a)[(i - k) mod N]``. The kernel spectra
+    ``conj(fft(psi_a))`` depend only on the grid, N and omega0, so they
+    are computed once and cached as one (n_scales, N) filter bank; a
+    call is one forward FFT, one product with the bank, one inverse FFT
+    per row and the division by ``a ** p``.
     """
     curve = np.asarray(curve, dtype=float)
     if curve.ndim != 1 or curve.size < 8:
@@ -122,12 +141,8 @@ def cwt_morlet(curve, grid=None, omega0=6.0, normalization="L1"):
         p = 0.5
     else:
         raise ValueError(f"unknown normalization: {normalization!r}")
-    n = curve.size
-    z_hat = np.fft.fft(curve)
-    rows = np.empty((grid.n_scales, n), dtype=complex)
-    for j, a in enumerate(grid.scales):
-        kernel_hat = np.fft.fft(morlet_kernel(a, n, omega0=omega0))
-        rows[j] = np.fft.ifft(z_hat * np.conj(kernel_hat)) / a ** p
+    bank, norm = _morlet_bank(grid, curve.size, omega0, p)
+    rows = np.fft.ifft(np.fft.fft(curve) * bank, axis=-1) / norm
     return Spectrum(matrix=rows, grid=grid, omega0=omega0,
                     normalization=normalization)
 

@@ -12,9 +12,12 @@ so spectral measures can be benchmarked against naive ones.
 
 All pair computations are pure. ``build_dissimilarity_matrix`` fills
 the upper triangle one row at a time (optionally on a thread pool over
-rows) and mirrors it into a symmetric matrix with a zero diagonal. For
-WER it smooths each curve's auto-spectrum once and all cross-spectra of
-a row in one batch; no measure holds more than one row of differences.
+rows) and mirrors it into a symmetric matrix with a zero diagonal. Both
+spectral measures have a row formula, which the pair functions call
+with a one-element row: for WER, each curve's auto-spectrum is smoothed
+once and all cross-spectra of a row in one batch; for MCA, a row's
+covariances go through one stacked SVD, checked and phase-fixed
+together. No measure holds more than one row of differences.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -104,6 +107,11 @@ def time_averaged_coherence(wz, wx):
     return (field.values ** 2).mean(axis=1)
 
 
+def _pair_prefix(row, k):
+    """Error prefix naming pair k of matrix row ``row``, if one is given."""
+    return "" if row is None else f"pair ({row}, {row + 1 + k}): "
+
+
 def _auto_sums(w, grid):
     """Per-scale time sums of the smoothed auto-spectrum of one field.
 
@@ -124,9 +132,9 @@ def _wer_row(w, auto, others, auto_others, grid, row=None):
     den = (auto * auto_others).sum(axis=-1)
     bad = np.flatnonzero(den <= 0)
     if bad.size:
-        where = "" if row is None else f"pair ({row}, {row + 1 + bad[0]}): "
-        raise DegenerateInputError(
-            where + "zero auto-spectra: the WER distance is undefined")
+        raise DegenerateInputError(_pair_prefix(row, bad[0]) + "zero "
+                                   "auto-spectra: the WER distance is "
+                                   "undefined")
     # One product per pair, then one smoothing call for the row: the
     # product broadcast over a stack of fields can round differently.
     cross = np.abs(smooth_spectrum(np.stack([w * np.conj(x) for x in others]),
@@ -179,6 +187,65 @@ class McaResult:
     pattern_x: np.ndarray
 
 
+def _mca_decomposition(w, others, theta, row=None):
+    """Phase-fixed SVDs of the covariances ``Q_k = w others[k]^H``.
+
+    Returns ``(lam, u, v, retained)`` stacked over the pairs: singular
+    values (m, J_s), singular vectors as columns (m, J_s, J_s) and each
+    pair's retained D (m,). Each Q is formed on its own, and all of them
+    go through one stacked SVD call. When ``row`` is given, ``w`` is
+    curve ``row`` and ``others`` are the curves after it, and an error
+    names the first pair that fails.
+    """
+    if not 0.0 < theta <= 1.0:
+        raise ValueError("theta must lie in (0, 1]")
+    q = np.stack([w @ np.conj(x.T) for x in others])
+    fro2 = np.sum(np.abs(q) ** 2, axis=(1, 2))
+    bad = np.flatnonzero(fro2 <= 0)
+    if bad.size:
+        raise DegenerateInputError(_pair_prefix(row, bad[0]) + "all-zero "
+                                   "cross covariance: MCA is undefined")
+    u, lam, vh = np.linalg.svd(q)
+    lam2 = lam ** 2
+    total = lam2.sum(axis=1)
+    bad = np.flatnonzero(np.abs(total - fro2) > 1e-8 * fro2)
+    if bad.size:
+        raise FloatingPointError(_pair_prefix(row, bad[0]) + "SVD failed "
+                                 "the Frobenius identity sum(lam^2) = "
+                                 "||Q||_F^2")
+    # Remove the joint phase indeterminacy of each (u_j, v_j) pair.
+    anchor = np.argmax(np.abs(u), axis=1)
+    phase = np.take_along_axis(u, anchor[:, None, :], axis=1)
+    phase = phase / np.abs(phase)
+    u = u / phase
+    v = np.conj(vh.transpose(0, 2, 1)) / phase
+    # Inertia is nondecreasing, so counting the entries below theta is
+    # the left searchsorted position.
+    inertia = np.cumsum(lam2, axis=1) / total[:, None]
+    retained = np.minimum((inertia < theta - 1e-12).sum(axis=1) + 1,
+                          lam.shape[1])
+    return lam, u, v, retained
+
+
+def _mca_patterns(u, v, d, wz, wx):
+    """The leading D patterns ``u_j^H Wz`` and ``v_j^H Wx`` of one pair."""
+    return np.conj(u[:, :d].T) @ wz, np.conj(v[:, :d].T) @ wx
+
+
+def _mca_row(w, others, theta, row=None):
+    """MCA distances from field ``w`` to each field in the sequence
+    ``others``; ``row`` as in ``_mca_decomposition``."""
+    lam, u, v, retained = _mca_decomposition(w, others, theta, row=row)
+    out = np.empty(len(others))
+    for k, (x, d) in enumerate(zip(others, retained)):
+        pattern_z, pattern_x = _mca_patterns(u[k], v[k], d, w, x)
+        lam2 = lam[k, :d] ** 2
+        deltas = np.diff(pattern_z - pattern_x, axis=1)
+        d2 = np.sum(np.abs(deltas) ** 2, axis=1)
+        out[k] = np.sum(lam2 * d2) / np.sum(lam2)
+    return out
+
+
 def mca_analysis(wz, wx, theta=0.95):
     """Maximum-covariance decomposition of two spectra.
 
@@ -192,32 +259,11 @@ def mca_analysis(wz, wx, theta=0.95):
         failure, checked on every call.
     """
     _check_same_layout(wz, wx)
-    if not 0.0 < theta <= 1.0:
-        raise ValueError("theta must lie in (0, 1]")
-    q = wz.matrix @ np.conj(wx.matrix.T)
-    fro2 = float(np.sum(np.abs(q) ** 2))
-    if fro2 <= 0:
-        raise DegenerateInputError(
-            "all-zero cross covariance: MCA is undefined"
-        )
-    u, lam, vh = np.linalg.svd(q)
-    v = np.conj(vh.T)
-    if abs(float(np.sum(lam ** 2)) - fro2) > 1e-8 * fro2:
-        raise FloatingPointError(
-            "SVD failed the Frobenius identity sum(lam^2) = ||Q||_F^2"
-        )
-    # Remove the joint phase indeterminacy of each (u_j, v_j) pair.
-    anchor = np.argmax(np.abs(u), axis=0)
-    phase = u[anchor, np.arange(u.shape[1])]
-    phase = phase / np.abs(phase)
-    u = u / phase[None, :]
-    v = v / phase[None, :]
-    inertia = np.cumsum(lam ** 2) / np.sum(lam ** 2)
-    retained = int(np.searchsorted(inertia, theta - 1e-12) + 1)
-    retained = min(retained, lam.size)
-    pattern_z = np.conj(u[:, :retained].T) @ wz.matrix
-    pattern_x = np.conj(v[:, :retained].T) @ wx.matrix
-    return McaResult(lam=lam, u=u, v=v, retained=retained, theta=theta,
+    lam, u, v, retained = _mca_decomposition(wz.matrix, [wx.matrix], theta)
+    d = int(retained[0])
+    pattern_z, pattern_x = _mca_patterns(u[0], v[0], d, wz.matrix,
+                                         wx.matrix)
+    return McaResult(lam=lam[0], u=u[0], v=v[0], retained=d, theta=theta,
                      pattern_z=pattern_z, pattern_x=pattern_x)
 
 
@@ -229,11 +275,8 @@ def mca_distance(wz, wx, theta=0.95):
     difference along time), and the distance is the inertia-weighted
     combination ``sum_j lam_j^2 d_j^2 / sum_j lam_j^2`` over j < D.
     """
-    res = mca_analysis(wz, wx, theta=theta)
-    lam2 = res.lam[: res.retained] ** 2
-    deltas = np.diff(res.pattern_z - res.pattern_x, axis=1)
-    d2 = np.sum(np.abs(deltas) ** 2, axis=1)
-    return float(np.sum(lam2 * d2) / np.sum(lam2))
+    _check_same_layout(wz, wx)
+    return float(_mca_row(wz.matrix, [wx.matrix], theta)[0])
 
 
 def _spectrum_feature_rows(spectra):
@@ -282,6 +325,7 @@ def build_dissimilarity_matrix(dataset, measure="WER", grid=None,
     spectra = [] if measure == "euclid-raw" else [
         cwt_morlet(c, grid=grid, omega0=omega0, normalization=normalization)
         for c in curves]
+    fields = [spec.matrix for spec in spectra]
 
     if measure in ("euclid-raw", "euclid-features"):
         rows = curves if measure == "euclid-raw" else \
@@ -290,7 +334,6 @@ def build_dissimilarity_matrix(dataset, measure="WER", grid=None,
         def row(i):
             return np.linalg.norm(rows[i + 1:] - rows[i], axis=1)
     elif measure == "WER":
-        fields = [spec.matrix for spec in spectra]
         auto = np.array([_auto_sums(w, grid) for w in fields])
 
         def row(i):
@@ -298,15 +341,7 @@ def build_dissimilarity_matrix(dataset, measure="WER", grid=None,
                             auto[i + 1:], grid, row=i)
     else:
         def row(i):
-            out = []
-            for j in range(i + 1, n):
-                try:
-                    out.append(mca_distance(spectra[i], spectra[j],
-                                            theta=theta))
-                except DegenerateInputError as exc:
-                    raise DegenerateInputError(
-                        f"pair ({i}, {j}): {exc}") from exc
-            return out
+            return _mca_row(fields[i], fields[i + 1:], theta, row=i)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

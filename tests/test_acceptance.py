@@ -383,7 +383,7 @@ def _run_pipelines(workdir, threads, failures):
         "--features", "logit-rc")
     run("cluster", "--input", "feat.csv", "--output", "feat-part.csv",
         "--pipeline", "features", "--k", "3", "--restarts", "10",
-        "--seed", "5", "--threads", str(threads))
+        "--seed", "5")
     run("simulate", "--model", "sinus", "--n", "12", "--length", "128",
         "--seed", "9", "--output", "sinus.csv")
     run("cluster", "--input", "sinus.csv", "--output", "spec-part.csv",

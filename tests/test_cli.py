@@ -227,5 +227,31 @@ def test_constant_curves_exit_two_with_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_features_pipeline_rejects_threads(tmp_path, capsys):
+    feats = tmp_path / "features.csv"
+    feats.write_text("# kind=logitRC wavelet=symmlet6\n0.1,0.2\n0.3,0.4\n")
+    out = tmp_path / "partition.csv"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"threads": 2}))
+    for extra in (("--threads", 1), ("--config", config)):
+        assert run("cluster", "--pipeline", "features", "--input", feats,
+                   "--k", 2, "--output", out, *extra) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: field 'threads' applies only to "
+                       "pipeline='spectrum'\n")
+    assert not out.exists()
+
+
+def test_choose_k_names_k_max_above_row_count(tmp_path, capsys):
+    feats = tmp_path / "features.csv"
+    rows = np.random.default_rng(3).normal(size=(6, 2))
+    feats.write_text("".join(f"{a},{b}\n" for a, b in rows.tolist()))
+    assert run("choose-k", "--input", feats, "--kmax", 9,
+               "--output", tmp_path / "scan.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: k_max must be in 2..6")
+    assert err.count("\n") == 1
+
+
 def test_missing_required_field_exits_two(tmp_path):
     assert run("features", "--output", tmp_path / "out.csv") == 2

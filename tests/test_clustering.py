@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from waveclust import DissimilarityMatrix, choose_k_by_jump, kmeans, pam
+from waveclust import (
+    DissimilarityMatrix,
+    choose_k_by_jump,
+    feature_matrix,
+    gen_benchmark,
+    kmeans,
+    pam,
+)
 from waveclust.rng import derived_rng
 
 
@@ -103,6 +110,49 @@ def test_jump_invariant_to_permutation_and_scale():
     k1, _ = choose_k_by_jump(X[:, ::-1], 8, restarts=5, seed=7)
     k2, _ = choose_k_by_jump(2.5 * X, 8, restarts=5, seed=7)
     assert k0 == k1 == k2
+
+
+def separate_runs_jump(rows, k_max, restarts, seed):
+    """The jump rule on one separately seeded ``kmeans`` run per K."""
+    n, p = rows.shape
+    distortions = np.array([kmeans(rows, k, restarts=restarts, seed=seed).cost
+                            / (n * p) for k in range(1, k_max + 1)])
+    with np.errstate(over="ignore", divide="ignore"):
+        transformed = distortions ** (-p / 2.0)
+    finite = np.isfinite(transformed)
+    if not finite.all():
+        transformed = np.where(finite, transformed,
+                               10.0 * transformed[finite].max())
+    jumps = np.diff(np.concatenate(([0.0], transformed)))
+    return distortions, int(np.argmax(jumps)) + 1, not finite.all()
+
+
+@pytest.mark.parametrize("case", ["planted", "benchmark", "duplicated"])
+def test_jump_shared_seeding_matches_separate_kmeans_runs(case):
+    if case == "planted":
+        rows, _ = blobs(11, np.eye(3) * 4.0, 15, sd=0.3)
+        k_max, restarts, seed = 10, 5, 11
+    elif case == "benchmark":
+        dataset, _ = gen_benchmark(seed=4, n_per_cluster=8, length=256)
+        rows = feature_matrix(dataset, kind="logitRC").values
+        k_max, restarts, seed = 12, 4, 4
+    else:
+        rows = np.tile([[0.0, 0.0], [1.0, 1.0]], (4, 1))
+        k_max, restarts, seed = 8, 3, 0
+    distortions, jump_k, capped = separate_runs_jump(rows, k_max, restarts,
+                                                     seed)
+    k_star, curve = choose_k_by_jump(rows, k_max, restarts=restarts,
+                                     seed=seed)
+    assert_array_equal(curve.distortions, distortions)
+    assert k_star == curve.jump_k == jump_k
+    assert curve.capped == capped
+
+
+def test_jump_rejects_k_max_above_row_count():
+    with pytest.raises(ValueError, match=r"k_max must be in 2\.\.6 .*got 9"):
+        choose_k_by_jump(np.random.default_rng(2).normal(size=(6, 2)), 9)
+    with pytest.raises(ValueError, match="k_max"):
+        choose_k_by_jump(np.zeros((6, 2)), 1)
 
 
 # --- PAM ---

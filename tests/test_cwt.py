@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from waveclust import cwt_morlet, make_scale_grid, morlet_kernel, smooth_spectrum
-from waveclust.cwt import _boxcar_width
+from waveclust.cwt import _boxcar_width, _morlet_bank
 
 
 def direct_cwt(curve, grid, omega0=6.0, p=1.0):
@@ -19,6 +19,18 @@ def direct_cwt(curve, grid, omega0=6.0, p=1.0):
             psi = np.pi ** -0.25 * np.exp(1j * omega0 * u / a - (u / a) ** 2 / 2)
             out[row, k] = (curve * np.conj(psi)).sum() / a ** p
     return out
+
+
+def per_scale_cwt(curve, grid, omega0=6.0, p=1.0):
+    """The transform one scale at a time, each kernel built and
+    transformed afresh: the filter bank must reproduce it bit for bit."""
+    n = curve.size
+    z_hat = np.fft.fft(curve)
+    rows = np.empty((grid.n_scales, n), dtype=complex)
+    for j, a in enumerate(grid.scales):
+        kernel_hat = np.fft.fft(morlet_kernel(a, n, omega0=omega0))
+        rows[j] = np.fft.ifft(z_hat * np.conj(kernel_hat)) / a ** p
+    return rows
 
 
 def test_grid_counts():
@@ -43,6 +55,32 @@ def test_matches_direct_summation(normalization, p):
     grid = make_scale_grid(1, 3, 3)
     spec = cwt_morlet(curve, grid, normalization=normalization)
     assert_allclose(spec.matrix, direct_cwt(curve, grid, p=p), atol=1e-12)
+
+
+@pytest.mark.parametrize("grid", [make_scale_grid(), make_scale_grid(1, 5, 8),
+                                  make_scale_grid(0, 3, 3),
+                                  make_scale_grid(2, 7, 12)])
+@pytest.mark.parametrize("n", [8, 33, 48, 64, 128, 256, 512, 1024])
+@pytest.mark.parametrize("normalization,p", [("L1", 1.0), ("L2", 0.5)])
+def test_filter_bank_matches_per_scale_loop_bitwise(grid, n, normalization,
+                                                    p):
+    curve = np.random.default_rng(n).normal(size=n)
+    spec = cwt_morlet(curve, grid, normalization=normalization)
+    assert_array_equal(spec.matrix, per_scale_cwt(curve, grid, p=p))
+    omega0 = 5.0
+    spec = cwt_morlet(curve, grid, omega0=omega0, normalization=normalization)
+    assert_array_equal(spec.matrix, per_scale_cwt(curve, grid, omega0, p))
+
+
+def test_filter_bank_is_cached_and_read_only():
+    grid = make_scale_grid(1, 4, 4)
+    bank, norm = _morlet_bank(grid, 64, 6.0, 1.0)
+    assert bank.shape == (grid.n_scales, 64)
+    assert norm.shape == (grid.n_scales, 1)
+    assert _morlet_bank(grid, 64, 6.0, 1.0)[0] is bank
+    for array in (bank, norm):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
 
 
 def test_zero_curve_zero_spectrum():

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.interpolate import CubicSpline
 
 from waveclust import (
     FunctionalDataset,
@@ -105,7 +108,41 @@ def test_resample_dataset_maps_rows():
     ds = FunctionalDataset(np.random.default_rng(6).normal(size=(3, 48)), 48)
     out = resample_dataset(ds, 6)
     assert out.curves.shape == (3, 64)
-    assert_allclose(out.curves[1], resample_dyadic(ds.curves[1], 6))
+    for curve, row in zip(ds.curves, out.curves):
+        assert_array_equal(row, resample_dyadic(curve, 6))
+
+
+def per_curve_resample(curves, J):
+    """One natural spline per curve: the dataset-wide fit must reproduce
+    it bit for bit."""
+    n, target = curves.shape[1], 2 ** J
+    if target == n:
+        return curves.copy()
+    x = np.arange(n) / (n - 1)
+    return np.vstack([
+        CubicSpline(x, c, bc_type="natural")(np.arange(target) / (target - 1))
+        for c in curves])
+
+
+@pytest.mark.parametrize("n", [4, 7, 8, 48, 64, 100, 300])
+@pytest.mark.parametrize("J", [2, 5, 6, 10])
+def test_resample_dataset_matches_per_curve_splines(n, J):
+    curves = np.random.default_rng(n * J).normal(size=(9, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = resample_dataset(FunctionalDataset(curves), J)
+    assert_array_equal(out.curves, per_curve_resample(curves, J))
+
+
+def test_resample_dataset_downsamples_with_one_warning():
+    ds = FunctionalDataset(np.random.default_rng(7).normal(size=(5, 100)))
+    with pytest.warns(UserWarning) as caught:
+        out = resample_dataset(ds, 5)
+    assert len(caught) == 1
+    assert out.curves.shape == (5, 32)
+    with pytest.warns(UserWarning):
+        for curve, row in zip(ds.curves, out.curves):
+            assert_array_equal(row, resample_dyadic(curve, 5))
 
 
 def test_dataset_validates_shape():

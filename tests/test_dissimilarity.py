@@ -251,12 +251,35 @@ def test_euclid_raw_matches_plain_distances():
                     np.linalg.norm(ds.curves[i] - ds.curves[j]), rtol=1e-12)
 
 
-def test_degenerate_pair_error_names_the_pair():
-    curves = np.vstack([np.random.default_rng(34).normal(size=64),
+@pytest.mark.parametrize("measure", ["WER", "MCA"])
+def test_degenerate_pair_error_names_the_pair(measure):
+    rng = np.random.default_rng(34)
+    curves = np.vstack([rng.normal(size=64), rng.normal(size=64),
                         np.zeros(64)])
     ds = FunctionalDataset(curves, 64)
-    with pytest.raises(DegenerateInputError, match=r"pair \(0, 1\)"):
-        build_dissimilarity_matrix(ds, measure="WER",
+    with pytest.raises(DegenerateInputError, match=r"pair \(0, 2\)"):
+        build_dissimilarity_matrix(ds, measure=measure,
+                                   grid=make_scale_grid(1, 4, 4))
+
+
+def test_mca_failed_frobenius_identity_raises(monkeypatch):
+    """A decomposition whose squared singular values miss ||Q||_F^2 is a
+    numerical failure, in mca_distance and build_dissimilarity_matrix."""
+    svd = np.linalg.svd
+
+    def inflated(q):
+        u, lam, vh = svd(q)
+        lam = lam.copy()
+        lam[-1, 0] *= 1.01
+        return u, lam, vh
+
+    monkeypatch.setattr(np.linalg, "svd", inflated)
+    wz, wx = spectra(25, length=64)
+    with pytest.raises(FloatingPointError, match="Frobenius"):
+        mca_distance(wz, wx)
+    with pytest.raises(FloatingPointError, match=r"pair \(0, 3\)"):
+        build_dissimilarity_matrix(far_dataset(36, n=4, length=64),
+                                   measure="MCA",
                                    grid=make_scale_grid(1, 4, 4))
 
 

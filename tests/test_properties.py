@@ -2,6 +2,11 @@
 few hand-picked ones. Kept small (N <= 256, at most 25 examples each) and
 derandomized, so every run draws the same examples."""
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +21,11 @@ from waveclust import (
     dwt_inverse,
     kmeans,
     make_scale_grid,
+    mca_distance,
     pam,
     wer_distance,
 )
+from waveclust.cli import main
 from waveclust.clustering import _lloyd, _plus_plus_centers
 from waveclust.feature_selection import SELECT_MAX_ITER
 from waveclust.rng import derived_rng
@@ -66,6 +73,21 @@ def test_wer_matrix_symmetric_bounded_and_pairwise(curves):
     for i in range(n):
         for j in range(i + 1, n):
             assert values[i, j] == wer_distance(spectra[i], spectra[j])
+
+
+@SMALL
+@given(curve_sets(min_curves=2))
+def test_mca_matrix_symmetric_nonnegative_and_pairwise(curves):
+    n = curves.shape[0]
+    values = build_dissimilarity_matrix(curves, measure="MCA",
+                                        grid=GRID).values
+    assert_array_equal(values, values.T)
+    assert_array_equal(np.diag(values), np.zeros(n))
+    assert (values >= 0.0).all()
+    spectra = [cwt_morlet(c, GRID) for c in curves]
+    for i in range(n):
+        for j in range(i + 1, n):
+            assert values[i, j] == mca_distance(spectra[i], spectra[j])
 
 
 @st.composite
@@ -146,3 +168,105 @@ def test_pam_is_swap_optimal_with_ties_and_duplicates(values, data):
     part = pam(values, k)
     assert np.bincount(part.labels, minlength=k).min() > 0
     assert swap_is_optimal(values, list(part.medoids), part.labels)
+
+
+def run_cli(*argv):
+    """Exit code and standard error of one in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+def assert_data_error(code, err):
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def write_rows(path, rows):
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+
+
+@st.composite
+def broken_csv_rows(draw):
+    """Rows of numbers in which one row after the first is cut short,
+    grown, or holds a cell that is not a number."""
+    n_rows = draw(st.integers(2, 6))
+    width = draw(st.integers(2, 8))
+    rows = [[repr(v / 10.0) for v in draw(st.lists(
+        st.integers(-999, 999), min_size=width, max_size=width))]
+        for _ in range(n_rows)]
+    victim = draw(st.integers(1, n_rows - 1))
+    fault = draw(st.sampled_from(["short", "long", "token"]))
+    if fault == "short":
+        rows[victim] = rows[victim][:-1]
+    elif fault == "long":
+        rows[victim] = rows[victim] + ["1.0"]
+    else:
+        cell = draw(st.integers(0, width - 1))
+        rows[victim][cell] = draw(st.sampled_from(
+            ["", "x", "1.0.0", "--1", "one", "1e", "0x1p3"]))
+    return rows
+
+
+@SMALL
+@given(broken_csv_rows(), st.sampled_from(["features", "dissim", "select",
+                                           "cluster"]))
+def test_cli_malformed_or_ragged_csv_exits_two(rows, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        write_rows(path, rows)
+        extra = ("--k", 2) if command == "cluster" else ()
+        assert_data_error(*run_cli(command, "--input", path, "--output",
+                                   Path(tmp) / "out.csv", *extra))
+
+
+@SMALL
+@given(st.integers(2, 8), st.integers(1, 4),
+       st.sampled_from(["features", "spectrum", "choose-k"]))
+def test_cli_k_above_row_count_exits_two(n, excess, command):
+    rows = np.random.default_rng(n).normal(size=(n, 3))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        feats = tmp / "features.csv"
+        write_rows(feats, [[repr(v) for v in row] for row in rows.tolist()])
+        out = tmp / "out.csv"
+        k = n + excess
+        if command == "choose-k":
+            argv = ("choose-k", "--input", feats, "--kmax", k)
+        elif command == "features":
+            argv = ("cluster", "--pipeline", "features", "--input", feats,
+                    "--k", k)
+        else:
+            dissim = tmp / "dissim.csv"
+            values = np.sqrt(((rows[:, None] - rows[None]) ** 2).sum(-1))
+            write_rows(dissim, [[repr(v) for v in row]
+                                for row in values.tolist()])
+            argv = ("cluster", "--pipeline", "spectrum", "--input", feats,
+                    "--dissim-input", dissim, "--k", k)
+        assert_data_error(*run_cli(*argv, "--output", out))
+        assert not out.exists()
+
+
+@SMALL
+@given(st.integers(13, 16), st.integers(0, 6), st.data())
+def test_cli_more_than_twelve_clusters_with_truth_exits_two(k, extra, data):
+    n = k + extra
+    labels = np.concatenate([np.arange(k), data.draw(st.lists(
+        st.integers(0, k - 1), min_size=extra, max_size=extra),
+        label="extra labels")]).astype(int)
+    truth = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                      label="truth")
+    rows = np.random.default_rng(k).normal(size=(n, 3))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        feats, part, truth_path = (tmp / "features.csv", tmp / "part.csv",
+                                   tmp / "truth.csv")
+        write_rows(feats, [[repr(v) for v in row] for row in rows.tolist()])
+        part.write_text("observation,label,distance\n" + "".join(
+            f"{i},{label},0.0\n" for i, label in enumerate(labels)))
+        truth_path.write_text("".join(f"{t}\n" for t in truth))
+        assert_data_error(*run_cli(
+            "diagnose", "--input", feats, "--partition", part, "--truth",
+            truth_path, "--output-prefix", tmp / "diag"))
+        assert not (tmp / "diag.validation.json").exists()
