@@ -215,16 +215,18 @@ def cmd_dissim(args):
 
 
 def cmd_cluster(args):
+    # The spectrum-only settings default to None here, so that the
+    # features pipeline can tell a setting it would ignore from a default.
+    spectral = ("measure", "dissim_input", *_SPECTRAL_DEFAULTS)
     config = _resolve_config(
         args,
         {"input": None, "output": None, "pipeline": "features", "k": None,
-         "restarts": 20, "seed": 0, "measure": None, "dissim_input": None,
-         **_SPECTRAL_DEFAULTS},
+         "restarts": 20, "seed": 0, **dict.fromkeys(spectral)},
         required=("input", "output", "k"),
     )
     if config["pipeline"] == "features":
-        for key in ("measure", "threads"):
-            if config[key] is not None:
+        for key in spectral:
+            if config.pop(key) is not None:
                 raise ValueError(f"field {key!r} applies only to "
                                  "pipeline='spectrum'")
         features = io.read_features(config["input"])
@@ -234,6 +236,9 @@ def cmd_cluster(args):
         distances = np.sqrt((diffs ** 2).sum(axis=1))
         inputs = {"features": config["input"]}
     elif config["pipeline"] == "spectrum":
+        for key, value in _SPECTRAL_DEFAULTS.items():
+            if config[key] is None:
+                config[key] = value
         if config["dissim_input"]:
             matrix = io.read_dissimilarity(config["dissim_input"])
             inputs = {"dissimilarity": config["dissim_input"]}

@@ -164,21 +164,22 @@ def _boxcar_width(voices, n_scales):
 
 @lru_cache(maxsize=16)
 def _smoothing_kernels(grid, n):
-    """FFTs of the per-row Gaussians, shape (n_scales, n), and of the
-    scale boxcar, shape (n_scales, 1) or None for width 1. Cached per
-    (grid, n) and read-only, since every caller shares them."""
+    """FFTs of the per-row Gaussians, shape (n_scales, n), and the scale
+    boxcar as a real (n_scales, n_scales) matrix. Row ``j`` of the matrix
+    holds ``1 / width`` at the ``width`` columns ``j - width // 2`` to
+    ``j + width // 2`` taken modulo n_scales (the window wraps around the
+    grid's ends) and exact zeros elsewhere. Cached per (grid, n) and
+    read-only, since every caller shares them."""
     time_hat = np.array([np.fft.fft(_gaussian_row_kernel(a, n))
                          for a in grid.scales])
     time_hat.flags.writeable = False
-    width = _boxcar_width(grid.voices, grid.n_scales)
-    if width == 1:
-        return time_hat, None
     j_s = grid.n_scales
-    box = np.zeros(j_s)
-    box[np.arange(-(width // 2), width // 2 + 1) % j_s] = 1.0 / width
-    scale_hat = np.fft.fft(box)[:, None]
-    scale_hat.flags.writeable = False
-    return time_hat, scale_hat
+    width = _boxcar_width(grid.voices, j_s)
+    rows = np.arange(j_s)[:, None]
+    box = np.zeros((j_s, j_s))
+    box[rows, (rows + np.arange(width) - width // 2) % j_s] = 1.0 / width
+    box.flags.writeable = False
+    return time_hat, box
 
 
 def smooth_spectrum(values, grid):
@@ -189,16 +190,19 @@ def smooth_spectrum(values, grid):
     call gives the same values as one call per field. In time, row ``j``
     is circularly convolved with a unit-sum Gaussian whose standard
     deviation equals the row's scale in samples (wider scales get
-    proportionally wider smoothing). Across scales, each column is
-    circularly convolved with a unit-sum boxcar spanning the nearest odd
-    count to ``0.6 * voices`` rows. Unit-sum kernels preserve constant
-    fields and the total sum of the field.
+    proportionally wider smoothing), by one FFT pair along the time axis.
+    Across scales, row ``j`` becomes the mean of a boxcar window of the
+    nearest odd count to ``0.6 * voices`` rows centred on it, applied as
+    one real (n_scales, n_scales) matrix to the real and imaginary parts.
+    The scale window is circular: near the grid's ends it wraps around,
+    so the finest rows are averaged with the coarsest, and every row
+    outside a row's window gets a weight of exactly zero. Unit-sum
+    kernels preserve constant fields and the total sum of the field.
     """
     values = np.asarray(values)
     if values.ndim < 2 or values.shape[-2] != grid.n_scales:
         raise ValueError("row count must match the scale grid")
-    time_hat, scale_hat = _smoothing_kernels(grid, values.shape[-1])
+    time_hat, box = _smoothing_kernels(grid, values.shape[-1])
     out = np.fft.ifft(np.fft.fft(values, axis=-1) * time_hat, axis=-1)
-    if scale_hat is not None:
-        out = np.fft.ifft(np.fft.fft(out, axis=-2) * scale_hat, axis=-2)
+    out = np.matmul(box, out.view(float)).view(complex)
     return out if np.iscomplexobj(values) else out.real

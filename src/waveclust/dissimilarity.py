@@ -14,10 +14,16 @@ All pair computations are pure. ``build_dissimilarity_matrix`` fills
 the upper triangle one row at a time (optionally on a thread pool over
 rows) and mirrors it into a symmetric matrix with a zero diagonal. Both
 spectral measures have a row formula, which the pair functions call
-with a one-element row: for WER, each curve's auto-spectrum is smoothed
-once and all cross-spectra of a row in one batch; for MCA, a row's
-covariances go through one stacked SVD, checked and phase-fixed
-together. No measure holds more than one row of differences.
+with a one-element row. For WER, all curves' auto-spectra are smoothed
+in one call and a row's cross-spectra in one more. The smoother
+(``cwt.smooth_spectrum``) works in time by FFT and across scales by one
+real boxcar matrix, whose window wraps circularly around the ends of
+the scale grid and weights every scale outside it by exactly zero. For
+MCA, the fields are conjugated once per build; a row's covariances come
+from one batched product and go through one stacked SVD, checked and
+phase-fixed together, and its patterns come from one batched product
+pair per distinct retained D. No measure holds more than one row of
+cross fields or differences.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -112,14 +118,17 @@ def _pair_prefix(row, k):
     return "" if row is None else f"pair ({row}, {row + 1 + k}): "
 
 
-def _auto_sums(w, grid):
-    """Per-scale time sums of the smoothed auto-spectrum of one field.
+def _auto_sums(fields, grid):
+    """Per-scale time sums of the smoothed auto-spectra of a sequence of
+    fields, shape (len(fields), n_scales), from one smoothing call.
 
-    The product takes the same path as the cross term in ``_wer_row`` (not
-    abs()**2, which rounds differently) so that for x = z the smoothed
-    fields agree bitwise, WER^2 is exactly 1 and the distance exactly 0.
+    Each product is formed on its own field and takes the same path as
+    the cross term in ``_wer_row`` (not abs()**2, which rounds
+    differently) so that for x = z the smoothed fields agree bitwise,
+    WER^2 is exactly 1 and the distance exactly 0.
     """
-    return np.abs(smooth_spectrum(w * np.conj(w), grid)).sum(axis=1)
+    return np.abs(smooth_spectrum(np.stack([w * np.conj(w) for w in fields]),
+                                  grid)).sum(axis=-1)
 
 
 def _wer_row(w, auto, others, auto_others, grid, row=None):
@@ -159,10 +168,9 @@ def wer_distance(wz, wx):
         d(z, x) = sqrt(J_s * N * (1 - WER^2))  in  [0, sqrt(J_s * N)].
     """
     _check_same_layout(wz, wx)
-    grid = wz.grid
-    return float(_wer_row(wz.matrix, _auto_sums(wz.matrix, grid),
-                          [wx.matrix], _auto_sums(wx.matrix, grid)[None],
-                          grid)[0])
+    auto = _auto_sums([wz.matrix, wx.matrix], wz.grid)
+    return float(_wer_row(wz.matrix, auto[0], [wx.matrix], auto[1:],
+                          wz.grid)[0])
 
 
 @dataclass
@@ -187,19 +195,20 @@ class McaResult:
     pattern_x: np.ndarray
 
 
-def _mca_decomposition(w, others, theta, row=None):
-    """Phase-fixed SVDs of the covariances ``Q_k = w others[k]^H``.
+def _mca_decomposition(w, conj_others, theta, row=None):
+    """Phase-fixed SVDs of the covariances ``Q_k = w others[k]^H``, given
+    the conjugated fields ``conj_others`` (m, J_s, N) stacked.
 
     Returns ``(lam, u, v, retained)`` stacked over the pairs: singular
     values (m, J_s), singular vectors as columns (m, J_s, J_s) and each
-    pair's retained D (m,). Each Q is formed on its own, and all of them
-    go through one stacked SVD call. When ``row`` is given, ``w`` is
-    curve ``row`` and ``others`` are the curves after it, and an error
-    names the first pair that fails.
+    pair's retained D (m,). All Q come from one batched product and go
+    through one stacked SVD call. When ``row`` is given, ``w`` is curve
+    ``row`` and the others are the curves after it, and an error names
+    the first pair that fails.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
-    q = np.stack([w @ np.conj(x.T) for x in others])
+    q = w @ conj_others.transpose(0, 2, 1)
     fro2 = np.sum(np.abs(q) ** 2, axis=(1, 2))
     bad = np.flatnonzero(fro2 <= 0)
     if bad.size:
@@ -227,22 +236,32 @@ def _mca_decomposition(w, others, theta, row=None):
     return lam, u, v, retained
 
 
-def _mca_patterns(u, v, d, wz, wx):
-    """The leading D patterns ``u_j^H Wz`` and ``v_j^H Wx`` of one pair."""
-    return np.conj(u[:, :d].T) @ wz, np.conj(v[:, :d].T) @ wx
+def _mca_patterns(u, v, d, w, others):
+    """The leading D patterns ``u_j^H W`` and ``v_j^H X_k`` of a stack
+    of pairs, each of shape (m, D, N), from two batched products."""
+    return (np.conj(u[:, :, :d]).transpose(0, 2, 1) @ w,
+            np.conj(v[:, :, :d]).transpose(0, 2, 1) @ others)
 
 
-def _mca_row(w, others, theta, row=None):
-    """MCA distances from field ``w`` to each field in the sequence
-    ``others``; ``row`` as in ``_mca_decomposition``."""
-    lam, u, v, retained = _mca_decomposition(w, others, theta, row=row)
+def _mca_row(w, others, conj_others, theta, row=None):
+    """MCA distances from field ``w`` to each field of the stack
+    ``others``, given its conjugate; ``row`` as in ``_mca_decomposition``.
+
+    The pairs are batched by their retained D: each distinct D takes one
+    pattern product pair and one reduction. A one-direction pattern is a
+    matrix-vector BLAS product, which rounds otherwise than the same row
+    of a taller matrix product, so padding every pair to the row's
+    largest D would change the distances.
+    """
+    lam, u, v, retained = _mca_decomposition(w, conj_others, theta, row=row)
     out = np.empty(len(others))
-    for k, (x, d) in enumerate(zip(others, retained)):
-        pattern_z, pattern_x = _mca_patterns(u[k], v[k], d, w, x)
+    for d in np.unique(retained):
+        k = np.flatnonzero(retained == d)
+        pattern_z, pattern_x = _mca_patterns(u[k], v[k], d, w, others[k])
+        deltas = np.diff(pattern_z - pattern_x, axis=-1)
+        d2 = np.sum(np.abs(deltas) ** 2, axis=-1)
         lam2 = lam[k, :d] ** 2
-        deltas = np.diff(pattern_z - pattern_x, axis=1)
-        d2 = np.sum(np.abs(deltas) ** 2, axis=1)
-        out[k] = np.sum(lam2 * d2) / np.sum(lam2)
+        out[k] = np.sum(lam2 * d2, axis=-1) / np.sum(lam2, axis=-1)
     return out
 
 
@@ -259,12 +278,13 @@ def mca_analysis(wz, wx, theta=0.95):
         failure, checked on every call.
     """
     _check_same_layout(wz, wx)
-    lam, u, v, retained = _mca_decomposition(wz.matrix, [wx.matrix], theta)
+    others = wx.matrix[None]
+    lam, u, v, retained = _mca_decomposition(wz.matrix, np.conj(others),
+                                             theta)
     d = int(retained[0])
-    pattern_z, pattern_x = _mca_patterns(u[0], v[0], d, wz.matrix,
-                                         wx.matrix)
+    pattern_z, pattern_x = _mca_patterns(u, v, d, wz.matrix, others)
     return McaResult(lam=lam[0], u=u[0], v=v[0], retained=d, theta=theta,
-                     pattern_z=pattern_z, pattern_x=pattern_x)
+                     pattern_z=pattern_z[0], pattern_x=pattern_x[0])
 
 
 def mca_distance(wz, wx, theta=0.95):
@@ -276,10 +296,11 @@ def mca_distance(wz, wx, theta=0.95):
     combination ``sum_j lam_j^2 d_j^2 / sum_j lam_j^2`` over j < D.
     """
     _check_same_layout(wz, wx)
-    return float(_mca_row(wz.matrix, [wx.matrix], theta)[0])
+    others = wx.matrix[None]
+    return float(_mca_row(wz.matrix, others, np.conj(others), theta)[0])
 
 
-def _spectrum_feature_rows(spectra):
+def _spectrum_feature_rows(fields):
     """Per-curve magnitude signatures for the euclid-features measure.
 
     Each |CWT| row is mean-centered in time (dropping the vertical
@@ -288,8 +309,8 @@ def _spectrum_feature_rows(spectra):
     shape of the time-scale energy distribution is compared.
     """
     rows = []
-    for spec in spectra:
-        mag = np.abs(spec.matrix)
+    for field in fields:
+        mag = np.abs(field)
         mag = mag - mag.mean(axis=1, keepdims=True)
         rms = np.sqrt(np.mean(mag ** 2))
         if rms <= 0:
@@ -322,26 +343,29 @@ def build_dissimilarity_matrix(dataset, measure="WER", grid=None,
     if n < 2:
         raise ValueError("need at least two curves")
     grid = grid if grid is not None else ScaleGrid()
-    spectra = [] if measure == "euclid-raw" else [
-        cwt_morlet(c, grid=grid, omega0=omega0, normalization=normalization)
-        for c in curves]
-    fields = [spec.matrix for spec in spectra]
+    fields = [] if measure == "euclid-raw" else [
+        cwt_morlet(c, grid=grid, omega0=omega0,
+                   normalization=normalization).matrix for c in curves]
 
     if measure in ("euclid-raw", "euclid-features"):
         rows = curves if measure == "euclid-raw" else \
-            _spectrum_feature_rows(spectra)
+            _spectrum_feature_rows(fields)
 
         def row(i):
             return np.linalg.norm(rows[i + 1:] - rows[i], axis=1)
     elif measure == "WER":
-        auto = np.array([_auto_sums(w, grid) for w in fields])
+        auto = _auto_sums(fields, grid)
 
         def row(i):
             return _wer_row(fields[i], auto[i], fields[i + 1:],
                             auto[i + 1:], grid, row=i)
     else:
+        fields = np.stack(fields)
+        conj_fields = np.conj(fields)
+
         def row(i):
-            return _mca_row(fields[i], fields[i + 1:], theta, row=i)
+            return _mca_row(fields[i], fields[i + 1:], conj_fields[i + 1:],
+                            theta, row=i)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -242,6 +242,28 @@ def test_features_pipeline_rejects_threads(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("omin", 3), ("omax", 5), ("voices", 4), ("omega0", 5.0),
+    ("normalization", "L2"), ("theta", 0.5),
+    ("dissim_input", "nonexistent.csv"),
+])
+def test_features_pipeline_rejects_spectral_settings(tmp_path, capsys, key,
+                                                     value):
+    feats = tmp_path / "features.csv"
+    feats.write_text("# kind=logitRC wavelet=symmlet6\n0.1,0.2\n0.3,0.4\n")
+    out = tmp_path / "partition.csv"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    flag = "--" + key.replace("_", "-")
+    for extra in ((flag, value), ("--config", config)):
+        assert run("cluster", "--pipeline", "features", "--input", feats,
+                   "--k", 2, "--output", out, *extra) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: field {key!r} applies only to "
+                       "pipeline='spectrum'\n")
+    assert not out.exists()
+
+
 def test_choose_k_names_k_max_above_row_count(tmp_path, capsys):
     feats = tmp_path / "features.csv"
     rows = np.random.default_rng(3).normal(size=(6, 2))

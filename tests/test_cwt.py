@@ -181,7 +181,11 @@ def test_smoothing_impulse_direct_oracle():
         expected[(row0 + off) % js] += rows[row0] / width
     assert_allclose(out, expected, atol=1e-12)
     assert_allclose(out.sum(), 1.0, rtol=1e-12)
-    assert out.argmax() == np.ravel_multi_index((row0, n // 2), out.shape)
+    # The boxcar weights its window's rows equally and the rest by zero.
+    window = (row0 + np.arange(-(width // 2), width // 2 + 1)) % js
+    assert (out[window, n // 2] == out.max()).all()
+    outside = np.setdiff1d(np.arange(js), window)
+    assert_array_equal(out[outside], 0.0)
 
 
 def test_smoothing_complex_field_matches_componentwise():

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.signal import lfilter
 
 from waveclust import (
     DegenerateInputError,
@@ -229,18 +230,80 @@ def test_matrix_determinism_and_thread_invariance():
                 f"{measure} at threads={threads}"))
 
 
+def build_peak_bytes(curves, measure):
+    """Allocation peak of one matrix build, from tracemalloc."""
+    tracemalloc.start()
+    try:
+        build_dissimilarity_matrix(curves, measure=measure)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_euclid_builds_stay_linear_in_memory():
     """No n x n x L temporaries: 100 curves of 256 samples on the default
     41-scale grid (an n x n x L difference tensor would need ~825 MiB)."""
     curves = np.random.default_rng(36).normal(size=(100, 256))
     for measure in ("euclid-raw", "euclid-features"):
-        tracemalloc.start()
-        try:
-            build_dissimilarity_matrix(curves, measure=measure)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = build_peak_bytes(curves, measure)
         assert peak < 100 * 2 ** 20, f"{measure} peaked at {peak} bytes"
+
+
+def test_spectral_builds_stay_linear_in_memory():
+    """WER and MCA hold a few n x J_s x N stacks (one is 16.8 MB here)
+    and one row of cross fields, never n^2 fields: 100 curves of 256
+    samples on the default 41-scale grid peak near 64 and 52 MiB, where
+    all cross fields at once would take 1.6 GB."""
+    curves = np.random.default_rng(36).normal(size=(100, 256))
+    for measure in ("WER", "MCA"):
+        peak = build_peak_bytes(curves, measure)
+        assert peak < 100 * 2 ** 20, f"{measure} peaked at {peak} bytes"
+
+
+def day_curves(seed, n=14, length=64):
+    """Demand-like days: weekdays with sharp morning and evening peaks,
+    weekends with a broad hump, a random level and AR(1) noise."""
+    rng = np.random.default_rng(seed)
+    hours = (np.arange(length) + 0.5) * 24.0 / length
+
+    def bump(center, width):
+        return np.exp(-0.5 * ((hours - center) / width) ** 2)
+
+    weekday = 0.55 + 0.45 * bump(8.0, 1.2) + 0.6 * bump(19.0, 1.2)
+    weekend = 0.55 + 0.5 * bump(11.5, 3.5) + 0.45 * bump(19.5, 2.5)
+    shapes = np.where((np.arange(n) % 7 >= 5)[:, None], weekend, weekday)
+    noise = lfilter([1.0], [1.0, -0.8], rng.normal(0.0, 0.03, n * length))
+    return (shapes * rng.normal(1.0, 0.05, (n, 1))
+            * (1.0 + noise.reshape(n, length)))
+
+
+@pytest.mark.parametrize("curves, retained", [
+    (day_curves(0), {2, 3}),
+    (np.random.default_rng(30).normal(size=(12, 64)).cumsum(axis=1),
+     {1, 2, 3, 4}),
+], ids=["days", "random-walks"])
+def test_mca_row_matches_a_per_pair_formula(curves, retained):
+    """Row 0 of the MCA matrix, whose pairs retain different D, against
+    each pair's distance from mca_analysis's u, v and lam with that
+    pair's own D, by a plain per-pair formula, bitwise. A one-direction
+    pattern product rounds otherwise than a row of a taller one, so
+    patterns padded to the row's largest D fail on the random walks."""
+    grid = make_scale_grid(1, 5, 8)
+    spec = [cwt_morlet(c, grid) for c in curves]
+    mat = build_dissimilarity_matrix(curves, measure="MCA", grid=grid)
+    seen = set()
+    for j in range(1, len(spec)):
+        res = mca_analysis(spec[0], spec[j])
+        d = res.retained
+        seen.add(d)
+        pattern_z = np.conj(res.u[:, :d].T) @ spec[0].matrix
+        pattern_x = np.conj(res.v[:, :d].T) @ spec[j].matrix
+        lam2 = res.lam[:d] ** 2
+        d2 = np.sum(np.abs(np.diff(pattern_z - pattern_x, axis=1)) ** 2,
+                    axis=1)
+        assert mat.values[0, j] == np.sum(lam2 * d2) / np.sum(lam2), (
+            f"pair (0, {j}), D={d}")
+    assert retained <= seen
 
 
 def test_euclid_raw_matches_plain_distances():
