@@ -41,11 +41,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _check_config_value(path, key, value, action):
+    """Reject a config value its flag would not accept: the flag's type
+    (``int`` takes no ``bool``, ``float`` also takes ``int``) and its
+    choices."""
+    kind = action.type or str
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"config file {path}: field {key!r} must be "
+                         f"{kind.__name__}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config file {path}: field {key!r} must be one "
+                         f"of {list(action.choices)}, got {value!r}")
+
+
 def _resolve_config(args, defaults, required=()):
     """Merge defaults, the optional JSON config file, and flags.
 
-    Flags beat the config file, which beats defaults. Unknown config
-    keys and missing required settings are data errors.
+    Flags beat the config file, which beats defaults. A config value of
+    null leaves the default in place; any other value must be one its
+    flag would accept. A config that is not a JSON object, unknown or
+    ill-typed config keys, and missing required settings are data errors.
     """
     config = dict(defaults)
     path = getattr(args, "config", None)
@@ -55,9 +71,16 @@ def _resolve_config(args, defaults, required=()):
                 loaded = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ValueError(f"config file {path}: invalid JSON ({exc})")
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {path}: top level must be a "
+                             f"JSON object, got {type(loaded).__name__}")
         for key, value in loaded.items():
             if key not in config:
                 raise ValueError(f"config file {path}: unknown field {key!r}")
+            if value is None:
+                continue
+            if key in args.flags:
+                _check_config_value(path, key, value, args.flags[key])
             config[key] = value
     for key in config:
         flag = getattr(args, key, None)
@@ -181,19 +204,14 @@ _SPECTRAL_DEFAULTS = {"omin": 1, "omax": 6, "voices": 8, "omega0": 6.0,
                       "normalization": "L1", "theta": 0.95, "threads": None}
 
 
-def _canonical_measure(name):
-    mapping = {m.lower(): m for m in MEASURES}
-    key = str(name).lower()
-    if key not in mapping:
-        raise ValueError(f"measure must be one of "
-                         f"{sorted(mapping)}, got {name!r}")
-    return mapping[key]
+#: The ``--measure`` choices, by the name the library knows them.
+_MEASURE_NAMES = {m.lower(): m for m in MEASURES}
 
 
 def _spectral_matrix(config, dataset):
     """The dissimilarity matrix the resolved spectral settings ask for."""
     return build_dissimilarity_matrix(
-        dataset, measure=_canonical_measure(config["measure"] or "wer"),
+        dataset, measure=_MEASURE_NAMES[config["measure"] or "wer"],
         grid=make_scale_grid(config["omin"], config["omax"],
                              config["voices"]),
         omega0=config["omega0"], normalization=config["normalization"],
@@ -403,9 +421,7 @@ def build_parser():
     p.set_defaults(func=cmd_choose_k)
 
     def add_spectral_flags(sub):
-        sub.add_argument("--measure", choices=["wer", "mca",
-                                               "euclid-features",
-                                               "euclid-raw"])
+        sub.add_argument("--measure", choices=list(_MEASURE_NAMES))
         sub.add_argument("--omin", type=int)
         sub.add_argument("--omax", type=int)
         sub.add_argument("--voices", type=int)
@@ -458,6 +474,9 @@ def build_parser():
         p.add_argument("--rho", type=float)
         _add_common(p)
         p.set_defaults(func=fn)
+    for sub in commands.choices.values():
+        sub.set_defaults(flags={action.dest: action
+                                for action in sub._actions})
     return parser
 
 

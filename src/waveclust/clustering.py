@@ -5,7 +5,9 @@ distortion jump.
 k-means has one engine, which subset selection
 (:mod:`waveclust.feature_selection`) shares: k-means++ seeding and Lloyd
 iterations run all restarts at once, and each step measures its squared
-distances with one ``cdist`` call over every restart's centers.
+distances with one ``cdist`` call over every restart's centers. SciPy's
+``cdist`` is imported on the first distance a k-means run measures, not
+with the module, so PAM and the import of the package need no SciPy.
 ``kmeans`` seeds all its restarts from one random stream derived from
 ``seed``; the minimum-cost restart wins, ties to the lowest restart
 index. PAM is fully deterministic: a greedy BUILD initialization
@@ -16,7 +18,6 @@ exchange lowers the total dissimilarity.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .rng import derived_rng
 
@@ -53,6 +54,14 @@ class Partition:
             raise ValueError("every cluster must be non-empty")
 
 
+def _cdist(*args):
+    """SciPy's ``cdist``, imported on the first call: the import rebinds
+    this module-level name, so later calls go to SciPy directly."""
+    global _cdist
+    from scipy.spatial.distance import cdist as _cdist
+    return _cdist(*args)
+
+
 def _feature_rows(features):
     values = getattr(features, "values", features)
     return np.atleast_2d(np.asarray(values, dtype=float))
@@ -68,14 +77,14 @@ def _plus_plus_centers(rows, k, restarts, rng):
     n, p = rows.shape
     centers = np.empty((restarts, k, p))
     centers[:, 0] = rows[rng.integers(n, size=restarts)]
-    d2 = cdist(centers[:, 0], rows, "sqeuclidean")
+    d2 = _cdist(centers[:, 0], rows, "sqeuclidean")
     for j in range(1, k):
         totals = d2.sum(axis=1)
         u = rng.random(restarts) * np.where(totals > 0, totals, 1.0)
         cum = np.cumsum(np.where(totals[:, None] > 0, d2, 1.0), axis=1)
         idx = np.minimum((cum < u[:, None]).sum(axis=1), n - 1)
         centers[:, j] = rows[idx]
-        d2 = np.minimum(d2, cdist(centers[:, j], rows, "sqeuclidean"))
+        d2 = np.minimum(d2, _cdist(centers[:, j], rows, "sqeuclidean"))
     return centers
 
 
@@ -95,7 +104,7 @@ def _assign(rows, centers):
     """
     restarts, k, p = centers.shape
     n = rows.shape[0]
-    dist = cdist(rows, centers.reshape(-1, p), "sqeuclidean")
+    dist = _cdist(rows, centers.reshape(-1, p), "sqeuclidean")
     dist = dist.reshape(n, restarts, k).transpose(1, 0, 2)
     labels = dist.argmin(axis=2)
     offsets = k * np.arange(restarts)[:, None]
@@ -113,8 +122,8 @@ def _assign(rows, centers):
                 counts[r, empty] += 1
                 labels[r, far] = empty
                 centers[r, empty] = rows[far]
-                dist[r, :, empty] = cdist(rows, rows[far:far + 1],
-                                          "sqeuclidean")[:, 0]
+                dist[r, :, empty] = _cdist(rows, rows[far:far + 1],
+                                           "sqeuclidean")[:, 0]
     return dist, labels, counts, refilled
 
 

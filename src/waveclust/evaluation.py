@@ -10,14 +10,15 @@ diagnostics are Leisch-style: a shadow value per observation --
 centers, near 0 deep inside a cluster and 1 on a boundary -- and a
 neighborhood graph of cluster centers on the first principal plane,
 with shadow-weighted edges and median-rule convex hulls.
+
+The SciPy pieces (``linear_sum_assignment``, ``cdist``, ``ConvexHull``)
+are imported inside the functions that use them, so importing the
+package loads no SciPy module.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial import ConvexHull, QhullError
-from scipy.spatial.distance import cdist
 
 
 def _label_array(partition_or_labels):
@@ -40,6 +41,8 @@ def misclassification(pred, truth):
     depend on how either side numbers its clusters. Both labelings may
     use at most 12 distinct labels.
     """
+    from scipy.optimize import linear_sum_assignment
+
     a, b = _label_array(pred), _label_array(truth)
     if a.size != b.size:
         raise ValueError("prediction and truth must have equal length")
@@ -98,6 +101,8 @@ class ValidationReport:
 
 def validation_report(pred, truth):
     """Misclassification, matching, and Rand indices in one report."""
+    from scipy.optimize import linear_sum_assignment
+
     a, b = _label_array(pred), _label_array(truth)
     count, rate = misclassification(a, b)
     table = _contingency(a, b)
@@ -112,6 +117,8 @@ def validation_report(pred, truth):
 def _center_distances(space, partition):
     """(n, K) distances from observations to centers or medoids."""
     if partition.centers is not None:
+        from scipy.spatial.distance import cdist
+
         rows = np.atleast_2d(np.asarray(getattr(space, "values", space),
                                         dtype=float))
         return cdist(rows, partition.centers)
@@ -184,6 +191,8 @@ def _principal_plane(rows):
 
 def _hull_vertices(coords, members):
     """Dataset indices of the convex hull of the given projected points."""
+    from scipy.spatial import ConvexHull, QhullError
+
     if members.size < 3:
         return [int(i) for i in members]
     try:
@@ -204,6 +213,8 @@ def neighborhood_graph(features, partition):
     times it for the outer hull; the hulls themselves are taken on the
     projected plane.
     """
+    from scipy.spatial.distance import cdist
+
     rows = np.atleast_2d(np.asarray(getattr(features, "values", features),
                                     dtype=float))
     if partition.k < 2:

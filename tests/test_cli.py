@@ -264,6 +264,45 @@ def test_features_pipeline_rejects_spectral_settings(tmp_path, capsys, key,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, loaded, outcome", [
+    # null leaves the default in place: the run equals one without the key.
+    (["dissim"], {"omin": None}, []),
+    (["dissim"], {"theta": 1, "measure": "mca"},
+     ["--theta", 1.0, "--measure", "mca"]),
+    (["dissim"], [1, 2], "top level must be a JSON object, got list"),
+    (["dissim"], {"measure": "WER"}, "field 'measure' must be one of "
+     "['wer', 'mca', 'euclid-features', 'euclid-raw'], got 'WER'"),
+    (["dissim"], {"omega0": "6"}, "field 'omega0' must be float, got '6'"),
+    (["cluster", "--pipeline", "spectrum"], {"k": "x"},
+     "field 'k' must be int, got 'x'"),
+    (["cluster", "--pipeline", "spectrum"], {"k": True},
+     "field 'k' must be int, got True"),
+    (["cluster", "--pipeline", "spectrum"], {"k": 2.0},
+     "field 'k' must be int, got 2.0"),
+])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, command,
+                                              loaded, outcome):
+    curves = tmp_path / "curves.csv"
+    io.write_dataset(curves, wc.FunctionalDataset(
+        np.random.default_rng(4).normal(size=(6, 32))))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(loaded))
+    out = tmp_path / "out.csv"
+    code = run(*command, "--input", curves, "--output", out,
+               "--config", config)
+    err = capsys.readouterr().err
+    if isinstance(outcome, str):
+        assert code == 2
+        assert err == f"error: config file {config}: {outcome}\n"
+        assert not out.exists()
+    else:
+        assert code == 0 and err == ""
+        ref = tmp_path / "ref.csv"
+        assert run(*command, "--input", curves, "--output", ref,
+                   *outcome) == 0
+        assert out.read_bytes() == ref.read_bytes()
+
+
 def test_choose_k_names_k_max_above_row_count(tmp_path, capsys):
     feats = tmp_path / "features.csv"
     rows = np.random.default_rng(3).normal(size=(6, 2))

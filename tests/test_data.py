@@ -2,9 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.interpolate import CubicSpline
 
+from test_properties import SMALL
 from waveclust import (
     FunctionalDataset,
     SampledSignal,
@@ -12,6 +16,7 @@ from waveclust import (
     resample_dyadic,
     slice_series,
 )
+from waveclust.data import _natural_spline
 
 
 def test_signal_rejects_empty_and_nonfinite():
@@ -96,6 +101,50 @@ def test_resample_reproduces_samples_at_shared_abscissae():
 def test_resample_rejects_short_curves():
     with pytest.raises(ValueError):
         resample_dyadic(np.arange(3.0), 4)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_resample_rejects_nonfinite_curves(value):
+    curve = np.random.default_rng(8).normal(size=48)
+    curve[17] = value
+    with pytest.raises(ValueError, match="finite"):
+        resample_dyadic(curve, 6)
+
+
+def scipy_natural_spline(curves, targets):
+    n = curves.shape[-1]
+    x = np.arange(n) / (n - 1)
+    return CubicSpline(x, curves, axis=-1, bc_type="natural")(targets)
+
+
+def assert_same_spline(curves, targets):
+    """Bitwise equal to SciPy's natural spline, in SciPy's memory layout."""
+    got = _natural_spline(curves, targets)
+    ref = scipy_natural_spline(curves, targets)
+    assert got.shape == ref.shape and got.strides == ref.strides
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [*range(4, 70), 96, 100, 128, 200, 300, 1000])
+def test_natural_spline_matches_scipy_bitwise(n):
+    rng = np.random.default_rng(n)
+    for J in range(2, 11):
+        targets = np.arange(2 ** J) / (2 ** J - 1)
+        for rows in (1, 7, 365):
+            # Row magnitudes spread over 1e-2 .. 1e4.
+            scale = 10.0 ** rng.uniform(-2.0, 4.0, size=(rows, 1))
+            curves = rng.normal(size=(rows, n)) * scale
+            assert_same_spline(curves, targets)
+        assert_same_spline(curves[0], targets)
+
+
+@SMALL
+@given(st.integers(4, 80).flatmap(lambda n: arrays(
+    float, st.tuples(st.integers(1, 6), st.just(n)),
+    elements=st.floats(-1e4, 1e4, allow_nan=False))),
+    st.integers(2, 9))
+def test_natural_spline_matches_scipy_property(curves, J):
+    assert_same_spline(curves, np.arange(2 ** J) / (2 ** J - 1))
 
 
 def test_resample_downsample_warns():

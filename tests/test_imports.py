@@ -1,0 +1,75 @@
+"""The import graph: the scale-energy and spectral routes run on NumPy
+alone, and the functions that need SciPy import it when first called.
+
+Every check runs in a fresh interpreter, so no earlier test can have
+loaded SciPy already.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import waveclust
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def run_fresh(code):
+    """Run ``code`` in a new interpreter that imports this package's tree;
+    return its standard output."""
+    source_root = str(Path(waveclust.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    path = source_root + os.pathsep + inherited if inherited else source_root
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert run_fresh(f"import sys, waveclust; print({SCIPY_MODULES})") == "[]"
+
+
+def test_spectral_route_loads_no_scipy():
+    code = f"""
+import sys
+import numpy as np
+import waveclust as wc
+record = np.random.default_rng(0).normal(size=6 * 48).cumsum()
+days = wc.slice_series(wc.SampledSignal(record), 48)
+curves = wc.resample_dataset(days, 6)
+grid = wc.make_scale_grid(1, 3, 4)
+for measure in ("WER", "MCA", "euclid-features", "euclid-raw"):
+    matrix = wc.build_dissimilarity_matrix(curves, measure=measure, grid=grid)
+    assert wc.pam(matrix, 2).labels.shape == (6,)
+print({SCIPY_MODULES})
+"""
+    assert run_fresh(code) == "[]"
+
+
+_SETUP = """
+import sys
+import numpy as np
+import waveclust as wc
+rng = np.random.default_rng(1)
+rows = np.vstack([rng.normal(c, 0.1, size=(10, 3)) for c in (0.0, 1.0, 2.0)])
+truth = np.repeat(np.arange(3), 10)
+"""
+
+
+@pytest.mark.parametrize("call", [
+    "assert wc.kmeans(rows, 3, restarts=4).k == 3",
+    "assert wc.choose_k_by_jump(rows, 5, restarts=4)[0] == 3",
+    "assert wc.select_features_stable(rows, 3, restarts=2)[0]",
+    "assert wc.validation_report(truth, truth).misclassified == 0",
+    "assert wc.misclassification(truth, truth)[0] == 0",
+    "part = wc.kmeans(rows, 3, restarts=4)\n"
+    "assert wc.neighborhood_graph(rows, part).inner_hull",
+], ids=["kmeans", "choose_k_by_jump", "select_features_stable",
+        "validation_report", "misclassification", "neighborhood_graph"])
+def test_scipy_backed_functions_work_first_in_a_fresh_process(call):
+    out = run_fresh(f"{_SETUP}{call}\nprint({SCIPY_MODULES})")
+    assert out != "[]"  # SciPy was imported on demand
