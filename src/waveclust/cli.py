@@ -1,8 +1,13 @@
 """Command-line front end.
 
-Every subcommand reads its settings from flags, optionally underlaid by
-a JSON config file (flags win), writes its declared artifacts, and
-drops a manifest next to the primary output recording the resolved
+Every subcommand's settings are declared once, in ``_COMMANDS``: each
+setting ``a_b`` is the flag ``--a-b`` and the config-file key ``a_b``,
+with its type, its choices and its default (or ``REQUIRED``). The
+parser, the config-file check and the manifest all read that table.
+
+A subcommand reads its settings from flags, optionally underlaid by a
+JSON config file (flags win), writes its declared artifacts, and drops
+a manifest next to the primary output recording the resolved
 configuration, the seed, and SHA-256 digests of all inputs and outputs.
 Manifests contain no timestamps and the math is deterministic for a
 fixed seed, so identical invocations produce byte-identical artifacts
@@ -41,30 +46,37 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _check_config_value(path, key, value, action):
-    """Reject a config value its flag would not accept: the flag's type
-    (``int`` takes no ``bool``, ``float`` also takes ``int``) and its
-    choices."""
-    kind = action.type or str
+#: The default of a setting that has none and must be given.
+REQUIRED = object()
+
+
+def _check_config_value(path, key, value, setting):
+    """Reject a config value its flag would not accept: the setting's
+    type (``int`` takes no ``bool``, ``float`` also takes ``int``) and
+    its choices."""
+    kind, choices, _ = setting
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValueError(f"config file {path}: field {key!r} must be "
                          f"{kind.__name__}, got {value!r}")
-    if action.choices is not None and value not in action.choices:
+    if choices is not None and value not in choices:
         raise ValueError(f"config file {path}: field {key!r} must be one "
-                         f"of {list(action.choices)}, got {value!r}")
+                         f"of {list(choices)}, got {value!r}")
 
 
-def _resolve_config(args, defaults, required=()):
-    """Merge defaults, the optional JSON config file, and flags.
+def _resolve_config(args):
+    """Merge the command's table defaults, the optional JSON config file,
+    and flags.
 
     Flags beat the config file, which beats defaults. A config value of
     null leaves the default in place; any other value must be one its
     flag would accept. A config that is not a JSON object, unknown or
     ill-typed config keys, and missing required settings are data errors.
     """
-    config = dict(defaults)
-    path = getattr(args, "config", None)
+    settings = _COMMANDS[args.command][2]
+    config = {key: None if default is REQUIRED else default
+              for key, (_, _, default) in settings.items()}
+    path = args.config
     if path:
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -75,19 +87,17 @@ def _resolve_config(args, defaults, required=()):
             raise ValueError(f"config file {path}: top level must be a "
                              f"JSON object, got {type(loaded).__name__}")
         for key, value in loaded.items():
-            if key not in config:
+            if key not in settings:
                 raise ValueError(f"config file {path}: unknown field {key!r}")
-            if value is None:
-                continue
-            if key in args.flags:
-                _check_config_value(path, key, value, args.flags[key])
-            config[key] = value
+            if value is not None:
+                _check_config_value(path, key, value, settings[key])
+                config[key] = value
     for key in config:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             config[key] = flag
-    for key in required:
-        if config.get(key) is None:
+    for key, (_, _, default) in settings.items():
+        if default is REQUIRED and config[key] is None:
             raise ValueError(f"missing required setting {key!r}")
     return config
 
@@ -119,9 +129,7 @@ def _finish(command, config, inputs, outputs):
 
 
 def cmd_slice(args):
-    config = _resolve_config(args, {"input": None, "output": None,
-                                    "delta": None},
-                             required=("input", "output", "delta"))
+    config = _resolve_config(args)
     signal = io.read_signal(config["input"])
     dataset = slice_series(signal, config["delta"])
     io.write_dataset(config["output"], dataset)
@@ -132,12 +140,7 @@ def cmd_slice(args):
 
 
 def cmd_features(args):
-    config = _resolve_config(
-        args,
-        {"input": None, "output": None, "features": "logit-rc",
-         "wavelet": "symmlet6", "resample_j": None},
-        required=("input", "output"),
-    )
+    config = _resolve_config(args)
     dataset = io.read_dataset(config["input"])
     if config["resample_j"] is not None:
         dataset = resample_dataset(dataset, config["resample_j"])
@@ -151,12 +154,7 @@ def cmd_features(args):
 
 
 def cmd_select(args):
-    config = _resolve_config(
-        args,
-        {"input": None, "output": None, "k": 3, "kmax": None,
-         "screen_quantile": 0.5, "penalty": 0.05, "restarts": 6, "seed": 0},
-        required=("input", "output"),
-    )
+    config = _resolve_config(args)
     features = io.read_features(config["input"])
     if config["kmax"] is not None:
         final, reports = select_features_stable(
@@ -183,12 +181,7 @@ def cmd_select(args):
 
 
 def cmd_choose_k(args):
-    config = _resolve_config(
-        args,
-        {"input": None, "output": None, "kmax": 10, "restarts": 10,
-         "seed": 0},
-        required=("input", "output"),
-    )
+    config = _resolve_config(args)
     features = io.read_features(config["input"])
     k_star, curve = choose_k_by_jump(features, config["kmax"],
                                      restarts=config["restarts"],
@@ -197,11 +190,6 @@ def cmd_choose_k(args):
     print(f"jump method selects K = {k_star}")
     return _finish("choose-k", config, {"features": config["input"]},
                    {"distortion": config["output"]})
-
-
-#: Settings shared by ``dissim`` and ``cluster --pipeline spectrum``.
-_SPECTRAL_DEFAULTS = {"omin": 1, "omax": 6, "voices": 8, "omega0": 6.0,
-                      "normalization": "L1", "theta": 0.95, "threads": None}
 
 
 #: The ``--measure`` choices, by the name the library knows them.
@@ -219,12 +207,7 @@ def _spectral_matrix(config, dataset):
 
 
 def cmd_dissim(args):
-    config = _resolve_config(
-        args,
-        {"input": None, "output": None, "measure": "wer",
-         **_SPECTRAL_DEFAULTS},
-        required=("input", "output"),
-    )
+    config = _resolve_config(args)
     matrix = _spectral_matrix(config, io.read_dataset(config["input"]))
     io.write_dissimilarity(config["output"], matrix)
     print(f"wrote {matrix.n} x {matrix.n} {matrix.measure} dissimilarities")
@@ -233,17 +216,9 @@ def cmd_dissim(args):
 
 
 def cmd_cluster(args):
-    # The spectrum-only settings default to None here, so that the
-    # features pipeline can tell a setting it would ignore from a default.
-    spectral = ("measure", "dissim_input", *_SPECTRAL_DEFAULTS)
-    config = _resolve_config(
-        args,
-        {"input": None, "output": None, "pipeline": "features", "k": None,
-         "restarts": 20, "seed": 0, **dict.fromkeys(spectral)},
-        required=("input", "output", "k"),
-    )
+    config = _resolve_config(args)
     if config["pipeline"] == "features":
-        for key in spectral:
+        for key in _SPECTRUM_ONLY:
             if config.pop(key) is not None:
                 raise ValueError(f"field {key!r} applies only to "
                                  "pipeline='spectrum'")
@@ -253,10 +228,11 @@ def cmd_cluster(args):
         diffs = features.values - part.centers[part.labels]
         distances = np.sqrt((diffs ** 2).sum(axis=1))
         inputs = {"features": config["input"]}
-    elif config["pipeline"] == "spectrum":
-        for key, value in _SPECTRAL_DEFAULTS.items():
+    else:
+        # An unset measure stays None (recorded as null) and means WER.
+        for key, (_, _, default) in _SPECTRAL.items():
             if config[key] is None:
-                config[key] = value
+                config[key] = default
         if config["dissim_input"]:
             matrix = io.read_dissimilarity(config["dissim_input"])
             inputs = {"dissimilarity": config["dissim_input"]}
@@ -267,8 +243,6 @@ def cmd_cluster(args):
         part = pam(matrix, config["k"], seed=config["seed"])
         distances = matrix.values[np.arange(matrix.n),
                                   part.medoids[part.labels]]
-    else:
-        raise ValueError("field 'pipeline' must be 'features' or 'spectrum'")
     io.write_partition(config["output"], part, distances)
     sizes = np.bincount(part.labels, minlength=part.k).tolist()
     print(f"{part.method} cost {part.cost:.6g}, cluster sizes {sizes}")
@@ -287,12 +261,7 @@ def _partition_from_labels(values, labels):
 
 
 def cmd_diagnose(args):
-    config = _resolve_config(
-        args,
-        {"input": None, "partition": None, "truth": None,
-         "output_prefix": None},
-        required=("input", "partition", "output_prefix"),
-    )
+    config = _resolve_config(args)
     features = io.read_features(config["input"])
     labels, _ = io.read_partition(config["partition"])
     if labels.size != features.n_curves:
@@ -328,14 +297,10 @@ def cmd_diagnose(args):
     return _finish("diagnose", config, inputs, outputs)
 
 
-def _run_simulation(command, args):
-    config = _resolve_config(
-        args,
-        {"output": None, "labels_output": None, "model": "benchmark",
-         "n": 25, "length": 1024, "sigma": 1.0, "rho": 0.8, "seed": 0},
-        required=("output",),
-    )
-    model = "benchmark" if command == "benchmark" else config["model"]
+def cmd_simulate(args):
+    """``simulate`` and ``benchmark``; the latter has no ``model``."""
+    config = _resolve_config(args)
+    model = config.setdefault("model", "benchmark")
     if model == "benchmark":
         dataset, labels = gen_benchmark(
             seed=config["seed"], n_per_cluster=config["n"],
@@ -345,15 +310,11 @@ def _run_simulation(command, args):
         dataset, labels = gen_sinus(config["n"], length=config["length"],
                                     sigma=config["sigma"],
                                     seed=config["seed"])
-    elif model in ("far-diagonal", "far-full"):
+    else:
         far = FarModel(kernel=model.split("-", 1)[1], rho=config["rho"],
                        m=config["length"], sigma=config["sigma"])
         dataset, labels = gen_far(config["n"], length=config["length"],
                                   model=far, seed=config["seed"])
-    else:
-        raise ValueError("field 'model' must be benchmark, sinus, "
-                         "far-diagonal or far-full")
-    config["model"] = model
     io.write_dataset(config["output"], dataset)
     outputs = {"dataset": config["output"]}
     if config["labels_output"]:
@@ -361,20 +322,68 @@ def _run_simulation(command, args):
         outputs["labels"] = config["labels_output"]
     print(f"generated {dataset.n_curves} curves of length "
           f"{dataset.n_samples} ({model})")
-    return _finish(command, config, {}, outputs)
+    return _finish(args.command, config, {}, outputs)
 
 
-def cmd_simulate(args):
-    return _run_simulation("simulate", args)
+# The settings table: setting name -> (type, choices, default).
+_IO = {"input": (str, None, REQUIRED), "output": (str, None, REQUIRED)}
 
+#: Settings shared by ``dissim`` and ``cluster --pipeline spectrum``.
+_SPECTRAL = {"omin": (int, None, 1), "omax": (int, None, 6),
+             "voices": (int, None, 8), "omega0": (float, None, 6.0),
+             "normalization": (str, ("L1", "L2"), "L1"),
+             "theta": (float, None, 0.95), "threads": (int, None, None)}
 
-def cmd_benchmark(args):
-    return _run_simulation("benchmark", args)
+#: ``cluster``'s spectrum-only settings. They default to None there, so
+#: that the features pipeline can tell a setting it would ignore from a
+#: default.
+_SPECTRUM_ONLY = {"measure": (str, tuple(_MEASURE_NAMES), None),
+                  "dissim_input": (str, None, None),
+                  **{key: (kind, choices, None)
+                     for key, (kind, choices, _) in _SPECTRAL.items()}}
 
+_OUTPUTS = {"output": (str, None, REQUIRED),
+            "labels_output": (str, None, None)}
+_SIMULATION = {"n": (int, None, 25), "length": (int, None, 1024),
+               "sigma": (float, None, 1.0), "rho": (float, None, 0.8),
+               "seed": (int, None, 0)}
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--seed", type=int)
+#: Each command's function, help line and settings.
+_COMMANDS = {
+    "slice": (cmd_slice, "cut a long signal into fixed-length curves",
+              {**_IO, "delta": (int, None, REQUIRED)}),
+    "features": (cmd_features, "scale-energy features per curve", {
+        **_IO, "features": (str, ("ac", "rc", "logit-rc"), "logit-rc"),
+        "wavelet": (str, ("symmlet6", "haar"), "symmlet6"),
+        "resample_j": (int, None, None)}),
+    "select": (cmd_select, "screen and pick feature subsets", {
+        **_IO, "k": (int, None, 3), "kmax": (int, None, None),
+        "screen_quantile": (float, None, 0.5),
+        "penalty": (float, None, 0.05), "restarts": (int, None, 6),
+        "seed": (int, None, 0)}),
+    "choose-k": (cmd_choose_k, "distortion-jump cluster count", {
+        **_IO, "kmax": (int, None, 10), "restarts": (int, None, 10),
+        "seed": (int, None, 0)}),
+    "cluster": (cmd_cluster,
+                "k-means on features or PAM on spectral dissimilarities", {
+        **_IO, "pipeline": (str, ("features", "spectrum"), "features"),
+        "k": (int, None, REQUIRED), "restarts": (int, None, 20),
+        "seed": (int, None, 0), **_SPECTRUM_ONLY}),
+    "dissim": (cmd_dissim, "all-pairs dissimilarity matrix", {
+        **_IO, "measure": (str, tuple(_MEASURE_NAMES), "wer"),
+        **_SPECTRAL}),
+    "diagnose": (cmd_diagnose,
+                 "shadow values, neighborhood graph, optional validation", {
+        "input": (str, None, REQUIRED), "partition": (str, None, REQUIRED),
+        "truth": (str, None, None),
+        "output_prefix": (str, None, REQUIRED)}),
+    "simulate": (cmd_simulate, "generate model curves", {
+        **_OUTPUTS, "model": (str, ("benchmark", "sinus", "far-diagonal",
+                                    "far-full"), "benchmark"),
+        **_SIMULATION}),
+    "benchmark": (cmd_simulate, "generate the 3-cluster benchmark",
+                  {**_OUTPUTS, **_SIMULATION}),
+}
 
 
 def build_parser():
@@ -383,100 +392,13 @@ def build_parser():
                                  "functional time series")
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("slice",
-                            help="cut a long signal into fixed-length curves")
-    p.add_argument("--input")
-    p.add_argument("--output")
-    p.add_argument("--delta", type=int)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_slice)
-
-    p = commands.add_parser("features", help="scale-energy features per curve")
-    p.add_argument("--input")
-    p.add_argument("--output")
-    p.add_argument("--features", choices=["ac", "rc", "logit-rc"])
-    p.add_argument("--wavelet", choices=["symmlet6", "haar"])
-    p.add_argument("--resample-j", dest="resample_j", type=int)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_features)
-
-    p = commands.add_parser("select", help="screen and pick feature subsets")
-    p.add_argument("--input")
-    p.add_argument("--output")
-    p.add_argument("--k", type=int)
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--screen-quantile", dest="screen_quantile", type=float)
-    p.add_argument("--penalty", type=float)
-    p.add_argument("--restarts", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_select)
-
-    p = commands.add_parser("choose-k", help="distortion-jump cluster count")
-    p.add_argument("--input")
-    p.add_argument("--output")
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--restarts", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_choose_k)
-
-    def add_spectral_flags(sub):
-        sub.add_argument("--measure", choices=list(_MEASURE_NAMES))
-        sub.add_argument("--omin", type=int)
-        sub.add_argument("--omax", type=int)
-        sub.add_argument("--voices", type=int)
-        sub.add_argument("--omega0", type=float)
-        sub.add_argument("--normalization", choices=["L1", "L2"])
-        sub.add_argument("--theta", type=float)
-        sub.add_argument("--threads", type=int)
-
-    p = commands.add_parser("cluster", help="k-means on features or PAM on "
-                            "spectral dissimilarities")
-    p.add_argument("--input")
-    p.add_argument("--output")
-    p.add_argument("--pipeline", choices=["features", "spectrum"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--dissim-input", dest="dissim_input")
-    add_spectral_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_cluster)
-
-    p = commands.add_parser("dissim", help="all-pairs dissimilarity matrix")
-    p.add_argument("--input")
-    p.add_argument("--output")
-    add_spectral_flags(p)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_dissim)
-
-    p = commands.add_parser("diagnose", help="shadow values, neighborhood "
-                            "graph, optional validation")
-    p.add_argument("--input")
-    p.add_argument("--partition")
-    p.add_argument("--truth")
-    p.add_argument("--output-prefix", dest="output_prefix")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_diagnose)
-
-    for name, fn, help_text in (
-        ("simulate", cmd_simulate, "generate model curves"),
-        ("benchmark", cmd_benchmark, "generate the 3-cluster benchmark"),
-    ):
-        p = commands.add_parser(name, help=help_text)
-        p.add_argument("--output")
-        p.add_argument("--labels-output", dest="labels_output")
-        if name == "simulate":
-            p.add_argument("--model", choices=["benchmark", "sinus",
-                                               "far-diagonal", "far-full"])
-        p.add_argument("--n", type=int)
-        p.add_argument("--length", type=int)
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--rho", type=float)
-        _add_common(p)
-        p.set_defaults(func=fn)
-    for sub in commands.choices.values():
-        sub.set_defaults(flags={action.dest: action
-                                for action in sub._actions})
+    for command, (_, help_text, settings) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=help_text)
+        for key, (kind, choices, _) in settings.items():
+            sub.add_argument("--" + key.replace("_", "-"), type=kind,
+                             choices=choices)
+        sub.add_argument("--config", help="JSON config file; flags "
+                                          "override it")
     return parser
 
 
@@ -487,7 +409,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code or 0
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except (OSError, ValueError, KeyError, DegenerateInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,11 @@ import numpy as np
 
 def _label_array(partition_or_labels):
     labels = getattr(partition_or_labels, "labels", partition_or_labels)
-    return np.asarray(labels, dtype=int)
+    labels = np.asarray(labels, dtype=int)
+    if labels.size and labels.min() < 0:
+        raise ValueError(f"labels must be nonnegative integers, got "
+                         f"{int(labels.min())}")
+    return labels
 
 
 def _contingency(a, b):
@@ -33,44 +37,40 @@ def _contingency(a, b):
     return table
 
 
-def misclassification(pred, truth):
-    """Misclassified count and rate under the best label matching.
-
-    The contingency table between the two labelings is matched by the
-    optimal assignment (maximum total agreement), so the result does not
-    depend on how either side numbers its clusters. Both labelings may
-    use at most 12 distinct labels.
-    """
+def _matching(a, b):
+    """The contingency table of two label arrays and its optimal
+    assignment (maximum total agreement), as ``(table, rows, cols)``."""
     from scipy.optimize import linear_sum_assignment
 
-    a, b = _label_array(pred), _label_array(truth)
     if a.size != b.size:
         raise ValueError("prediction and truth must have equal length")
     table = _contingency(a, b)
     if max(table.shape) > 12:
         raise ValueError("assignment matching supports at most 12 clusters")
     rows, cols = linear_sum_assignment(table, maximize=True)
-    agreement = int(table[rows, cols].sum())
-    count = a.size - agreement
+    return table, rows, cols
+
+
+def misclassification(pred, truth):
+    """Misclassified count and rate under the best label matching.
+
+    The contingency table between the two labelings is matched by the
+    optimal assignment (maximum total agreement), so the result does not
+    depend on how either side numbers its clusters. Both labelings may
+    use at most 12 distinct labels, numbered from 0.
+    """
+    a = _label_array(pred)
+    table, rows, cols = _matching(a, _label_array(truth))
+    count = a.size - int(table[rows, cols].sum())
     return count, count / a.size
 
 
-def rand_indices(labels1, labels2):
-    """Rand index and adjusted Rand index of two labelings.
-
-    Rand is the fraction of the n(n-1)/2 observation pairs on which the
-    two partitions agree (both together or both apart); ARI rescales it
-    so that independent partitions score 0 on average and identical ones
-    score 1. When the chance-agreement denominator vanishes (both
-    partitions trivially agree on every pair), ARI is 1 by convention.
-    """
-    a, b = _label_array(labels1), _label_array(labels2)
-    if a.size != b.size:
-        raise ValueError("labelings must have equal length")
-    n = a.size
+def _rand_from_table(table):
+    """Rand and adjusted Rand index of the labelings behind a contingency
+    table."""
+    n = int(table.sum())
     if n < 2:
         raise ValueError("need at least two observations")
-    table = _contingency(a, b)
 
     def pairs(x):
         return (x * (x - 1) // 2).sum()
@@ -87,6 +87,23 @@ def rand_indices(labels1, labels2):
     return float(rand), float(ari)
 
 
+def rand_indices(labels1, labels2):
+    """Rand index and adjusted Rand index of two labelings.
+
+    Rand is the fraction of the n(n-1)/2 observation pairs on which the
+    two partitions agree (both together or both apart); ARI rescales it
+    so that independent partitions score 0 on average and identical ones
+    score 1. When the chance-agreement denominator vanishes (both
+    partitions trivially agree on every pair), ARI is 1 by convention.
+    """
+    a, b = _label_array(labels1), _label_array(labels2)
+    if a.size != b.size:
+        raise ValueError("labelings must have equal length")
+    if a.size < 2:
+        raise ValueError("need at least two observations")
+    return _rand_from_table(_contingency(a, b))
+
+
 @dataclass
 class ValidationReport:
     """External validation summary of a partition against reference labels."""
@@ -101,16 +118,14 @@ class ValidationReport:
 
 def validation_report(pred, truth):
     """Misclassification, matching, and Rand indices in one report."""
-    from scipy.optimize import linear_sum_assignment
-
     a, b = _label_array(pred), _label_array(truth)
-    count, rate = misclassification(a, b)
-    table = _contingency(a, b)
-    rows, cols = linear_sum_assignment(table, maximize=True)
-    rand, ari = rand_indices(a, b)
+    table, rows, cols = _matching(a, b)
+    count = a.size - int(table[rows, cols].sum())
+    rand, ari = _rand_from_table(table)
     return ValidationReport(
-        misclassified=count, rate=rate, contingency=table, rand=rand,
-        adjusted_rand=ari, matching=tuple(zip(rows.tolist(), cols.tolist())),
+        misclassified=count, rate=count / a.size, contingency=table,
+        rand=rand, adjusted_rand=ari,
+        matching=tuple(zip(rows.tolist(), cols.tolist())),
     )
 
 
@@ -138,11 +153,15 @@ def shadow_values(space, partition):
     """
     if partition.k < 2:
         raise ValueError("shadow values need at least two clusters")
-    dists = _center_distances(space, partition)
+    return _shadows(_center_distances(space, partition), partition.labels)
+
+
+def _shadows(dists, labels):
+    """Shadow values from (n, K) center distances and assigned labels."""
     n = dists.shape[0]
-    d1 = dists[np.arange(n), partition.labels]
+    d1 = dists[np.arange(n), labels]
     masked = dists.copy()
-    masked[np.arange(n), partition.labels] = np.inf
+    masked[np.arange(n), labels] = np.inf
     d2 = masked.min(axis=1)
     total = d1 + d2
     out = np.zeros(n)
@@ -234,7 +253,7 @@ def neighborhood_graph(features, partition):
     order = np.argsort(dists, axis=1)
     pair_lo = np.minimum(order[:, 0], order[:, 1])
     pair_hi = np.maximum(order[:, 0], order[:, 1])
-    shadows = shadow_values(rows, partition)
+    shadows = _shadows(dists, partition.labels)
     edges = {}
     for key in sorted({(int(a), int(b)) for a, b in zip(pair_lo, pair_hi)}):
         mask = (pair_lo == key[0]) & (pair_hi == key[1])

@@ -43,6 +43,17 @@ def _data_lines(path):
     return lines
 
 
+def _read_matrix(path):
+    """The data rows of a CSV file as one float matrix; rows must have
+    equal widths."""
+    rows = [np.array([float(f) for f in ln.split(",")])
+            for ln in _data_lines(path)]
+    widths = {r.size for r in rows}
+    if len(widths) != 1:
+        raise ValueError(f"{path}: rows have differing lengths {widths}")
+    return np.vstack(rows)
+
+
 def _comment_fields(path):
     """key=value pairs from leading '#' comment lines."""
     fields = {}
@@ -64,12 +75,7 @@ def write_dataset(path, dataset):
 
 
 def read_dataset(path):
-    rows = [np.array([float(f) for f in ln.split(",")])
-            for ln in _data_lines(path)]
-    widths = {r.size for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: rows have differing lengths {widths}")
-    return FunctionalDataset(curves=np.vstack(rows))
+    return FunctionalDataset(curves=_read_matrix(path))
 
 
 def read_signal(path, sampling_step=1.0):
@@ -86,7 +92,13 @@ def write_labels(path, labels):
 
 
 def read_labels(path):
-    return np.array([int(float(ln)) for ln in _data_lines(path)], dtype=int)
+    """One integer label per row; ``2.0`` reads as 2, ``1.5`` is an
+    error."""
+    values = [float(ln) for ln in _data_lines(path)]
+    for value in values:
+        if not value.is_integer():
+            raise ValueError(f"{path}: label {value!r} is not an integer")
+    return np.array(values, dtype=int)
 
 
 def write_features(path, features):
@@ -103,9 +115,8 @@ def read_features(path):
     fields = _comment_fields(path)
     kind = canonical_kind(fields.get("kind", "logitRC"))
     wavelet = fields.get("wavelet", "symmlet6")
-    rows = [np.array([float(f) for f in ln.split(",")])
-            for ln in _data_lines(path)]
-    return FeatureMatrix(values=np.vstack(rows), kind=kind, wavelet=wavelet)
+    return FeatureMatrix(values=_read_matrix(path), kind=kind,
+                         wavelet=wavelet)
 
 
 def write_dissimilarity(path, matrix):
@@ -116,9 +127,7 @@ def write_dissimilarity(path, matrix):
 
 def read_dissimilarity(path):
     fields = _comment_fields(path)
-    rows = [np.array([float(f) for f in ln.split(",")])
-            for ln in _data_lines(path)]
-    return DissimilarityMatrix(values=np.vstack(rows),
+    return DissimilarityMatrix(values=_read_matrix(path),
                                measure=fields.get("measure", "WER"))
 
 

@@ -1,4 +1,6 @@
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import waveclust as wc
 from waveclust import io
-from waveclust.cli import _partition_from_labels, main
+from waveclust.cli import REQUIRED, _COMMANDS, _partition_from_labels, main
+from waveclust.dwt import canonical_kind
 
 
 def run(*argv):
@@ -316,3 +319,158 @@ def test_choose_k_names_k_max_above_row_count(tmp_path, capsys):
 
 def test_missing_required_field_exits_two(tmp_path):
     assert run("features", "--output", tmp_path / "out.csv") == 2
+
+
+def test_benchmark_rejects_a_model_key(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": "sinus"}))
+    out = tmp_path / "bench.csv"
+    assert run("benchmark", "--n", 2, "--length", 64, "--output", out,
+               "--config", config) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config file {config}: unknown field 'model'\n"
+    assert not out.exists()
+
+
+#: Every command's flags. Their spellings are the interface: scripts and
+#: config files use them, so the table must not rename one.
+_FLAGS = {
+    "slice": "input output delta",
+    "features": "input output features wavelet resample-j",
+    "select": "input output k kmax screen-quantile penalty restarts seed",
+    "choose-k": "input output kmax restarts seed",
+    "cluster": "input output pipeline k restarts seed measure dissim-input "
+               "omin omax voices omega0 normalization theta threads",
+    "dissim": "input output measure omin omax voices omega0 normalization "
+              "theta threads",
+    "diagnose": "input partition truth output-prefix",
+    "simulate": "output labels-output model n length sigma rho seed",
+    "benchmark": "output labels-output n length sigma rho seed",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_each_parser_has_its_table_settings_plus_config(command, capsys):
+    assert run(command, "--help") == 0
+    shown = set(re.findall(r"--[a-z0-9][a-z0-9-]*", capsys.readouterr().out))
+    table = {"--" + key.replace("_", "-") for key in _COMMANDS[command][2]}
+    expected = {"--" + flag for flag in _FLAGS[command].split()}
+    assert table == expected
+    assert shown == expected | {"--config", "--help"}
+
+
+def _default(function, name):
+    return inspect.signature(function).parameters[name].default
+
+
+def test_table_defaults_mirror_the_library():
+    defaults = {command: {key: default for key, (_, _, default)
+                          in settings.items() if default is not REQUIRED}
+                for command, (_, _, settings) in _COMMANDS.items()}
+    features = defaults["features"]
+    assert canonical_kind(features["features"]) == \
+        canonical_kind(_default(wc.feature_matrix, "kind"))
+    assert features["wavelet"] == _default(wc.feature_matrix, "wavelet")
+    for key in ("screen_quantile", "penalty", "restarts", "seed"):
+        assert defaults["select"][key] == _default(wc.select_features, key)
+    for key in ("restarts", "seed"):
+        assert defaults["choose-k"][key] == _default(wc.choose_k_by_jump, key)
+        assert defaults["cluster"][key] == _default(wc.kmeans, key)
+    grid = wc.ScaleGrid()
+    dissim = defaults["dissim"]
+    assert (dissim["omin"], dissim["omax"], dissim["voices"]) == \
+        (grid.octave_min, grid.octave_max, grid.voices)
+    for key in ("omega0", "normalization", "theta"):
+        assert dissim[key] == _default(wc.build_dissimilarity_matrix, key)
+    for command in ("simulate", "benchmark"):
+        for key, name in (("n", "n_per_cluster"), ("length", "length"),
+                          ("sigma", "sigma"), ("rho", "rho"),
+                          ("seed", "seed")):
+            assert defaults[command][key] == _default(wc.gen_benchmark, name)
+    assert defaults["simulate"]["model"] == "benchmark"
+
+
+_SPECTRAL_CONFIG = {"normalization": "L1", "omax": 6, "omega0": 6.0,
+                    "omin": 1, "theta": 0.95, "voices": 8}
+_SIMULATION_CONFIG = {"labels_output": None, "length": 1024,
+                      "model": "benchmark", "n": 25, "rho": 0.8, "seed": 0,
+                      "sigma": 1.0}
+
+
+#: Each command with only its required flags, and the manifest ``config``
+#: it records. These are the defaults manifests held before the settings
+#: table existed; keeping them keeps manifests byte-identical.
+_REQUIRED_ONLY = [
+    (["slice", "--input", "signal.csv", "--output", "sliced.csv",
+      "--delta", 32], "sliced.csv",
+     {"delta": 32, "input": "signal.csv", "output": "sliced.csv"}),
+    (["features", "--input", "curves.csv", "--output", "features.csv"],
+     "features.csv",
+     {"features": "logit-rc", "input": "curves.csv", "output": "features.csv",
+      "resample_j": None, "wavelet": "symmlet6"}),
+    (["select", "--input", "features.csv", "--output", "selection.json"],
+     "selection.json",
+     {"input": "features.csv", "k": 3, "kmax": None,
+      "output": "selection.json", "penalty": 0.05, "restarts": 6,
+      "screen_quantile": 0.5, "seed": 0}),
+    (["choose-k", "--input", "features.csv", "--output", "distortion.csv"],
+     "distortion.csv",
+     {"input": "features.csv", "kmax": 10, "output": "distortion.csv",
+      "restarts": 10, "seed": 0}),
+    (["cluster", "--input", "features.csv", "--output", "partition.csv",
+      "--k", 3], "partition.csv",
+     {"input": "features.csv", "k": 3, "output": "partition.csv",
+      "pipeline": "features", "restarts": 20, "seed": 0}),
+    (["cluster", "--input", "curves.csv", "--output", "medoids.csv",
+      "--k", 3, "--pipeline", "spectrum"], "medoids.csv",
+     {"dissim_input": None, "input": "curves.csv", "k": 3, "measure": None,
+      "output": "medoids.csv", "pipeline": "spectrum", "restarts": 20,
+      "seed": 0, **_SPECTRAL_CONFIG}),
+    (["dissim", "--input", "curves.csv", "--output", "dissim.csv"],
+     "dissim.csv",
+     {"input": "curves.csv", "measure": "wer", "output": "dissim.csv",
+      **_SPECTRAL_CONFIG}),
+    (["diagnose", "--input", "features.csv", "--partition", "partition.csv",
+      "--output-prefix", "diag"], "diag.shadows.csv",
+     {"input": "features.csv", "output_prefix": "diag",
+      "partition": "partition.csv", "truth": None}),
+    (["simulate", "--output", "simulated.csv"], "simulated.csv",
+     {"output": "simulated.csv", **_SIMULATION_CONFIG}),
+    (["benchmark", "--output", "benchmark.csv"], "benchmark.csv",
+     {"output": "benchmark.csv", **_SIMULATION_CONFIG}),
+]
+
+
+def test_required_only_runs_record_the_same_config(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    signal = np.random.default_rng(0).normal(size=256)
+    (tmp_path / "signal.csv").write_text(
+        "".join(f"{v!r}\n" for v in signal.tolist()))
+    curves, _ = wc.gen_benchmark(seed=1, n_per_cluster=4, length=64)
+    io.write_dataset("curves.csv", curves)
+    for argv, output, expected in _REQUIRED_ONLY:
+        assert run(*argv) == 0, argv
+        manifest = json.loads((tmp_path / (output + ".manifest.json"))
+                              .read_text())
+        assert manifest["config"] == expected, argv
+
+
+def test_diagnose_rejects_bad_truth_labels(bench, tmp_path, capsys):
+    data, truth = bench
+    feats = tmp_path / "features.csv"
+    partition = tmp_path / "partition.csv"
+    run("features", "--input", data, "--output", feats)
+    run("cluster", "--input", feats, "--k", 3, "--output", partition)
+    labels = io.read_labels(truth)
+    shifted = tmp_path / "shifted.csv"
+    shifted.write_text("".join(f"{v - 1}\n" for v in labels))
+    halves = tmp_path / "halves.csv"
+    halves.write_text("".join(f"{v + 0.5}\n" for v in labels))
+    capsys.readouterr()
+    for bad, message in (
+            (shifted, "labels must be nonnegative integers, got -1"),
+            (halves, f"{halves}: label 0.5 is not an integer")):
+        assert run("diagnose", "--input", feats, "--partition", partition,
+                   "--truth", bad, "--output-prefix", tmp_path / "d") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "d.validation.json").exists()

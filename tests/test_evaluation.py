@@ -116,6 +116,32 @@ def test_validation_report_round_numbers():
     assert np.asarray(report.contingency).sum() == 4
 
 
+@pytest.mark.parametrize("truth", [[-1, -1, -1, 0, 0, 0],
+                                   [0, 0, 0, -1, -1, 1]])
+def test_negative_labels_are_rejected(truth):
+    # Indexing the contingency table with -1 would wrap to its last row:
+    # the first truth (the prediction shifted by -1) scored 3 misclassified
+    # and ARI 0, the second (three groups) ARI 1.
+    pred = [0, 0, 0, 1, 1, 1]
+    for score in (misclassification, rand_indices, validation_report):
+        with pytest.raises(ValueError, match="nonnegative"):
+            score(pred, truth)
+
+
+def test_validation_report_agrees_with_its_parts():
+    rng = derived_rng(8, "report")
+    for _ in range(20):
+        pred = rng.integers(0, 4, size=30)
+        truth = rng.integers(0, 5, size=30)
+        report = validation_report(pred, truth)
+        assert (report.misclassified, report.rate) == \
+            misclassification(pred, truth)
+        assert (report.rand, report.adjusted_rand) == \
+            rand_indices(pred, truth)
+        agreement = sum(report.contingency[i][j] for i, j in report.matching)
+        assert report.misclassified == 30 - agreement
+
+
 # --- shadow values ---
 
 def test_shadow_at_center_is_zero():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,29 @@ def test_labels_round_trip(tmp_path):
     labels = np.array([0, 0, 1, 2, 2])
     io.write_labels(path, labels)
     assert_array_equal(io.read_labels(path), labels)
+
+
+def test_labels_reader_rejects_non_integral_values(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("0\n2.0\n1\n")
+    assert_array_equal(io.read_labels(path), [0, 2, 1])
+    path.write_text("0\n1.5\n1\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: label 1.5 is not an integer")):
+        io.read_labels(path)
+
+
+@pytest.mark.parametrize("reader, text", [
+    (io.read_dataset, "1.0,2.0\n3.0\n"),
+    (io.read_features, "# kind=logitRC wavelet=symmlet6\n0.1,0.2\n0.3\n"),
+    (io.read_dissimilarity, "# measure=WER\n0.0,1.0\n1.0\n"),
+])
+def test_ragged_matrix_files_name_the_path(tmp_path, reader, text):
+    path = tmp_path / "ragged.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: rows have differing lengths")):
+        reader(path)
 
 
 def test_features_round_trip_keeps_metadata(tmp_path, dataset):
