@@ -253,6 +253,11 @@ def cmd_cluster(args):
 def _partition_from_labels(values, labels):
     """The k-means partition a label vector induces on feature rows: the
     cluster means as centers, their within-cluster SSE as cost."""
+    if labels.min() < 0:
+        raise ValueError(f"labels must be nonnegative integers, got "
+                         f"{int(labels.min())}")
+    if not np.bincount(labels).all():
+        raise ValueError("every cluster must be non-empty")
     k = int(labels.max()) + 1
     centers = np.vstack([values[labels == j].mean(axis=0) for j in range(k)])
     cost = float(((values - centers[labels]) ** 2).sum())

@@ -22,8 +22,17 @@ import numpy as np
 
 
 def _label_array(partition_or_labels):
-    labels = getattr(partition_or_labels, "labels", partition_or_labels)
-    labels = np.asarray(labels, dtype=int)
+    """Labels as an int array; ``2.0`` is label 2, while a fractional or
+    non-finite label is an error rather than being truncated."""
+    labels = np.asarray(getattr(partition_or_labels, "labels",
+                                partition_or_labels))
+    if labels.dtype.kind not in "biu":
+        values = labels.astype(float)
+        bad = values[~(np.isfinite(values) & (values == np.trunc(values)))]
+        if bad.size:
+            raise ValueError(f"labels must be integers, got "
+                             f"{float(bad[0])!r}")
+    labels = labels.astype(int)
     if labels.size and labels.min() < 0:
         raise ValueError(f"labels must be nonnegative integers, got "
                          f"{int(labels.min())}")

@@ -152,6 +152,30 @@ def test_diagnose_partition_reports_its_within_cluster_sse():
     assert_allclose(again.cost, fitted.cost, rtol=1e-12)
 
 
+@pytest.mark.parametrize("labels, message", [
+    ([0, 0, 0, 0, 2, 2, 2, 2], "every cluster must be non-empty"),
+    ([0, 0, 0, 0, -1, -1, 1, 1],
+     "labels must be nonnegative integers, got -1"),
+])
+def test_diagnose_rejects_a_bad_partition_with_one_line(tmp_path, capsys,
+                                                        recwarn, labels,
+                                                        message):
+    # An empty cluster's mean used to be taken first, so two NumPy
+    # warnings came ahead of the error line.
+    feats = tmp_path / "features.csv"
+    values = np.random.default_rng(6).normal(size=(8, 3))
+    io.write_features(feats, wc.FeatureMatrix(values=values, kind="logitRC",
+                                              wavelet="symmlet6"))
+    partition = tmp_path / "partition.csv"
+    partition.write_text("observation,label,distance\n" + "".join(
+        f"{i},{label},0.0\n" for i, label in enumerate(labels)))
+    assert run("diagnose", "--input", feats, "--partition", partition,
+               "--output-prefix", tmp_path / "d") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [str(w.message) for w in recwarn] == []
+    assert not (tmp_path / "d.shadows.csv").exists()
+
+
 def test_manifest_written_with_digests(bench, tmp_path):
     data, _ = bench
     with open(str(data) + ".manifest.json") as handle:

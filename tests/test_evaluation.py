@@ -128,6 +128,25 @@ def test_negative_labels_are_rejected(truth):
             score(pred, truth)
 
 
+@pytest.mark.parametrize("truth", [[0.5, 0.5, 0.5, 1.5, 1.5, 1.5],
+                                   [0, 0, 0, 1, 1, np.nan],
+                                   [0, 0, 0, 1, 1, np.inf]])
+def test_fractional_and_nonfinite_labels_are_rejected(truth):
+    # Casting to int truncated them: 0.5 and 1.5 read as 0 and 1, a
+    # perfect match.
+    pred = [0, 0, 0, 1, 1, 1]
+    for score in (misclassification, rand_indices, validation_report):
+        with pytest.raises(ValueError, match="integers"):
+            score(pred, truth)
+        with pytest.raises(ValueError, match="integers"):
+            score(truth, pred)
+
+
+def test_integral_float_labels_are_accepted():
+    assert misclassification([0, 0, 1, 1], [1.0, 1.0, 0.0, 0.0]) == (0, 0.0)
+    assert rand_indices([0.0, 0.0, 2.0, 2.0], [0, 0, 1, 1]) == (1.0, 1.0)
+
+
 def test_validation_report_agrees_with_its_parts():
     rng = derived_rng(8, "report")
     for _ in range(20):

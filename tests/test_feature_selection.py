@@ -1,7 +1,11 @@
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from waveclust import feature_selection
 from waveclust import (
     clusterability_index,
     feature_matrix,
@@ -181,3 +185,104 @@ def test_selection_rejects_k_above_rows():
         select_features(X, 13)
     with pytest.raises(ValueError):
         select_features_stable(X, 13)
+
+
+# --- the worker pool ---
+
+def _benchmark_features(seed):
+    dataset, _ = gen_benchmark(seed=seed)
+    return feature_matrix(dataset, kind="logitRC").values
+
+
+def _stable_fields(result):
+    final, reports = result
+    return final, {k: _report_fields(r) + (r.k, r.penalty, r.screen_quantile,
+                                           r.seed, r.no_structure)
+                   for k, r in reports.items()}
+
+
+@pytest.fixture
+def pools_opened(monkeypatch):
+    """Counts the worker pools the search opens."""
+    opened = []
+    get_context = multiprocessing.get_context
+
+    def counting(method=None):
+        opened.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", counting)
+    return opened
+
+
+@pytest.mark.parametrize("seed, screened", [(5, 6), (11, 7)])
+def test_reports_identical_for_any_worker_count(monkeypatch, pools_opened,
+                                                seed, screened):
+    X = _benchmark_features(seed)
+    results = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(feature_selection, "_usable_cpus",
+                            lambda workers=workers: workers)
+        final, reports = select_features_stable(X, 20, seed=seed)
+        results[workers] = _stable_fields((final, reports))
+    assert len(reports[20].screened_in) == screened
+    assert pools_opened == ["fork", "fork"]
+    assert results[2] == results[1]
+    assert results[3] == results[1]
+
+
+def _serial_reference(monkeypatch, X, k_max, seed):
+    """The stable selection with one worker. Afterwards the search sees
+    two CPUs, so only the condition under test can keep it serial."""
+    monkeypatch.setattr(feature_selection, "_usable_cpus", lambda: 1)
+    reference = _stable_fields(select_features_stable(X, k_max, seed=seed))
+    monkeypatch.setattr(feature_selection, "_usable_cpus", lambda: 2)
+    return reference
+
+
+def test_daemonic_caller_searches_serially(monkeypatch):
+    # A pool worker is daemonic and may not start children; forking there
+    # would raise, so the search must stay in the worker.
+    X = _benchmark_features(5)
+    reference = _serial_reference(monkeypatch, X, 5, 5)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        result = pool.apply(select_features_stable, (X, 5), {"seed": 5})
+    assert _stable_fields(result) == reference
+
+
+def test_search_with_another_live_thread_is_serial(monkeypatch,
+                                                   pools_opened):
+    X = _benchmark_features(5)
+    reference = _serial_reference(monkeypatch, X, 5, 5)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30,))
+    waiter.start()
+    try:
+        result = select_features_stable(X, 5, seed=5)
+    finally:
+        release.set()
+        waiter.join(timeout=30)
+    assert not waiter.is_alive()
+    assert pools_opened == []
+    assert _stable_fields(result) == reference
+
+
+def test_search_without_fork_is_serial(monkeypatch, pools_opened):
+    X = _benchmark_features(5)
+    reference = _serial_reference(monkeypatch, X, 5, 5)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    assert _stable_fields(select_features_stable(X, 5, seed=5)) == reference
+    assert pools_opened == []
+
+
+def test_search_below_the_run_threshold_is_serial(monkeypatch, pools_opened):
+    # Six screened columns: 63 subsets x 3 K = 189 runs, below the
+    # threshold; one more K crosses it.
+    X = _benchmark_features(5)
+    assert 63 * 3 < feature_selection._PARALLEL_MIN_RUNS <= 63 * 4
+    reference = _serial_reference(monkeypatch, X, 4, 5)
+    assert _stable_fields(select_features_stable(X, 4, seed=5)) == reference
+    assert pools_opened == []
+    select_features_stable(X, 5, seed=5)
+    assert pools_opened == ["fork"]

@@ -33,6 +33,12 @@ def test_import_loads_no_scipy():
     assert run_fresh(f"import sys, waveclust; print({SCIPY_MODULES})") == "[]"
 
 
+def test_import_loads_no_multiprocessing():
+    # Subset selection imports it when it opens a worker pool.
+    code = "import sys, waveclust; print('multiprocessing' in sys.modules)"
+    assert run_fresh(code) == "False"
+
+
 def test_spectral_route_loads_no_scipy():
     code = f"""
 import sys
