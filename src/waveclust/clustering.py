@@ -64,7 +64,10 @@ def _cdist(*args):
 
 def _feature_rows(features):
     values = getattr(features, "values", features)
-    return np.atleast_2d(np.asarray(values, dtype=float))
+    rows = np.atleast_2d(np.asarray(values, dtype=float))
+    if not np.isfinite(rows).all():
+        raise ValueError("feature values must be finite (found nan or inf)")
+    return rows
 
 
 def _plus_plus_centers(rows, k, restarts, rng):

@@ -61,6 +61,9 @@ class DissimilarityMatrix:
         n, m = self.values.shape
         if n != m:
             raise ValueError("dissimilarity matrix must be square")
+        if not np.isfinite(self.values).all():
+            raise ValueError("dissimilarities must be finite (found nan or "
+                             "inf)")
         if np.any(np.abs(self.values - self.values.T) > 1e-9):
             raise ValueError("dissimilarity matrix must be symmetric")
         if np.any(np.diag(self.values) != 0):

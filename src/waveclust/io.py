@@ -115,8 +115,11 @@ def read_features(path):
     fields = _comment_fields(path)
     kind = canonical_kind(fields.get("kind", "logitRC"))
     wavelet = fields.get("wavelet", "symmlet6")
-    return FeatureMatrix(values=_read_matrix(path), kind=kind,
-                         wavelet=wavelet)
+    values = _read_matrix(path)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: feature values must be finite "
+                         "(found nan or inf)")
+    return FeatureMatrix(values=values, kind=kind, wavelet=wavelet)
 
 
 def write_dissimilarity(path, matrix):

@@ -15,6 +15,7 @@ fixed label, so the 75-curve benchmark is reproducible from one integer
 and its three blocks never share draws.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,7 +33,10 @@ class FarModel:
     ``B = diag(exp(-DIAGONAL_DECAY * i / m))``, "full" uses ``B[i, j] =
     exp(-|i - j| / bandwidth)`` with bandwidth defaulting to m / 64.
     The operator is ``A = rho * B / ||B||_2`` so its spectral norm is
-    exactly ``rho``; ``rho < 1`` keeps the chain stationary.
+    exactly ``rho``; ``rho < 1`` keeps the chain stationary. The full
+    kernel is a Kac-Murdock-Szego matrix (Kac, Murdock & Szego 1953), so
+    ``||B||_2`` comes from its tridiagonal inverse in scalar arithmetic,
+    without a dense eigen-solve.
 
     The two defaults set the benchmark's contrast. The fast diagonal
     decay confines persistence to a thin band of leading coordinates, so
@@ -73,22 +77,70 @@ DIAGONAL_DECAY = 20.0
 """Decay rate of the diagonal kernel entries exp(-DIAGONAL_DECAY * i / m)."""
 
 
-@lru_cache(maxsize=32)
-def _full_kernel_norm(m, bandwidth):
-    offsets = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
-    b = np.exp(-offsets / bandwidth)
-    return float(np.linalg.eigvalsh(b)[-1])
+def _kms_norm(m, bandwidth):
+    """``||B||_2`` of the m x m matrix ``B[i, j] = r ** |i - j|``, with
+    ``r = exp(-1 / bandwidth)``, in scalar arithmetic.
+
+    B is a Kac-Murdock-Szego matrix, whose inverse is ``T / (1 - r**2)``
+    with T tridiagonal: diagonal ``(1, 1 + r**2, ..., 1 + r**2, 1)`` and
+    ``-r`` beside it. So ``||B||_2 = (1 - r**2) / lambda_min(T)``. B's
+    largest eigenvalue lies between 1 (a diagonal entry) and its
+    symbol's maximum ``(1 + r) / (1 - r)``, so ``lambda_min(T)`` lies in
+    ``[(1 - r)**2, 1 - r**2]``, and bisection narrows that bracket to
+    adjacent doubles. A shift lies above ``lambda_min(T)`` when a pivot
+    of ``T - shift = L+ D+ L+^T`` is negative. The pivots come from
+    ``T = L D L^T`` (``D = (1, ..., 1, 1 - r**2)``, ``L`` with ``-r``
+    below its unit diagonal) by the differential stationary qd
+    transform, which never forms ``1 + r**2 - shift`` and so keeps the
+    small eigenvalue's relative accuracy.
+    """
+    r2 = math.exp(-2.0 / bandwidth)
+    one_minus_r2 = -math.expm1(-2.0 / bandwidth)
+
+    def above_lambda_min(shift):
+        s = -shift
+        for _ in range(m - 1):
+            d = 1.0 + s
+            if d <= 0.0:
+                return True
+            s = r2 * s / d - shift
+        return one_minus_r2 + s < 0.0
+
+    lo, hi = math.expm1(-1.0 / bandwidth) ** 2, one_minus_r2
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if above_lambda_min(mid):
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return one_minus_r2 / lo
+
+
+@lru_cache(maxsize=8)
+def _operator(kernel, m, rho, bandwidth):
+    """The FAR operator in the form its structure allows: the vector of
+    A's diagonal for the "diagonal" kernel, the dense A for "full".
+    Cached per (kernel, m, rho, bandwidth) and read-only, since every
+    caller shares it."""
+    if kernel == "diagonal":
+        a = rho * np.exp(-DIAGONAL_DECAY * np.arange(m) / m)
+    else:
+        offsets = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+        a = rho * np.exp(-offsets / bandwidth) / _kms_norm(m, bandwidth)
+    a.flags.writeable = False
+    return a
 
 
 def far_operator(model):
-    """The autoregression matrix A = rho * B / ||B||_2 of a FarModel."""
-    if model.kernel == "diagonal":
-        diag = np.exp(-DIAGONAL_DECAY * np.arange(model.m) / model.m)
-        return np.diag(model.rho * diag / diag[0])
-    offsets = np.abs(np.subtract.outer(np.arange(model.m),
-                                       np.arange(model.m)))
-    b = np.exp(-offsets / model.bandwidth)
-    return model.rho * b / _full_kernel_norm(model.m, model.bandwidth)
+    """The autoregression matrix A = rho * B / ||B||_2 of a FarModel.
+
+    For the full kernel this is the cached, read-only matrix the chain
+    steps with; for the diagonal kernel it is ``np.diag`` of the cached
+    diagonal, since the chain steps with that vector alone.
+    """
+    a = _operator(model.kernel, model.m, model.rho, model.bandwidth)
+    return np.diag(a) if model.kernel == "diagonal" else a
 
 
 def gen_sinus(n_curves, length=1024, sigma=1.0, seed=0):
@@ -107,37 +159,35 @@ def gen_sinus(n_curves, length=1024, sigma=1.0, seed=0):
     return dataset, np.zeros(n_curves, dtype=int)
 
 
-def gen_far(n_curves, length=1024, model=None, seed=0,
-            independent_draws=False):
+def gen_far(n_curves, length=1024, model=None, seed=0):
     """Curves from a discretized FAR(1) chain.
 
-    By default the returned curves are consecutive post-burn-in states
-    of one chain (temporally dependent, as segments sliced from a long
-    record would be); ``independent_draws`` instead runs a fresh
-    burned-in chain per curve. Returns ``(dataset, labels)`` with all
-    labels 0.
+    The returned curves are consecutive post-burn-in states of one chain
+    (temporally dependent, as segments sliced from a long record would
+    be). Each step applies the operator in the form its structure
+    allows: an elementwise product with the diagonal, or an ``einsum``
+    row-by-row product with the full matrix. Neither calls BLAS, so the
+    curves are the same bits at every thread count. Returns
+    ``(dataset, labels)`` with all labels 0.
     """
+    if n_curves < 1:
+        raise ValueError(f"n_curves must be at least 1, got {n_curves}")
     model = model if model is not None else FarModel(m=length)
     if model.m != length:
         raise ValueError(f"model grid size {model.m} != length {length}")
-    a = far_operator(model)
+    a = _operator(model.kernel, model.m, model.rho, model.bandwidth)
     rng = derived_rng(seed, f"far-{model.kernel}")
-
-    def run_chain(steps):
-        state = np.zeros(model.m)
-        kept = []
-        for step in range(model.burn_in + steps):
-            state = a @ state + rng.normal(0.0, model.sigma, size=model.m)
-            if step >= model.burn_in:
-                kept.append(state.copy())
-        return kept
-
-    if independent_draws:
-        curves = [run_chain(1)[0] for _ in range(n_curves)]
-    else:
-        curves = run_chain(n_curves)
-    dataset = FunctionalDataset(curves=np.vstack(curves),
-                                segment_length=length)
+    state = np.zeros(model.m)
+    curves = np.empty((n_curves, model.m))
+    for step in range(model.burn_in + n_curves):
+        if model.kernel == "diagonal":
+            state = a * state
+        else:
+            state = np.einsum("ij,j->i", a, state)
+        state += rng.normal(0.0, model.sigma, size=model.m)
+        if step >= model.burn_in:
+            curves[step - model.burn_in] = state
+    dataset = FunctionalDataset(curves=curves, segment_length=length)
     return dataset, np.zeros(n_curves, dtype=int)
 
 

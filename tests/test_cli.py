@@ -1,6 +1,7 @@
 import inspect
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,6 +340,52 @@ def test_choose_k_names_k_max_above_row_count(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: k_max must be in 2..6")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ("select", "--kmax", 3, "--output", "selection.json"),
+    ("choose-k", "--kmax", 3, "--output", "scan.csv"),
+    ("cluster", "--pipeline", "features", "--k", 2, "--output", "part.csv"),
+    ("diagnose", "--partition", "partition.csv", "--output-prefix", "d"),
+], ids=lambda command: command[0])
+def test_non_finite_features_exit_two_with_one_line(tmp_path, capsys,
+                                                    monkeypatch, command,
+                                                    bad):
+    monkeypatch.chdir(tmp_path)
+    rows = [",".join(map(repr, row)) for row in
+            np.random.default_rng(8).normal(size=(8, 3)).tolist()]
+    rows[1] = f"{bad},0.5,0.5"
+    Path("features.csv").write_text("# kind=logitRC wavelet=symmlet6\n"
+                                    + "\n".join(rows) + "\n")
+    Path("partition.csv").write_text("observation,label,distance\n" + "".join(
+        f"{i},{i % 2},0.0\n" for i in range(8)))
+    assert run(command[0], "--input", "features.csv", *command[1:]) == 2
+    assert capsys.readouterr().err == ("error: features.csv: feature values "
+                                       "must be finite (found nan or inf)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv",
+                                                          "partition.csv"]
+
+
+def test_non_finite_dissimilarity_exits_two_with_one_line(tmp_path, capsys):
+    dissim = tmp_path / "dissim.csv"
+    dissim.write_text("# measure=WER\n0.0,nan,1.0\nnan,0.0,2.0\n"
+                      "1.0,2.0,0.0\n")
+    out = tmp_path / "partition.csv"
+    assert run("cluster", "--pipeline", "spectrum", "--input", dissim,
+               "--dissim-input", dissim, "--k", 2, "--output", out) == 2
+    assert capsys.readouterr().err == ("error: dissimilarities must be "
+                                       "finite (found nan or inf)\n")
+    assert not out.exists()
+
+
+def test_simulate_names_a_curve_count_below_one(tmp_path, capsys):
+    out = tmp_path / "far.csv"
+    assert run("simulate", "--model", "far-full", "--n", 0,
+               "--output", out) == 2
+    assert capsys.readouterr().err == ("error: n_curves must be at least 1, "
+                                       "got 0\n")
+    assert not out.exists()
 
 
 def test_missing_required_field_exits_two(tmp_path):

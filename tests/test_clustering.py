@@ -9,6 +9,8 @@ from waveclust import (
     gen_benchmark,
     kmeans,
     pam,
+    select_features,
+    select_features_stable,
 )
 from waveclust.rng import derived_rng
 
@@ -81,6 +83,20 @@ def test_kmeans_rerun_deterministic():
 def test_kmeans_rejects_k_above_n():
     with pytest.raises(ValueError):
         kmeans(np.zeros((3, 2)), 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [
+    lambda rows: kmeans(rows, 2),
+    lambda rows: choose_k_by_jump(rows, 3),
+    lambda rows: select_features(rows, 2),
+    lambda rows: select_features_stable(rows, 3),
+], ids=["kmeans", "choose_k_by_jump", "select_features",
+        "select_features_stable"])
+def test_feature_consumers_reject_non_finite_values(call, bad):
+    rows = np.array([[0.0, 1.0], [bad, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    with pytest.raises(ValueError, match="must be finite"):
+        call(rows)
 
 
 # --- jump method ---
@@ -247,3 +263,11 @@ def test_pam_deterministic():
 def test_pam_rejects_k_above_n():
     with pytest.raises(ValueError):
         pam(block_matrix([2, 2]), 5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dissimilarity_matrix_rejects_non_finite_entries(bad):
+    values = block_matrix([2, 2]).values.copy()
+    values[0, 3] = values[3, 0] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        DissimilarityMatrix(values, "WER")

@@ -17,14 +17,15 @@ import waveclust
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
-def run_fresh(code):
-    """Run ``code`` in a new interpreter that imports this package's tree;
-    return its standard output."""
+def run_fresh(code, **env):
+    """Run ``code`` in a new interpreter that imports this package's tree,
+    with ``env`` added to the environment; return its standard output."""
     source_root = str(Path(waveclust.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
     path = source_root + os.pathsep + inherited if inherited else source_root
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+                          text=True,
+                          env={**os.environ, **env, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
@@ -51,6 +52,16 @@ grid = wc.make_scale_grid(1, 3, 4)
 for measure in ("WER", "MCA", "euclid-features", "euclid-raw"):
     matrix = wc.build_dissimilarity_matrix(curves, measure=measure, grid=grid)
     assert wc.pam(matrix, 2).labels.shape == (6,)
+print({SCIPY_MODULES})
+"""
+    assert run_fresh(code) == "[]"
+
+
+def test_simulation_loads_no_scipy():
+    code = f"""
+import sys
+import waveclust as wc
+assert wc.gen_benchmark(seed=1, n_per_cluster=3, length=64)[1].size == 9
 print({SCIPY_MODULES})
 """
     assert run_fresh(code) == "[]"

@@ -11,6 +11,8 @@ from waveclust import (
     gen_far,
     gen_sinus,
 )
+from waveclust.simulation import _kms_norm
+from test_imports import run_fresh
 
 
 def sinus_mean(length):
@@ -51,9 +53,28 @@ def test_sinus_deterministic_per_seed():
 
 @pytest.mark.parametrize("kernel", ["diagonal", "full"])
 def test_operator_norm_equals_rho(kernel):
-    model = FarModel(kernel=kernel, rho=0.8, m=64)
-    norm = np.linalg.norm(far_operator(model), 2)
-    assert_allclose(norm, 0.8, atol=1e-8)
+    for m in (8, 64, 1024):
+        model = FarModel(kernel=kernel, rho=0.8, m=m)
+        norm = np.linalg.norm(far_operator(model), 2)
+        assert_allclose(norm, 0.8, rtol=1e-12)
+
+
+@pytest.mark.parametrize("m,bandwidth", [
+    (m, bandwidth) for m in (8, 64, 1024)
+    for bandwidth in (0.1, 1.0, m / 64, m / 4)])
+def test_kms_norm_matches_a_dense_eigen_solve(m, bandwidth):
+    offsets = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+    expected = np.linalg.eigvalsh(np.exp(-offsets / bandwidth))[-1]
+    assert_allclose(_kms_norm(m, bandwidth), expected, rtol=1e-12)
+
+
+def test_full_operator_is_cached_and_read_only():
+    model = FarModel(kernel="full", rho=0.8, m=64)
+    a = far_operator(model)
+    assert far_operator(FarModel(kernel="full", rho=0.8, m=64)) is a
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 0.0
 
 
 def test_rho_zero_gives_iid_white_noise():
@@ -98,18 +119,6 @@ def test_norms_do_not_drift():
     assert abs(late - early) <= 0.1 * early
 
 
-def test_independent_draws_break_lag_correlation():
-    model = FarModel(kernel="diagonal", rho=0.9, m=32)
-    chained, _ = gen_far(800, length=32, model=model, seed=15)
-    indep, _ = gen_far(800, length=32, model=model, seed=15,
-                       independent_draws=True)
-    def lag(ds):
-        c = ds.curves
-        return np.mean(np.sum(c[:-1] * c[1:], axis=1))
-
-    assert lag(indep) < 0.5 * lag(chained)
-
-
 def test_far_validates_model():
     with pytest.raises(ValueError):
         FarModel(kernel="diagonal", rho=1.0, m=64)
@@ -120,6 +129,8 @@ def test_far_validates_model():
     model = FarModel(kernel="full", rho=0.5, m=64)
     with pytest.raises(ValueError):
         gen_far(10, length=32, model=model)
+    with pytest.raises(ValueError, match="n_curves must be at least 1"):
+        gen_far(0, length=64, model=model)
 
 
 # --- benchmark assembly ---
@@ -142,3 +153,22 @@ def test_benchmark_seeds_differ():
     a, _ = gen_benchmark(seed=3, n_per_cluster=5, length=128)
     b, _ = gen_benchmark(seed=4, n_per_cluster=5, length=128)
     assert not np.array_equal(a.curves, b.curves)
+
+
+def test_benchmark_bytes_do_not_depend_on_the_blas_thread_count():
+    code = """
+import hashlib
+import waveclust as wc
+digest = hashlib.sha256()
+for seed, n, length in [(s, 5, 128) for s in range(1, 6)] + [(1, 25, 1024)]:
+    curves = wc.gen_benchmark(seed=seed, n_per_cluster=n,
+                              length=length)[0].curves
+    digest.update(curves.tobytes())
+print(digest.hexdigest())
+"""
+    digests = set()
+    for threads in ("1", "2"):
+        digests.add(run_fresh(code, OPENBLAS_NUM_THREADS=threads,
+                              OMP_NUM_THREADS=threads,
+                              MKL_NUM_THREADS=threads))
+    assert len(digests) == 1
