@@ -203,7 +203,8 @@ def _spectral_matrix(config, dataset):
         grid=make_scale_grid(config["omin"], config["omax"],
                              config["voices"]),
         omega0=config["omega0"], normalization=config["normalization"],
-        theta=config["theta"], threads=config["threads"] or 1)
+        theta=config["theta"],
+        threads=1 if config["threads"] is None else config["threads"])
 
 
 def cmd_dissim(args):

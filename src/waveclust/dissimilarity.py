@@ -4,11 +4,12 @@ Three spectral measures are provided. Wavelet coherence is a local
 (time-scale resolved) correlation field in [0, 1]. The WER distance
 collapses smoothed cross- and auto-spectra into the single similarity
 WER^2 in [0, 1] and maps it to the distance sqrt(J_s * N * (1 - WER^2)).
-The MCA distance decomposes the cross-spectral covariance Q = Wz Wx^H by
-SVD and compares the curves' leading patterns, weighting each direction
-by its share of squared singular value. Two plain Euclidean measures
-(on normalized spectrum magnitudes and on raw curves) complete the set
-so spectral measures can be benchmarked against naive ones.
+The MCA distance takes the leading singular directions of the
+cross-spectral covariance Q = Wz Wx^H and compares the curves' leading
+patterns, weighting each direction by its share of squared singular
+value. Two plain Euclidean measures (on normalized spectrum magnitudes
+and on raw curves) complete the set so spectral measures can be
+benchmarked against naive ones.
 
 All pair computations are pure. ``build_dissimilarity_matrix`` fills
 the upper triangle one row at a time (optionally on a thread pool over
@@ -19,11 +20,13 @@ in one call and a row's cross-spectra in one more. The smoother
 (``cwt.smooth_spectrum``) works in time by FFT and across scales by one
 real boxcar matrix, whose window wraps circularly around the ends of
 the scale grid and weights every scale outside it by exactly zero. For
-MCA, the fields are conjugated once per build; a row's covariances come
-from one batched product and go through one stacked SVD, checked and
-phase-fixed together, and its patterns come from one batched product
-pair per distinct retained D. No measure holds more than one row of
-cross fields or differences.
+MCA, the fields are conjugated once per build. A row's covariances Q
+come from one batched product, and their left singular vectors u and
+squared singular values lam^2 from one batched ``eigh`` of Q Q^H,
+checked against ||Q||_F^2 together. No full SVD is taken: per distinct
+retained D, the row forms exactly D right vectors v_j = Q^H u_j / lam_j
+and its patterns with one batched product pair. No measure holds more
+than one row of cross fields or differences.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -43,7 +46,9 @@ MEASURES = ("WER", "MCA", "euclid-features", "euclid-raw")
 
 @dataclass
 class CoherenceField:
-    """Squared-coherence-style field R(a, tau) in [0, 1] on a scale grid."""
+    """Coherence field R(a, tau) in [0, 1] on a scale grid: the ratio of
+    the smoothed cross-spectrum's modulus to the geometric mean of the
+    smoothed auto-spectra, R itself and not R^2."""
 
     values: np.ndarray
     grid: ScaleGrid
@@ -178,12 +183,16 @@ def wer_distance(wz, wx):
 
 @dataclass
 class McaResult:
-    """SVD of the cross-spectral covariance Q = Wz Wx^H, with patterns.
+    """Decomposition of the cross-spectral covariance Q = Wz Wx^H, with
+    patterns.
 
-    ``lam`` holds the singular values in nonincreasing order; ``u`` and
-    ``v`` their singular vectors as columns (phase-fixed: each u_j is
-    rotated so its largest-modulus entry is real positive, v_j by the
-    same compensating phase, which preserves Q = U Gamma V^H).
+    ``lam`` holds the singular values of Q in nonincreasing order: the
+    square roots of the eigenvalues of Q Q^H, clipped at 0. ``u`` holds
+    all left singular vectors as columns, the eigenvectors of Q Q^H; ``v``
+    only the ``retained`` right vectors, ``v_j = Q^H u_j / lam_j`` (a
+    zero column where lam_j = 0). Each u_j is rotated so its
+    largest-modulus entry is real positive, and v_j, being formed from
+    it, carries the same phase, which preserves Q = U Gamma V^H.
     ``retained`` is the smallest D whose squared singular values reach
     the inertia fraction ``theta``; ``pattern_z[j] = u_j^H Wz`` and
     ``pattern_x[j] = v_j^H Wx`` are the leading patterns for j < D.
@@ -199,69 +208,85 @@ class McaResult:
 
 
 def _mca_decomposition(w, conj_others, theta, row=None):
-    """Phase-fixed SVDs of the covariances ``Q_k = w others[k]^H``, given
-    the conjugated fields ``conj_others`` (m, J_s, N) stacked.
+    """Leading directions of the covariances ``Q_k = w others[k]^H``,
+    given the conjugated fields ``conj_others`` (m, J_s, N) stacked.
 
-    Returns ``(lam, u, v, retained)`` stacked over the pairs: singular
-    values (m, J_s), singular vectors as columns (m, J_s, J_s) and each
-    pair's retained D (m,). All Q come from one batched product and go
-    through one stacked SVD call. When ``row`` is given, ``w`` is curve
-    ``row`` and the others are the curves after it, and an error names
-    the first pair that fails.
+    Returns ``(q, lam, u, retained)`` stacked over the pairs: the
+    covariances (m, J_s, J_s), singular values (m, J_s) in nonincreasing
+    order, left singular vectors as columns (m, J_s, J_s), not yet
+    phase-fixed, and each pair's retained D (m,). All Q come from one
+    batched product, and u and lam^2 from one batched ``eigh`` of
+    Q Q^H, whose trace is ||Q||_F^2; no right vector is formed here.
+    When ``row`` is given, ``w`` is curve ``row`` and the others are the
+    curves after it, and an error names the first pair that fails.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
     q = w @ conj_others.transpose(0, 2, 1)
-    fro2 = np.sum(np.abs(q) ** 2, axis=(1, 2))
+    qqh = q @ np.conj(q).transpose(0, 2, 1)
+    fro2 = np.trace(qqh, axis1=1, axis2=2).real
     bad = np.flatnonzero(fro2 <= 0)
     if bad.size:
         raise DegenerateInputError(_pair_prefix(row, bad[0]) + "all-zero "
                                    "cross covariance: MCA is undefined")
-    u, lam, vh = np.linalg.svd(q)
+    # eigh sorts ascending; rounding can leave null directions slightly
+    # negative.
+    eig, u = np.linalg.eigh(qqh)
+    lam = np.sqrt(np.maximum(eig[:, ::-1], 0.0))
+    u = u[:, :, ::-1]
+    # Squared back, not the eigenvalues themselves: the rule and the
+    # weights must see what McaResult.lam reports, to the bit.
     lam2 = lam ** 2
     total = lam2.sum(axis=1)
     bad = np.flatnonzero(np.abs(total - fro2) > 1e-8 * fro2)
     if bad.size:
-        raise FloatingPointError(_pair_prefix(row, bad[0]) + "SVD failed "
+        raise FloatingPointError(_pair_prefix(row, bad[0]) + "eigh failed "
                                  "the Frobenius identity sum(lam^2) = "
                                  "||Q||_F^2")
-    # Remove the joint phase indeterminacy of each (u_j, v_j) pair.
-    anchor = np.argmax(np.abs(u), axis=1)
-    phase = np.take_along_axis(u, anchor[:, None, :], axis=1)
-    phase = phase / np.abs(phase)
-    u = u / phase
-    v = np.conj(vh.transpose(0, 2, 1)) / phase
     # Inertia is nondecreasing, so counting the entries below theta is
     # the left searchsorted position.
     inertia = np.cumsum(lam2, axis=1) / total[:, None]
     retained = np.minimum((inertia < theta - 1e-12).sum(axis=1) + 1,
                           lam.shape[1])
-    return lam, u, v, retained
+    return q, lam, u, retained
 
 
-def _mca_patterns(u, v, d, w, others):
-    """The leading D patterns ``u_j^H W`` and ``v_j^H X_k`` of a stack
-    of pairs, each of shape (m, D, N), from two batched products."""
-    return (np.conj(u[:, :, :d]).transpose(0, 2, 1) @ w,
-            np.conj(v[:, :, :d]).transpose(0, 2, 1) @ others)
+def _phase_fixed(u):
+    """Rotate each column so its largest-modulus entry is real positive,
+    which removes the joint phase indeterminacy of each (u_j, v_j)."""
+    anchor = np.argmax(np.abs(u), axis=-2)
+    phase = np.take_along_axis(u, anchor[..., None, :], axis=-2)
+    return u / (phase / np.abs(phase))
+
+
+def _mca_directions(q, lam, u):
+    """The leading directions of a stack of pairs, given their first D
+    left vectors ``u`` (m, J_s, D): ``(uh, vh)`` (m, D, J_s) hold the
+    phase-fixed u_j^H and ``v_j^H = u_j^H Q / lam_j`` as rows, with v_j
+    zero where lam_j = 0."""
+    uh = np.conj(_phase_fixed(u)).transpose(0, 2, 1)
+    vh = uh @ q
+    lam = lam[:, :u.shape[2], None]
+    return uh, np.divide(vh, lam, out=np.zeros_like(vh), where=lam > 0)
 
 
 def _mca_row(w, others, conj_others, theta, row=None):
     """MCA distances from field ``w`` to each field of the stack
     ``others``, given its conjugate; ``row`` as in ``_mca_decomposition``.
 
-    The pairs are batched by their retained D: each distinct D takes one
-    pattern product pair and one reduction. A one-direction pattern is a
-    matrix-vector BLAS product, which rounds otherwise than the same row
-    of a taller matrix product, so padding every pair to the row's
-    largest D would change the distances.
+    The pairs are batched by their retained D: each distinct D forms
+    exactly D right vectors and takes one pattern product pair and one
+    reduction. A one-direction product is a matrix-vector BLAS product,
+    which rounds otherwise than the same row of a taller matrix product,
+    so padding every pair to the row's largest D would change the
+    distances.
     """
-    lam, u, v, retained = _mca_decomposition(w, conj_others, theta, row=row)
+    q, lam, u, retained = _mca_decomposition(w, conj_others, theta, row=row)
     out = np.empty(len(others))
     for d in np.unique(retained):
         k = np.flatnonzero(retained == d)
-        pattern_z, pattern_x = _mca_patterns(u[k], v[k], d, w, others[k])
-        deltas = np.diff(pattern_z - pattern_x, axis=-1)
+        uh, vh = _mca_directions(q[k], lam[k], u[k, :, :d])
+        deltas = np.diff(uh @ w - vh @ others[k], axis=-1)
         d2 = np.sum(np.abs(deltas) ** 2, axis=-1)
         lam2 = lam[k, :d] ** 2
         out[k] = np.sum(lam2 * d2, axis=-1) / np.sum(lam2, axis=-1)
@@ -276,18 +301,20 @@ def mca_analysis(wz, wx, theta=0.95):
     DegenerateInputError
         If Q is identically zero (an all-zero spectrum).
     FloatingPointError
-        If the SVD violates the Frobenius identity
+        If the eigenvalues of Q Q^H violate the Frobenius identity
         ``sum lam^2 = ||Q||_F^2`` beyond 1e-8 relative -- a numerical
         failure, checked on every call.
     """
     _check_same_layout(wz, wx)
     others = wx.matrix[None]
-    lam, u, v, retained = _mca_decomposition(wz.matrix, np.conj(others),
+    q, lam, u, retained = _mca_decomposition(wz.matrix, np.conj(others),
                                              theta)
     d = int(retained[0])
-    pattern_z, pattern_x = _mca_patterns(u, v, d, wz.matrix, others)
-    return McaResult(lam=lam[0], u=u[0], v=v[0], retained=d, theta=theta,
-                     pattern_z=pattern_z[0], pattern_x=pattern_x[0])
+    uh, vh = _mca_directions(q, lam, u[:, :, :d])
+    return McaResult(lam=lam[0], u=_phase_fixed(u[0]),
+                     v=np.conj(vh[0]).T, retained=d, theta=theta,
+                     pattern_z=uh[0] @ wz.matrix,
+                     pattern_x=vh[0] @ wx.matrix)
 
 
 def mca_distance(wz, wx, theta=0.95):
@@ -336,11 +363,14 @@ def build_dissimilarity_matrix(dataset, measure="WER", grid=None,
     grid, omega0, normalization : CWT settings for spectral measures.
     theta : inertia threshold for MCA.
     threads : size of the worker pool over matrix rows (curve i against
-        every curve after it). The result is identical for any thread
-        count (rows are independent and each lands in its own slots).
+        every curve after it), at least 1. The result is identical for
+        any thread count (rows are independent and each lands in its own
+        slots).
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; pick from {MEASURES}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     curves = np.atleast_2d(getattr(dataset, "curves", dataset))
     n = curves.shape[0]
     if n < 2:

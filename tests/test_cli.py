@@ -124,6 +124,21 @@ def test_dissim_reuse_and_thread_invariance(bench, tmp_path):
     assert len(np.unique(labels)) == 3
 
 
+@pytest.mark.parametrize("threads", [0, -2])
+def test_spectral_commands_reject_threads_below_one(bench, tmp_path, capsys,
+                                                    threads):
+    data, _ = bench
+    out = tmp_path / "out.csv"
+    for command in (("dissim", "--measure", "mca"),
+                    ("cluster", "--pipeline", "spectrum", "--k", 2)):
+        assert run(*command, "--input", data, "--omin", 1, "--omax", 4,
+                   "--voices", 4, "--threads", threads,
+                   "--output", out) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: threads must be at least 1, got {threads}\n"
+        assert not out.exists()
+
+
 def test_diagnose_artifacts(bench, tmp_path):
     data, truth = bench
     feats = tmp_path / "features.csv"

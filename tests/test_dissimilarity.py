@@ -18,6 +18,8 @@ from waveclust import (
     wavelet_coherence,
     wer_distance,
 )
+from waveclust.dissimilarity import _mca_decomposition, _mca_directions
+from test_imports import run_fresh
 
 GRID = make_scale_grid(1, 5, 8)
 
@@ -230,6 +232,39 @@ def test_matrix_determinism_and_thread_invariance():
                 f"{measure} at threads={threads}"))
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_rejected(threads):
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        build_dissimilarity_matrix(far_dataset(32, n=3), measure="MCA",
+                                   threads=threads)
+
+
+def test_spectral_matrices_do_not_depend_on_any_thread_count():
+    """WER and MCA bytes are equal at 1 and 2 row threads, and at 1 and 2
+    BLAS threads. BLAS reads its thread count when it loads, so each
+    BLAS setting runs in a fresh interpreter."""
+    code = """
+import hashlib
+import numpy as np
+import waveclust as wc
+rng = np.random.default_rng(40)
+cases = [(rng.normal(size=(10, 256)).cumsum(axis=1), wc.make_scale_grid()),
+         (rng.normal(size=(16, 64)), wc.make_scale_grid(1, 5, 8))]
+digest = hashlib.sha256()
+for curves, grid in cases:
+    for measure in ("WER", "MCA"):
+        one, two = (wc.build_dissimilarity_matrix(
+            curves, measure=measure, grid=grid, threads=threads).values
+            for threads in (1, 2))
+        assert np.array_equal(one, two), measure
+        digest.update(one.tobytes())
+print(digest.hexdigest())
+"""
+    digests = {run_fresh(code, OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas,
+                         MKL_NUM_THREADS=blas) for blas in ("1", "2")}
+    assert len(digests) == 1
+
+
 def build_peak_bytes(curves, measure):
     """Allocation peak of one matrix build, from tracemalloc."""
     tracemalloc.start()
@@ -306,6 +341,62 @@ def test_mca_row_matches_a_per_pair_formula(curves, retained):
     assert retained <= seen
 
 
+def svd_mca(wz, wx, theta):
+    """The MCA distance and retained D of two fields from a full complex
+    SVD of Q = Wz Wx^H, independent of the library's route to them."""
+    u, lam, vh = np.linalg.svd(wz @ np.conj(wx.T))
+    lam2 = lam ** 2
+    inertia = np.cumsum(lam2) / lam2.sum()
+    d = min(int(np.sum(inertia < theta - 1e-12)) + 1, lam.size)
+    deltas = np.diff(np.conj(u[:, :d].T) @ wz - vh[:d] @ wx, axis=1)
+    d2 = np.sum(np.abs(deltas) ** 2, axis=1)
+    return np.sum(lam2[:d] * d2) / np.sum(lam2[:d]), d
+
+
+def walks(seed, n, length):
+    return np.random.default_rng(seed).normal(size=(n, length)).cumsum(axis=1)
+
+
+@pytest.mark.parametrize("curves, grid, theta", [
+    (day_curves(1, n=8), GRID, 0.95),
+    (day_curves(2, n=8, length=256), GRID, 0.95),
+    (walks(3, 8, 64), GRID, 0.95),
+    (walks(4, 8, 256), GRID, 0.95),
+    # Q has rank at most N < J_s = 41: most eigenvalues of Q Q^H are
+    # rounding noise, some of it negative.
+    (walks(5, 6, 16), make_scale_grid(), 1.0),
+    (walks(6, 6, 8), make_scale_grid(), 1.0),
+], ids=["days-64", "days-256", "walks-64", "walks-256", "rank-16",
+        "rank-8"])
+def test_mca_matches_a_full_svd_reference(curves, grid, theta):
+    """Every MCA distance, taken from eigh(Q Q^H), against a full SVD of
+    Q: the same retained D and at most 1e-9 relative difference."""
+    spec = [cwt_morlet(c, grid) for c in curves]
+    values = build_dissimilarity_matrix(curves, measure="MCA", grid=grid,
+                                        theta=theta).values
+    for i in range(len(spec)):
+        for j in range(i + 1, len(spec)):
+            ref, d = svd_mca(spec[i].matrix, spec[j].matrix, theta)
+            res = mca_analysis(spec[i], spec[j], theta=theta)
+            assert res.retained == d, f"pair ({i}, {j})"
+            assert np.isfinite(res.v).all()
+            assert abs(values[i, j] - ref) <= 1e-9 * ref, f"pair ({i}, {j})"
+
+
+def test_mca_zero_singular_value_gives_a_zero_right_vector():
+    """A direction with lam = 0 has v = Q^H u / lam = 0/0; when it is
+    among the D formed, it is a zero vector, not nan. Q with one nonzero
+    row has one nonzero eigenvalue and exact zeros."""
+    w = np.zeros((4, 16), dtype=complex)
+    w[0] = np.exp(0.3j * np.arange(16))
+    x = np.random.default_rng(41).normal(size=(1, 4, 16)) + 0j
+    q, lam, u, _ = _mca_decomposition(w, np.conj(x), 0.95)
+    assert_array_equal(lam[0, 1:], 0.0)
+    _, vh = _mca_directions(q, lam, u[:, :, :2])
+    assert np.isfinite(vh).all()
+    assert_array_equal(vh[0, 1], 0.0)
+
+
 def test_euclid_raw_matches_plain_distances():
     ds = far_dataset(33, n=4)
     mat = build_dissimilarity_matrix(ds, measure="euclid-raw")
@@ -328,15 +419,15 @@ def test_degenerate_pair_error_names_the_pair(measure):
 def test_mca_failed_frobenius_identity_raises(monkeypatch):
     """A decomposition whose squared singular values miss ||Q||_F^2 is a
     numerical failure, in mca_distance and build_dissimilarity_matrix."""
-    svd = np.linalg.svd
+    eigh = np.linalg.eigh
 
-    def inflated(q):
-        u, lam, vh = svd(q)
-        lam = lam.copy()
-        lam[-1, 0] *= 1.01
-        return u, lam, vh
+    def inflated(a):
+        eig, u = eigh(a)
+        eig = eig.copy()
+        eig[-1, -1] *= 1.02
+        return eig, u
 
-    monkeypatch.setattr(np.linalg, "svd", inflated)
+    monkeypatch.setattr(np.linalg, "eigh", inflated)
     wz, wx = spectra(25, length=64)
     with pytest.raises(FloatingPointError, match="Frobenius"):
         mca_distance(wz, wx)
