@@ -230,6 +230,11 @@ def cmd_cluster(args):
         distances = np.sqrt((diffs ** 2).sum(axis=1))
         inputs = {"features": config["input"]}
     else:
+        if config["dissim_input"]:
+            for key in _SPECTRUM_ONLY:
+                if key != "dissim_input" and config[key] is not None:
+                    raise ValueError(f"field {key!r} does not apply with "
+                                     "dissim_input: no matrix is computed")
         # An unset measure stays None (recorded as null) and means WER.
         for key, (_, _, default) in _SPECTRAL.items():
             if config[key] is None:

@@ -2,8 +2,13 @@
 
 Text artifacts are CSV with '\\n' line endings and floats rendered by
 ``repr`` (the shortest string that round-trips the exact double), so a
-rerun with the same inputs produces byte-identical files. JSON artifacts
-are written with sorted keys for the same reason.
+rerun with the same inputs produces byte-identical files. JSON
+artifacts are written with sorted keys for the same reason. Each
+distinct value is rendered by ``repr`` once: a dissimilarity matrix's
+mirrored entries share their text, but only when their bits are equal.
+
+Readers parse a whole file at once. A cell that does not parse is a
+``ValueError`` naming the file and the cell's 1-based line number.
 """
 
 import hashlib
@@ -22,20 +27,21 @@ def _fmt(value):
 
 def _write_rows(handle, rows):
     for row in rows:
-        handle.write(",".join(_fmt(v) for v in row))
+        values = np.asarray(row, dtype=float).tolist()
+        handle.write(",".join(map(repr, values)))
         handle.write("\n")
 
 
 def _data_lines(path):
-    """Non-comment lines; a leading row that fails float parsing is
-    treated as a header and skipped."""
+    """Non-comment lines, stripped; a leading row that fails float parsing
+    is treated as a header and skipped."""
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [ln.strip() for ln in handle
-                 if ln.strip() and not ln.lstrip().startswith("#")]
+        lines = [text for text in map(str.strip, handle)
+                 if text and not text.startswith("#")]
     if not lines:
         raise ValueError(f"{path}: no data rows")
     try:
-        [float(f) for f in lines[0].split(",")]
+        list(map(float, lines[0].split(",")))
     except ValueError:
         lines = lines[1:]
     if not lines:
@@ -43,11 +49,44 @@ def _data_lines(path):
     return lines
 
 
+def _raise_at_line(path, lines, parse):
+    """Raise the error ``parse`` meets on the first of ``path``'s data
+    ``lines`` it cannot read, naming the file and the line's 1-based
+    number. Readers parse a whole file at once and call this only once
+    that has failed, so the lines are numbered on the error path alone."""
+    for index, line in enumerate(lines):
+        try:
+            parse(line)
+        except ValueError as exc:
+            message = str(exc)
+            break
+    with open(path, "r", encoding="utf-8") as handle:
+        numbers = [number for number, text
+                   in enumerate(map(str.strip, handle), 1)
+                   if text and not text.startswith("#")]
+    # ``lines`` are the file's data lines less a skipped header.
+    number = numbers[len(numbers) - len(lines) + index]
+    raise ValueError(f"{path}: line {number}: {message}")
+
+
+def _parse_lines(path, lines, parse):
+    """``parse`` of each data line; a line it cannot read is an error
+    that names the file and the line."""
+    try:
+        return list(map(parse, lines))
+    except ValueError:
+        _raise_at_line(path, lines, parse)
+
+
+def _float_row(line):
+    return np.array(list(map(float, line.split(","))))
+
+
 def _read_matrix(path):
     """The data rows of a CSV file as one float matrix; rows must have
-    equal widths."""
-    rows = [np.array([float(f) for f in ln.split(",")])
-            for ln in _data_lines(path)]
+    equal widths. Each row becomes an array as it is parsed, so at most
+    one row's values are held as Python floats."""
+    rows = _parse_lines(path, _data_lines(path), _float_row)
     widths = {r.size for r in rows}
     if len(widths) != 1:
         raise ValueError(f"{path}: rows have differing lengths {widths}")
@@ -80,9 +119,13 @@ def read_dataset(path):
 
 def read_signal(path, sampling_step=1.0):
     """A long signal: one value per row, or one row of values."""
-    rows = [[float(f) for f in ln.split(",")] for ln in _data_lines(path)]
-    values = np.concatenate([np.asarray(r) for r in rows])
-    return SampledSignal(values=values, sampling_step=sampling_step)
+    lines = _data_lines(path)
+    try:
+        values = list(map(float, ",".join(lines).split(",")))
+    except ValueError:
+        _raise_at_line(path, lines, _float_row)
+    return SampledSignal(values=np.array(values, dtype=float),
+                         sampling_step=sampling_step)
 
 
 def write_labels(path, labels):
@@ -94,7 +137,7 @@ def write_labels(path, labels):
 def read_labels(path):
     """One integer label per row; ``2.0`` reads as 2, ``1.5`` is an
     error."""
-    values = [float(ln) for ln in _data_lines(path)]
+    values = _parse_lines(path, _data_lines(path), float)
     for value in values:
         if not value.is_integer():
             raise ValueError(f"{path}: label {value!r} is not an integer")
@@ -123,9 +166,32 @@ def read_features(path):
 
 
 def write_dissimilarity(path, matrix):
+    """A comment naming the measure, then one row per observation.
+
+    Each value is rendered by ``repr`` once: row i formats its entries
+    from the diagonal on, and each later row j takes its column-i text
+    from row i's entry (i, j), unless the two entries' bits differ (a
+    ``-0.0`` facing ``0.0``, or the slight asymmetry a matrix may have),
+    when it formats its own. Row i's unused text is kept reversed and
+    popped as it is written, so about n²/4 strings are alive at most.
+    """
+    values = matrix.values
+    bits = values.view(np.int64)
+    unmirrored = bits != bits.T
+    pending = []
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"# measure={matrix.measure}\n")
-        _write_rows(handle, matrix.values)
+        for i, row in enumerate(values):
+            texts = list(map(list.pop, pending))
+            for k in np.flatnonzero(unmirrored[i, :i]).tolist():
+                texts[k] = repr(float(row[k]))
+            tail = list(map(repr, row[i:].tolist()))
+            texts += tail
+            handle.write(",".join(texts))
+            handle.write("\n")
+            tail.reverse()
+            tail.pop()
+            pending.append(tail)
 
 
 def read_dissimilarity(path):
@@ -142,13 +208,15 @@ def write_partition(path, partition, distances):
             handle.write(f"{i},{int(label)},{_fmt(dist)}\n")
 
 
+def _partition_row(line):
+    _, label, dist = line.split(",")
+    return int(label), float(dist)
+
+
 def read_partition(path):
-    labels, distances = [], []
-    for line in _data_lines(path):
-        obs, label, dist = line.split(",")
-        labels.append(int(label))
-        distances.append(float(dist))
-    return np.asarray(labels, dtype=int), np.asarray(distances)
+    rows = _parse_lines(path, _data_lines(path), _partition_row)
+    return (np.array([label for label, _ in rows], dtype=int),
+            np.array([dist for _, dist in rows], dtype=float))
 
 
 def write_distortion(path, curve):

@@ -307,6 +307,33 @@ def test_features_pipeline_rejects_spectral_settings(tmp_path, capsys, key,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("measure", "mca"), ("omin", 9), ("omax", 5), ("voices", 4),
+    ("omega0", 5.0), ("normalization", "L2"), ("theta", 0.5), ("threads", 2),
+])
+def test_dissim_input_rejects_spectral_settings(tmp_path, capsys, key,
+                                                value):
+    curves = tmp_path / "curves.csv"
+    curves.write_text("0.0,1.0\n1.0,0.0\n2.0,2.0\n")
+    assert run("dissim", "--measure", "euclid-raw", "--input", curves,
+               "--output", tmp_path / "dissim.csv") == 0
+    out = tmp_path / "partition.csv"
+    command = ("cluster", "--pipeline", "spectrum", "--input", curves,
+               "--dissim-input", tmp_path / "dissim.csv", "--k", 2,
+               "--output", out)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    flag = "--" + key.replace("_", "-")
+    for extra in ((flag, value), ("--config", config)):
+        assert run(*command, *extra) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: field {key!r} does not apply with "
+                       "dissim_input: no matrix is computed\n")
+        assert not out.exists()
+    config.write_text(json.dumps({key: None}))
+    assert run(*command, "--config", config) == 0
+
+
 @pytest.mark.parametrize("command, loaded, outcome", [
     # null leaves the default in place: the run equals one without the key.
     (["dissim"], {"omin": None}, []),

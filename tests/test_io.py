@@ -1,8 +1,14 @@
 import json
 import re
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 import waveclust as wc
@@ -39,6 +45,22 @@ def test_signal_reader_flattens(tmp_path):
     assert signal.sampling_step == 1.0
 
 
+@pytest.mark.parametrize("text", [
+    "100.5\n-0.0\n5e-324\n1e+300\n",
+    "1.5,-2.5,0.1,1e-300\n",
+    "# ragged\nt\n1.0,2.0,3.0\n\n4.0\n5.0,6.0\n",
+], ids=["one-column", "one-row", "ragged-rows"])
+def test_signal_reader_matches_a_row_by_row_reader(tmp_path, text):
+    path = tmp_path / "signal.csv"
+    path.write_text(text)
+    rows = [np.asarray([float(f) for f in ln.split(",")])
+            for ln in io._data_lines(path)]
+    expected = np.concatenate(rows)
+    values = io.read_signal(path).values
+    assert values.dtype == np.float64
+    assert_array_equal(values.view(np.int64), expected.view(np.int64))
+
+
 def test_labels_round_trip(tmp_path):
     path = tmp_path / "labels.csv"
     labels = np.array([0, 0, 1, 2, 2])
@@ -67,6 +89,128 @@ def test_ragged_matrix_files_name_the_path(tmp_path, reader, text):
     with pytest.raises(ValueError, match=re.escape(
             f"{path}: rows have differing lengths")):
         reader(path)
+
+
+@pytest.mark.parametrize("reader, text, line, error", [
+    (io.read_dataset, "1.0,2.0\n3.0,x\n", 2,
+     "could not convert string to float: 'x'"),
+    (io.read_dataset, "# c\nt0,t1\n1.0,2.0\n\n3.0,y\n", 5,
+     "could not convert string to float: 'y'"),
+    (io.read_features, "# kind=logitRC wavelet=symmlet6\ns0_L2,s1_L1\n"
+     "0.1,0.2\nx,0.4\n", 4, "could not convert string to float: 'x'"),
+    (io.read_dissimilarity, "# measure=WER\n0.0,1.0\n1.0,\n", 3,
+     "could not convert string to float: ''"),
+    (io.read_signal, "1.0\n\n# note\n2.0,x\n", 4,
+     "could not convert string to float: 'x'"),
+    (io.read_labels, "0\n1,2\n", 2,
+     "could not convert string to float: '1,2'"),
+    (io.read_partition, "observation,label,distance\n0,1,0.5\n1,2\n", 3,
+     "not enough values to unpack (expected 3, got 2)"),
+    (io.read_partition, "0,1,0.5\n1,1.0,0.5\n", 2,
+     "invalid literal for int() with base 10: '1.0'"),
+], ids=["dataset", "dataset-after-header", "features", "dissimilarity",
+        "signal", "labels", "partition-fields", "partition-label"])
+def test_unreadable_cells_name_the_path_and_line(tmp_path, reader, text,
+                                                 line, error):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        reader(path)
+    assert str(info.value) == f"{path}: line {line}: {error}"
+
+
+def reference_rows(rows):
+    """The CSV text of ``rows``, one ``repr`` per value."""
+    return "".join(",".join(repr(float(v)) for v in row) + "\n"
+                   for row in rows)
+
+
+BYTES = settings(max_examples=60, deadline=None, derandomize=True,
+                 database=None)
+
+#: Finite nonnegative doubles, subnormals and extreme magnitudes among
+#: them.
+distances = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300,
+                     1e300, 1.7976931348623157e308]))
+
+
+@st.composite
+def dissimilarity_matrices(draw):
+    """Exactly symmetric n x n matrices, n = 1..12, with optionally one
+    mirror pair 1e-12 apart and one 0.0 facing a -0.0."""
+    n = draw(st.integers(1, 12))
+    upper = draw(arrays(float, (n, n), elements=distances))
+    values = np.where(np.triu(np.ones((n, n), dtype=bool)), upper, upper.T)
+    np.fill_diagonal(values, 0.0)
+    if n > 1:
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                    max_size=2, unique=True)))
+        if draw(st.booleans()):
+            values[j, i] = values[i, j] + 1e-12
+        if draw(st.booleans()):
+            values[i, j], values[j, i] = 0.0, -0.0
+    return wc.DissimilarityMatrix(values=values, measure="WER")
+
+
+@BYTES
+@given(dissimilarity_matrices())
+def test_dissimilarity_writer_matches_one_repr_per_value(matrix):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dissim.csv"
+        io.write_dissimilarity(path, matrix)
+        text = path.read_text()
+        back = io.read_dissimilarity(path)
+    assert text == "# measure=WER\n" + reference_rows(matrix.values)
+    assert_array_equal(back.values.view(np.int64),
+                       matrix.values.view(np.int64))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@BYTES
+@given(st.integers(1, 12).flatmap(
+    lambda n: arrays(float, st.tuples(st.just(n), st.integers(2, 12)),
+                     elements=finite)))
+def test_row_writers_match_one_repr_per_value(values):
+    dataset = wc.FunctionalDataset(curves=values)
+    features = wc.FeatureMatrix(values=values, kind="logitRC",
+                                wavelet="symmlet6")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        io.write_dataset(tmp / "curves.csv", dataset)
+        io.write_features(tmp / "features.csv", features)
+        curves_text = (tmp / "curves.csv").read_text()
+        features_text = (tmp / "features.csv").read_text()
+    assert curves_text == reference_rows(values)
+    header = ("# kind=logitRC wavelet=symmlet6\n"
+              + ",".join(features.column_names()) + "\n")
+    assert features_text == header + reference_rows(values)
+
+
+def test_row_writer_prints_integers_as_floats(tmp_path):
+    path = tmp_path / "features.csv"
+    io.write_features(path, wc.FeatureMatrix(
+        values=np.array([[3, -1], [0, 2]]), kind="AC", wavelet="haar"))
+    assert path.read_text().splitlines()[2:] == ["3.0,-1.0", "0.0,2.0"]
+
+
+def test_dissimilarity_writer_peak_memory_at_a_year(tmp_path):
+    days = np.random.default_rng(4).normal(size=(365, 48)).cumsum(axis=1)
+    matrix = wc.build_dissimilarity_matrix(
+        wc.FunctionalDataset(curves=days), measure="euclid-raw")
+    path = tmp_path / "dissim.csv"
+    tracemalloc.start()
+    try:
+        io.write_dissimilarity(path, matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert path.read_text() == ("# measure=euclid-raw\n"
+                                + reference_rows(matrix.values))
 
 
 def test_features_round_trip_keeps_metadata(tmp_path, dataset):
