@@ -90,6 +90,14 @@ class FunctionalDataset:
         return self.curves.shape[1]
 
 
+def _integer(value, name):
+    """``value`` as an int; a fractional or non-finite value is an error
+    rather than being truncated."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def slice_series(signal, delta):
     """Cut a signal into consecutive non-overlapping segments of length delta.
 
@@ -97,7 +105,8 @@ def slice_series(signal, delta):
     ----------
     signal : SampledSignal
     delta : int
-        Segment length in samples, at least 2 and at most ``len(signal)``.
+        Segment length in samples, at least 2 and at most ``len(signal)``;
+        a fractional value is an error.
 
     Returns
     -------
@@ -106,7 +115,7 @@ def slice_series(signal, delta):
         remainder shorter than ``delta`` is dropped, never padded; its
         length is reported in ``remainder``.
     """
-    delta = int(delta)
+    delta = _integer(delta, "delta")
     if delta < 2:
         raise ValueError("delta must be at least 2")
     if delta > len(signal):
@@ -174,7 +183,7 @@ def _resample_rows(curves, J):
     n = curves.shape[-1]
     if n < 4:
         raise ValueError("need at least 4 samples for the cubic spline")
-    J = int(J)
+    J = _integer(J, "J")
     if J < 1:
         raise ValueError("J must be a positive integer")
     target = 2 ** J
@@ -197,7 +206,8 @@ def resample_dyadic(curve, J):
     ``i / (N - 1)`` and evaluated at ``k / (2**J - 1)``. When the input
     length already equals ``2**J`` the curve is returned unchanged (the
     grids coincide). Downsampling (``2**J < N``) is allowed but flagged
-    with a warning because detail is discarded.
+    with a warning because detail is discarded. A fractional ``J`` is an
+    error.
     """
     curve = np.asarray(curve, dtype=float)
     if curve.ndim != 1:

@@ -8,7 +8,8 @@ distinct value is rendered by ``repr`` once: a dissimilarity matrix's
 mirrored entries share their text, but only when their bits are equal.
 
 Readers parse a whole file at once. A cell that does not parse is a
-``ValueError`` naming the file and the cell's 1-based line number.
+``ValueError`` naming the file and the cell's 1-based line number. A
+leading row is a header only when none of its cells parses.
 """
 
 import hashlib
@@ -32,9 +33,19 @@ def _write_rows(handle, rows):
         handle.write("\n")
 
 
+def _parses(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _data_lines(path):
-    """Non-comment lines, stripped; a leading row that fails float parsing
-    is treated as a header and skipped."""
+    """Non-comment lines, stripped. A leading row none of whose cells
+    parses as a float is a header and is skipped; one where some cells
+    parse and some do not is a cell error naming the file and line. So a
+    one-column file's unparsable first row is still taken for a header."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = [text for text in map(str.strip, handle)
                  if text and not text.startswith("#")]
@@ -43,6 +54,8 @@ def _data_lines(path):
     try:
         list(map(float, lines[0].split(",")))
     except ValueError:
+        if any(map(_parses, lines[0].split(","))):
+            _raise_at_line(path, lines, _float_row)
         lines = lines[1:]
     if not lines:
         raise ValueError(f"{path}: no data rows after the header")

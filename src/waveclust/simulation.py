@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import FunctionalDataset
 from .rng import derived_rng
@@ -36,7 +37,9 @@ class FarModel:
     exactly ``rho``; ``rho < 1`` keeps the chain stationary. The full
     kernel is a Kac-Murdock-Szego matrix (Kac, Murdock & Szego 1953), so
     ``||B||_2`` comes from its tridiagonal inverse in scalar arithmetic,
-    without a dense eigen-solve.
+    without a dense eigen-solve. It is Toeplitz too, so it is stored as
+    its 2m - 1 values and never as an m x m array: ``far_operator``
+    returns a read-only strided view of them.
 
     The two defaults set the benchmark's contrast. The fast diagonal
     decay confines persistence to a thin band of leading coordinates, so
@@ -119,25 +122,36 @@ def _kms_norm(m, bandwidth):
 
 @lru_cache(maxsize=8)
 def _operator(kernel, m, rho, bandwidth):
-    """The FAR operator in the form its structure allows: the vector of
-    A's diagonal for the "diagonal" kernel, the dense A for "full".
-    Cached per (kernel, m, rho, bandwidth) and read-only, since every
-    caller shares it."""
+    """The FAR operator in the form its structure allows, cached per
+    (kernel, m, rho, bandwidth) and read-only, since every caller shares
+    it: the vector of A's diagonal for the "diagonal" kernel, and for
+    the "full" kernel a Toeplitz view of its 2m - 1 values.
+
+    ``A[i, j]`` of the full kernel depends on ``|i - j|`` alone, so the
+    m values ``v[k] = rho * exp(-k / bandwidth) / ||B||_2`` (the dense
+    definition's arithmetic for each offset, so the same bits) fix it.
+    Row i of ``sliding_window_view(band, m)`` over ``band = (v[m - 1],
+    ..., v[1], v[0], v[1], ..., v[m - 1])`` is A's row m - 1 - i, so the
+    reversed window is A as an m x m strided view of 2m - 1 doubles.
+    """
     if kernel == "diagonal":
         a = rho * np.exp(-DIAGONAL_DECAY * np.arange(m) / m)
-    else:
-        offsets = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
-        a = rho * np.exp(-offsets / bandwidth) / _kms_norm(m, bandwidth)
-    a.flags.writeable = False
-    return a
+        a.flags.writeable = False
+        return a
+    v = rho * np.exp(-np.arange(m) / bandwidth) / _kms_norm(m, bandwidth)
+    band = np.concatenate((v[:0:-1], v))
+    band.flags.writeable = False
+    return sliding_window_view(band, m)[::-1]
 
 
 def far_operator(model):
     """The autoregression matrix A = rho * B / ||B||_2 of a FarModel.
 
-    For the full kernel this is the cached, read-only matrix the chain
-    steps with; for the diagonal kernel it is ``np.diag`` of the cached
-    diagonal, since the chain steps with that vector alone.
+    For the full kernel this is the cached operator the chain steps
+    with: a read-only m x m strided view of the 2m - 1 values that store
+    the kernel, never a dense matrix; ``np.array(far_operator(model))``
+    gives a dense copy. For the diagonal kernel it is ``np.diag`` of the
+    cached diagonal, since the chain steps with that vector alone.
     """
     a = _operator(model.kernel, model.m, model.rho, model.bandwidth)
     return np.diag(a) if model.kernel == "diagonal" else a
@@ -166,9 +180,11 @@ def gen_far(n_curves, length=1024, model=None, seed=0):
     (temporally dependent, as segments sliced from a long record would
     be). Each step applies the operator in the form its structure
     allows: an elementwise product with the diagonal, or an ``einsum``
-    row-by-row product with the full matrix. Neither calls BLAS, so the
-    curves are the same bits at every thread count. Returns
-    ``(dataset, labels)`` with all labels 0.
+    row-by-row product with the full kernel's Toeplitz view, which reads
+    its 2m - 1 values in place and gives the bits of the same ``einsum``
+    on the dense matrix. Neither calls BLAS, so the curves are the same
+    bits at every thread count. Returns ``(dataset, labels)`` with all
+    labels 0.
     """
     if n_curves < 1:
         raise ValueError(f"n_curves must be at least 1, got {n_curves}")

@@ -74,6 +74,23 @@ def test_slice_invalid_delta():
         slice_series(signal, 9)
 
 
+@pytest.mark.parametrize("delta", [47.9, 48.5, np.float64(2.5), np.nan,
+                                   np.inf])
+def test_slice_rejects_a_fractional_delta(delta):
+    signal = SampledSignal(np.arange(96.0), 1.0)
+    with pytest.raises(ValueError, match="delta must be an integer"):
+        slice_series(signal, delta)
+
+
+@pytest.mark.parametrize("delta", [48, 48.0, np.int64(48), np.int32(48),
+                                   np.float64(48.0)])
+def test_slice_accepts_integral_deltas(delta):
+    ds = slice_series(SampledSignal(np.arange(96.0), 1.0), delta)
+    assert ds.curves.shape == (2, 48)
+    assert ds.segment_length == 48
+    assert type(ds.segment_length) is int
+
+
 def test_resample_48_to_64():
     curve = np.sin(np.linspace(0.0, 3.0, 48))
     out = resample_dyadic(curve, 6)
@@ -159,6 +176,22 @@ def test_resample_dataset_maps_rows():
     assert out.curves.shape == (3, 64)
     for curve, row in zip(ds.curves, out.curves):
         assert_array_equal(row, resample_dyadic(curve, 6))
+
+
+@pytest.mark.parametrize("J", [5.7, 6.5, np.float64(5.5), np.nan, np.inf])
+def test_resample_rejects_a_fractional_J(J):
+    ds = FunctionalDataset(np.random.default_rng(6).normal(size=(3, 48)), 48)
+    with pytest.raises(ValueError, match="J must be an integer"):
+        resample_dataset(ds, J)
+    with pytest.raises(ValueError, match="J must be an integer"):
+        resample_dyadic(ds.curves[0], J)
+
+
+@pytest.mark.parametrize("J", [6, 6.0, np.int64(6), np.uint8(6)])
+def test_resample_accepts_integral_J(J):
+    ds = FunctionalDataset(np.random.default_rng(6).normal(size=(3, 48)), 48)
+    assert_array_equal(resample_dataset(ds, J).curves,
+                       resample_dataset(ds, 6).curves)
 
 
 def per_curve_resample(curves, J):

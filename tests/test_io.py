@@ -108,8 +108,14 @@ def test_ragged_matrix_files_name_the_path(tmp_path, reader, text):
      "not enough values to unpack (expected 3, got 2)"),
     (io.read_partition, "0,1,0.5\n1,1.0,0.5\n", 2,
      "invalid literal for int() with base 10: '1.0'"),
+    # A leading row is a header only when none of its cells parses.
+    (io.read_dataset, "x,0.2\n0.3,0.4\n0.5,0.6\n", 1,
+     "could not convert string to float: 'x'"),
+    (io.read_features, "# kind=logitRC wavelet=symmlet6\n\ns0_L2,0.1\n"
+     "0.1,0.2\n", 3, "could not convert string to float: 's0_L2'"),
 ], ids=["dataset", "dataset-after-header", "features", "dissimilarity",
-        "signal", "labels", "partition-fields", "partition-label"])
+        "signal", "labels", "partition-fields", "partition-label",
+        "partly-numeric-first-row", "partly-numeric-header"])
 def test_unreadable_cells_name_the_path_and_line(tmp_path, reader, text,
                                                  line, error):
     path = tmp_path / "bad.csv"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -11,7 +13,7 @@ from waveclust import (
     gen_far,
     gen_sinus,
 )
-from waveclust.simulation import _kms_norm
+from waveclust.simulation import _kms_norm, _operator
 from test_imports import run_fresh
 
 
@@ -75,6 +77,53 @@ def test_full_operator_is_cached_and_read_only():
     assert not a.flags.writeable
     with pytest.raises(ValueError):
         a[0, 0] = 0.0
+
+
+GRID = [(m, bandwidth) for m in (8, 64, 1000, 1024)
+        for bandwidth in (0.1, 1.0, m / 64, m / 4)]
+
+
+@pytest.mark.parametrize("m,bandwidth", GRID)
+def test_full_operator_is_the_dense_definition_bit_for_bit(m, bandwidth):
+    a = far_operator(FarModel(kernel="full", rho=0.8, m=m,
+                              bandwidth=bandwidth))
+    offsets = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+    dense = 0.8 * np.exp(-offsets / bandwidth) / _kms_norm(m, bandwidth)
+    assert a.shape == (m, m)
+    assert np.array(a).tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("m,bandwidth", GRID)
+def test_einsum_on_the_toeplitz_view_is_the_dense_einsum(m, bandwidth):
+    """The chain steps with ``einsum`` on the strided view of the 2m - 1
+    kernel values; its sums must be the dense matrix's bit for bit, so a
+    NumPy whose einsum sums a strided operand in another order fails
+    here rather than changing the curves."""
+    a = far_operator(FarModel(kernel="full", rho=0.8, m=m,
+                              bandwidth=bandwidth))
+    # A view onto 2m - 1 values, not a dense copy.
+    assert a.strides == (-a.itemsize, a.itemsize)
+    dense = np.array(a)
+    rng = np.random.default_rng(m)
+    for magnitude in 10.0 ** np.arange(-5, 6):
+        state = magnitude * rng.standard_normal(m)
+        step = np.einsum("ij,j->i", a, state)
+        expected = np.einsum("ij,j->i", dense, state)
+        assert step.tobytes() == expected.tobytes()
+
+
+def test_full_kernel_chain_allocates_no_dense_operator():
+    """A dense m = 4096 operator alone is 128 MiB."""
+    # A first call's lazy set-up allocates too; it is not the operator.
+    gen_far(2, length=8, model=FarModel(kernel="full", m=8))
+    _operator.cache_clear()
+    tracemalloc.start()
+    try:
+        gen_far(2, length=4096, model=FarModel(kernel="full", m=4096))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_rho_zero_gives_iid_white_noise():
