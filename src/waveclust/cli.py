@@ -5,9 +5,10 @@ setting ``a_b`` is the flag ``--a-b`` and the config-file key ``a_b``,
 with its type, its choices and its default (or ``REQUIRED``). The
 parser, the config-file check and the manifest all read that table.
 
-A subcommand reads its settings from flags, optionally underlaid by a
-JSON config file (flags win), writes its declared artifacts, and drops
-a manifest next to the primary output recording the resolved
+``main`` resolves a subcommand's settings from flags, optionally
+underlaid by a JSON config file (flags win). The subcommand writes its
+artifacts and returns its input and output paths, and ``main`` drops a
+manifest next to the primary output recording the resolved
 configuration, the seed, and SHA-256 digests of all inputs and outputs.
 Manifests contain no timestamps and the math is deterministic for a
 fixed seed, so identical invocations produce byte-identical artifacts
@@ -121,26 +122,16 @@ def _manifest(command, config, inputs, outputs):
     }
 
 
-def _finish(command, config, inputs, outputs):
-    manifest_path = outputs[next(iter(outputs))] + ".manifest.json"
-    io.write_manifest(manifest_path,
-                      _manifest(command, config, inputs, outputs))
-    return 0
-
-
-def cmd_slice(args):
-    config = _resolve_config(args)
+def cmd_slice(config):
     signal = io.read_signal(config["input"])
     dataset = slice_series(signal, config["delta"])
     io.write_dataset(config["output"], dataset)
     print(f"sliced {dataset.n_curves} curves of length "
           f"{dataset.n_samples} (remainder {dataset.remainder})")
-    return _finish("slice", config, {"signal": config["input"]},
-                   {"dataset": config["output"]})
+    return {"signal": config["input"]}, {"dataset": config["output"]}
 
 
-def cmd_features(args):
-    config = _resolve_config(args)
+def cmd_features(config):
     dataset = io.read_dataset(config["input"])
     if config["resample_j"] is not None:
         dataset = resample_dataset(dataset, config["resample_j"])
@@ -149,12 +140,10 @@ def cmd_features(args):
     io.write_features(config["output"], features)
     print(f"wrote {features.n_curves} x {features.n_scales} "
           f"{features.kind} features")
-    return _finish("features", config, {"dataset": config["input"]},
-                   {"features": config["output"]})
+    return {"dataset": config["input"]}, {"features": config["output"]}
 
 
-def cmd_select(args):
-    config = _resolve_config(args)
+def cmd_select(config):
     features = io.read_features(config["input"])
     if config["kmax"] is not None:
         final, reports = select_features_stable(
@@ -176,20 +165,17 @@ def cmd_select(args):
             print("no structure: every feature was screened out")
         else:
             print(f"selected features: {list(report.selected)}")
-    return _finish("select", config, {"features": config["input"]},
-                   {"selection": config["output"]})
+    return {"features": config["input"]}, {"selection": config["output"]}
 
 
-def cmd_choose_k(args):
-    config = _resolve_config(args)
+def cmd_choose_k(config):
     features = io.read_features(config["input"])
     k_star, curve = choose_k_by_jump(features, config["kmax"],
                                      restarts=config["restarts"],
                                      seed=config["seed"])
     io.write_distortion(config["output"], curve)
     print(f"jump method selects K = {k_star}")
-    return _finish("choose-k", config, {"features": config["input"]},
-                   {"distortion": config["output"]})
+    return {"features": config["input"]}, {"distortion": config["output"]}
 
 
 #: The ``--measure`` choices, by the name the library knows them.
@@ -207,17 +193,14 @@ def _spectral_matrix(config, dataset):
         threads=1 if config["threads"] is None else config["threads"])
 
 
-def cmd_dissim(args):
-    config = _resolve_config(args)
+def cmd_dissim(config):
     matrix = _spectral_matrix(config, io.read_dataset(config["input"]))
     io.write_dissimilarity(config["output"], matrix)
     print(f"wrote {matrix.n} x {matrix.n} {matrix.measure} dissimilarities")
-    return _finish("dissim", config, {"dataset": config["input"]},
-                   {"dissimilarity": config["output"]})
+    return {"dataset": config["input"]}, {"dissimilarity": config["output"]}
 
 
-def cmd_cluster(args):
-    config = _resolve_config(args)
+def cmd_cluster(config):
     if config["pipeline"] == "features":
         for key in _SPECTRUM_ONLY:
             if config.pop(key) is not None:
@@ -252,8 +235,7 @@ def cmd_cluster(args):
     io.write_partition(config["output"], part, distances)
     sizes = np.bincount(part.labels, minlength=part.k).tolist()
     print(f"{part.method} cost {part.cost:.6g}, cluster sizes {sizes}")
-    return _finish("cluster", config, inputs,
-                   {"partition": config["output"]})
+    return inputs, {"partition": config["output"]}
 
 
 def _partition_from_labels(values, labels):
@@ -271,8 +253,7 @@ def _partition_from_labels(values, labels):
                      method="kmeans")
 
 
-def cmd_diagnose(args):
-    config = _resolve_config(args)
+def cmd_diagnose(config):
     features = io.read_features(config["input"])
     labels, _ = io.read_partition(config["partition"])
     if labels.size != features.n_curves:
@@ -281,36 +262,30 @@ def cmd_diagnose(args):
     shadows = shadow_values(features.values, part)
     graph = neighborhood_graph(features.values, part)
     prefix = config["output_prefix"]
-    shadow_path = prefix + ".shadows.csv"
-    with open(shadow_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("observation,shadow\n")
-        for i, s in enumerate(shadows):
-            handle.write(f"{i},{repr(float(s))}\n")
-    dot_path, csv_path = prefix + ".graph.dot", prefix + ".graph.csv"
-    io.write_graph_dot(dot_path, graph)
-    io.write_graph_csv(csv_path, graph, labels)
+    outputs = {"shadows": prefix + ".shadows.csv",
+               "graph_dot": prefix + ".graph.dot",
+               "graph_csv": prefix + ".graph.csv"}
+    io.write_shadows(outputs["shadows"], shadows)
+    io.write_graph_dot(outputs["graph_dot"], graph)
+    io.write_graph_csv(outputs["graph_csv"], graph, labels)
     inputs = {"features": config["input"],
               "partition": config["partition"]}
-    outputs = {"shadows": shadow_path, "graph_dot": dot_path,
-               "graph_csv": csv_path}
     if config["truth"]:
         truth = io.read_labels(config["truth"])
         report = validation_report(labels, truth)
-        validation_path = prefix + ".validation.json"
-        io.write_validation(validation_path, report)
+        outputs["validation"] = prefix + ".validation.json"
+        io.write_validation(outputs["validation"], report)
         inputs["truth"] = config["truth"]
-        outputs["validation"] = validation_path
         print(f"misclassified {report.misclassified} "
               f"(rate {report.rate:.4f}), ARI {report.adjusted_rand:.4f}")
     else:
         print(f"mean shadow {float(np.mean(shadows)):.4f} over "
               f"{labels.size} observations")
-    return _finish("diagnose", config, inputs, outputs)
+    return inputs, outputs
 
 
-def cmd_simulate(args):
+def cmd_simulate(config):
     """``simulate`` and ``benchmark``; the latter has no ``model``."""
-    config = _resolve_config(args)
     model = config.setdefault("model", "benchmark")
     if model == "benchmark":
         dataset, labels = gen_benchmark(
@@ -333,7 +308,7 @@ def cmd_simulate(args):
         outputs["labels"] = config["labels_output"]
     print(f"generated {dataset.n_curves} curves of length "
           f"{dataset.n_samples} ({model})")
-    return _finish(args.command, config, {}, outputs)
+    return {}, outputs
 
 
 # The settings table: setting name -> (type, choices, default).
@@ -420,10 +395,14 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code or 0
     try:
-        return _COMMANDS[args.command][0](args)
+        config = _resolve_config(args)
+        inputs, outputs = _COMMANDS[args.command][0](config)
+        io.write_manifest(outputs[next(iter(outputs))] + ".manifest.json",
+                          _manifest(args.command, config, inputs, outputs))
     except (OSError, ValueError, KeyError, DegenerateInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def entry():

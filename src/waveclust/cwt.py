@@ -78,7 +78,8 @@ def morlet_kernel(scale, n_samples, omega0=6.0):
 
 @dataclass
 class Spectrum:
-    """CWT coefficients of one curve: an (n_scales, N) complex matrix.
+    """CWT coefficients of one curve, an (n_scales, N) complex matrix, or
+    of a stack of curves, (..., n_scales, N), as a build holds them.
 
     ``coi_flag[j]`` is True where row ``j``'s scale exceeds N/2, meaning
     the periodized kernel wraps enough to contaminate the whole row.
@@ -96,11 +97,11 @@ class Spectrum:
 
     @property
     def n_scales(self):
-        return self.matrix.shape[0]
+        return self.matrix.shape[-2]
 
     @property
     def n_samples(self):
-        return self.matrix.shape[1]
+        return self.matrix.shape[-1]
 
 
 @lru_cache(maxsize=16)
@@ -119,19 +120,21 @@ def _morlet_bank(grid, n, omega0, p):
 
 
 def cwt_morlet(curve, grid=None, omega0=6.0, normalization="L1"):
-    """Morlet CWT of one curve over the scale grid.
+    """Morlet CWT over the scale grid of one curve or of an (..., N) stack.
 
     The circular correlation at every scale is evaluated exactly via the
     FFT: ``ifft(fft(z) * conj(fft(psi_a)))[k]`` equals the direct sum
     ``sum_i z[i] * conj(psi_a)[(i - k) mod N]``. The kernel spectra
     ``conj(fft(psi_a))`` depend only on the grid, N and omega0, so they
     are computed once and cached as one (n_scales, N) filter bank; a
-    call is one forward FFT, one product with the bank, one inverse FFT
-    per row and the division by ``a ** p``.
+    call is one forward FFT per curve, one product with the bank, one
+    inverse FFT per row and the division by ``a ** p``. A dissimilarity
+    build transforms all its curves in one call; field ``i`` of the
+    result equals the transform of curve ``i`` alone, bit for bit.
     """
     curve = np.asarray(curve, dtype=float)
-    if curve.ndim != 1 or curve.size < 8:
-        raise ValueError("curve must be one-dimensional with at least 8 samples")
+    if curve.ndim < 1 or curve.shape[-1] < 8:
+        raise ValueError("curves must have at least 8 samples")
     grid = grid if grid is not None else ScaleGrid()
     if grid.scales[0] < 1.0:
         raise ValueError("smallest scale must be at least one sample")
@@ -141,8 +144,11 @@ def cwt_morlet(curve, grid=None, omega0=6.0, normalization="L1"):
         p = 0.5
     else:
         raise ValueError(f"unknown normalization: {normalization!r}")
-    bank, norm = _morlet_bank(grid, curve.size, omega0, p)
-    rows = np.fft.ifft(np.fft.fft(curve) * bank, axis=-1) / norm
+    bank, norm = _morlet_bank(grid, curve.shape[-1], omega0, p)
+    # C order keeps each field contiguous, whatever the curves' layout.
+    rows = np.fft.ifft(np.multiply(np.fft.fft(curve)[..., None, :], bank,
+                                   order="C"), axis=-1)
+    rows /= norm
     return Spectrum(matrix=rows, grid=grid, omega0=omega0,
                     normalization=normalization)
 

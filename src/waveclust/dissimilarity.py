@@ -11,12 +11,13 @@ value. Two plain Euclidean measures (on normalized spectrum magnitudes
 and on raw curves) complete the set so spectral measures can be
 benchmarked against naive ones.
 
-All pair computations are pure. ``build_dissimilarity_matrix`` fills
-the upper triangle one row at a time (optionally on a thread pool over
-rows) and mirrors it into a symmetric matrix with a zero diagonal. Both
-spectral measures have a row formula, which the pair functions call
-with a one-element row. For WER, all curves' auto-spectra are smoothed
-in one call and a row's cross-spectra in one more. The smoother
+All pair computations are pure. ``build_dissimilarity_matrix`` makes
+one ``cwt_morlet`` call, into the (n, J_s, N) stack every spectral
+measure reads, fills the upper triangle one row at a time (optionally
+on a thread pool over rows) and mirrors it. Both spectral measures have
+a row formula, which the pair functions call with a one-element row.
+For WER, all curves' auto-spectra are smoothed in one call and a row's
+cross-spectra in one more. The smoother
 (``cwt.smooth_spectrum``) works in time by FFT and across scales by one
 real boxcar matrix, whose window wraps circularly around the ends of
 the scale grid and weights every scale outside it by exactly zero. For
@@ -39,6 +40,10 @@ from .errors import DegenerateInputError
 
 #: Smoothed auto-spectra at or below this are treated as identically zero.
 _AUTO_FLOOR = 1e-300
+
+#: Largest rms of a time-centered |CWT|, as a share of its curve's rms,
+#: that euclid-features takes for rounding (a constant curve's is <4e-16).
+FLAT_MAGNITUDE_RTOL = 1e-12
 
 #: Measure tags accepted by build_dissimilarity_matrix.
 MEASURES = ("WER", "MCA", "euclid-features", "euclid-raw")
@@ -84,8 +89,8 @@ class DissimilarityMatrix:
 def _check_same_layout(wz, wx):
     if wz.grid != wx.grid:
         raise ValueError("spectra must share one scale grid")
-    if wz.n_samples != wx.n_samples:
-        raise ValueError("spectra must share the sample count")
+    if wz.matrix.ndim != 2 or wx.matrix.shape != wz.matrix.shape:
+        raise ValueError("spectra must be single fields of one length")
 
 
 def wavelet_coherence(wz, wx):
@@ -103,9 +108,9 @@ def wavelet_coherence(wz, wx):
     # The auto-spectra take the same product path as the cross term (not
     # abs()**2, which rounds differently) so that for x = z all three
     # smoothed fields are bitwise equal and the ratio is exactly 1.
-    cross = np.abs(smooth_spectrum(wz.matrix * np.conj(wx.matrix), grid))
-    auto_z = np.abs(smooth_spectrum(wz.matrix * np.conj(wz.matrix), grid))
-    auto_x = np.abs(smooth_spectrum(wx.matrix * np.conj(wx.matrix), grid))
+    cross, auto_z, auto_x = np.abs(smooth_spectrum(np.stack([
+        wz.matrix * np.conj(wx.matrix), wz.matrix * np.conj(wz.matrix),
+        wx.matrix * np.conj(wx.matrix)]), grid))
     ok = (auto_z > _AUTO_FLOOR) & (auto_x > _AUTO_FLOOR)
     r = np.zeros(cross.shape)
     np.divide(cross, np.sqrt(auto_z * auto_x), out=r, where=ok)
@@ -130,8 +135,8 @@ def _auto_sums(fields, grid):
     """Per-scale time sums of the smoothed auto-spectra of a sequence of
     fields, shape (len(fields), n_scales), from one smoothing call.
 
-    Each product is formed on its own field and takes the same path as
-    the cross term in ``_wer_row`` (not abs()**2, which rounds
+    Each product is formed on its own field with a fresh conjugate, as
+    ``_wer_row`` forms each cross term (not abs()**2, which rounds
     differently) so that for x = z the smoothed fields agree bitwise,
     WER^2 is exactly 1 and the distance exactly 0.
     """
@@ -152,8 +157,9 @@ def _wer_row(w, auto, others, auto_others, grid, row=None):
         raise DegenerateInputError(_pair_prefix(row, bad[0]) + "zero "
                                    "auto-spectra: the WER distance is "
                                    "undefined")
-    # One product per pair, then one smoothing call for the row: the
-    # product broadcast over a stack of fields can round differently.
+    # One product per pair, each with a fresh conjugate as in _auto_sums:
+    # a product over the whole stack, or a held conjugate stack, rounds
+    # otherwise.
     cross = np.abs(smooth_spectrum(np.stack([w * np.conj(x) for x in others]),
                                    grid))
     cross_sums = cross.sum(axis=-1)
@@ -330,25 +336,27 @@ def mca_distance(wz, wx, theta=0.95):
     return float(_mca_row(wz.matrix, others, np.conj(others), theta)[0])
 
 
-def _spectrum_feature_rows(fields):
+def _spectrum_feature_rows(fields, curves):
     """Per-curve magnitude signatures for the euclid-features measure.
 
     Each |CWT| row is mean-centered in time (dropping the vertical
     offset the Morlet barely sees anyway) and the whole field is scaled
     to squared norm J_s * N, so amplitude is factored out and only the
     shape of the time-scale energy distribution is compared.
+
+    A zero or constant curve, whose centered magnitudes are rounding
+    (``FLAT_MAGNITUDE_RTOL``), is a ``DegenerateInputError`` naming it.
     """
-    rows = []
-    for field in fields:
-        mag = np.abs(field)
-        mag = mag - mag.mean(axis=1, keepdims=True)
-        rms = np.sqrt(np.mean(mag ** 2))
-        if rms <= 0:
-            raise DegenerateInputError(
-                "flat spectrum magnitude: features are undefined"
-            )
-        rows.append((mag / rms).ravel())
-    return np.vstack(rows)
+    mag = np.abs(fields)
+    mag -= mag.mean(axis=2, keepdims=True)
+    rms = np.sqrt(np.mean(mag ** 2, axis=(1, 2)))
+    flat = np.flatnonzero(
+        rms <= FLAT_MAGNITUDE_RTOL * np.sqrt(np.mean(curves ** 2, axis=1)))
+    if flat.size:
+        raise DegenerateInputError(f"curve {flat[0]}: flat spectrum "
+                                   "magnitude: features are undefined")
+    mag /= rms[:, None, None]
+    return mag.reshape(len(fields), -1)
 
 
 def build_dissimilarity_matrix(dataset, measure="WER", grid=None,
@@ -376,13 +384,13 @@ def build_dissimilarity_matrix(dataset, measure="WER", grid=None,
     if n < 2:
         raise ValueError("need at least two curves")
     grid = grid if grid is not None else ScaleGrid()
-    fields = [] if measure == "euclid-raw" else [
-        cwt_morlet(c, grid=grid, omega0=omega0,
-                   normalization=normalization).matrix for c in curves]
+    if measure != "euclid-raw":
+        fields = cwt_morlet(curves, grid=grid, omega0=omega0,
+                            normalization=normalization).matrix
 
     if measure in ("euclid-raw", "euclid-features"):
         rows = curves if measure == "euclid-raw" else \
-            _spectrum_feature_rows(fields)
+            _spectrum_feature_rows(fields, curves)
 
         def row(i):
             return np.linalg.norm(rows[i + 1:] - rows[i], axis=1)
@@ -393,7 +401,6 @@ def build_dissimilarity_matrix(dataset, measure="WER", grid=None,
             return _wer_row(fields[i], auto[i], fields[i + 1:],
                             auto[i + 1:], grid, row=i)
     else:
-        fields = np.stack(fields)
         conj_fields = np.conj(fields)
 
         def row(i):

@@ -232,6 +232,13 @@ def read_partition(path):
             np.array([dist for _, dist in rows], dtype=float))
 
 
+def write_shadows(path, shadows):
+    """CSV of (observation, shadow value)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("observation,shadow\n")
+        handle.writelines(f"{i},{_fmt(s)}\n" for i, s in enumerate(shadows))
+
+
 def write_distortion(path, curve):
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"# jump_k={curve.jump_k} p={curve.p} "

@@ -207,3 +207,21 @@ def test_smoothing_stacked_fields_match_one_by_one():
     assert stacked.shape == fields.shape
     for field, out in zip(fields, stacked):
         assert_array_equal(out, smooth_spectrum(field, grid))
+
+
+@pytest.mark.parametrize("n", [64, 75, 256])
+@pytest.mark.parametrize("normalization", ["L1", "L2"])
+def test_stacked_curves_transform_as_one_by_one(n, normalization):
+    """A stack is one call, and its field i is curve i's transform byte
+    for byte, in one C-contiguous (n_curves, n_scales, N) array, also
+    when the curves come in Fortran order."""
+    grid = make_scale_grid(1, 5, 8)
+    curves = np.random.default_rng(n).normal(size=(5, n))
+    for stack in (curves, np.asfortranarray(curves)):
+        spec = cwt_morlet(stack, grid, normalization=normalization)
+        assert spec.matrix.shape == (5, grid.n_scales, n)
+        assert spec.matrix.flags.c_contiguous
+        assert (spec.n_scales, spec.n_samples) == (grid.n_scales, n)
+        for curve, field in zip(curves, spec.matrix):
+            one = cwt_morlet(curve, grid, normalization=normalization)
+            assert one.matrix.tobytes() == field.tobytes()

@@ -188,18 +188,21 @@ def test_identical_pair_wer_matrix_is_zero():
 
 
 def test_identical_long_curves_are_exactly_zero_apart():
-    """On 41 x 512 fields each cross product must round like the auto
-    product. A product broadcast over a stack of fields can take another
-    rounding path, depending on the arrays' alignment, and then leaves a
-    distance of ~1e-6 between a curve and its copy."""
-    curves = np.random.default_rng(37).normal(size=(10, 512))
-    mat = build_dissimilarity_matrix(np.repeat(curves, 2, axis=0),
-                                     measure="WER")
-    assert_array_equal(np.diag(mat.values, 1)[::2], np.zeros(10))
-    grid = make_scale_grid()
-    for curve in curves:
-        spec = cwt_morlet(curve, grid)
-        assert wer_distance(spec, spec) == 0.0
+    """On 41 x 512 fields, and on 33 x 75 ones, whose odd J_s * N puts
+    the fields of a build's stack at every alignment, each cross product
+    must round like the auto product. A product over a whole stack of
+    fields, or conjugates sliced from a held conjugate stack, can take
+    another rounding path, depending on the arrays' alignment, and then
+    leaves a distance of ~1e-6 between a curve and its copy."""
+    for length, grid in ((512, make_scale_grid()),
+                         (75, make_scale_grid(1, 5, 8))):
+        curves = np.random.default_rng(37).normal(size=(10, length))
+        mat = build_dissimilarity_matrix(np.repeat(curves, 2, axis=0),
+                                         measure="WER", grid=grid)
+        assert_array_equal(np.diag(mat.values, 1)[::2], np.zeros(10))
+        for curve in curves:
+            spec = cwt_morlet(curve, grid)
+            assert wer_distance(spec, spec) == 0.0
 
 
 @pytest.mark.parametrize("measure", ["WER", "MCA", "euclid-features",
@@ -405,15 +408,54 @@ def test_euclid_raw_matches_plain_distances():
                     np.linalg.norm(ds.curves[i] - ds.curves[j]), rtol=1e-12)
 
 
-@pytest.mark.parametrize("measure", ["WER", "MCA"])
+@pytest.mark.parametrize("measure", ["WER", "MCA", "euclid-features"])
 def test_degenerate_pair_error_names_the_pair(measure):
+    """WER and MCA name the first pair with a zero curve; euclid-features
+    names the zero or constant curve itself."""
     rng = np.random.default_rng(34)
-    curves = np.vstack([rng.normal(size=64), rng.normal(size=64),
-                        np.zeros(64)])
-    ds = FunctionalDataset(curves, 64)
-    with pytest.raises(DegenerateInputError, match=r"pair \(0, 2\)"):
-        build_dissimilarity_matrix(ds, measure=measure,
-                                   grid=make_scale_grid(1, 4, 4))
+    flat = [np.zeros(64)]
+    if measure == "euclid-features":
+        # A constant curve's centered |CWT| is rounding (rms ~1e-23 here),
+        # not a shape to scale up to unit norm.
+        flat.append(np.full(64, 5.0))
+    match = r"curve 2:" if measure == "euclid-features" else r"pair \(0, 2\)"
+    for curve in flat:
+        curves = np.vstack([rng.normal(size=64), rng.normal(size=64), curve])
+        ds = FunctionalDataset(curves, 64)
+        with pytest.raises(DegenerateInputError, match=match):
+            build_dissimilarity_matrix(ds, measure=measure,
+                                       grid=make_scale_grid(1, 4, 4))
+
+
+@pytest.mark.parametrize("normalization", ["L1", "L2"])
+def test_euclid_features_keeps_a_small_ripple_on_a_level(normalization):
+    """A ripple of 1e-6 of its level is a shape, not rounding; a constant
+    curve is rounding at any level and length, the first one named."""
+    t = np.arange(64)
+    curves = np.vstack([5.0 + 5e-6 * np.sin(2 * np.pi * t / 16),
+                        np.random.default_rng(38).normal(size=64),
+                        -3.0 + 1e-6 * np.cos(2 * np.pi * t / 8)])
+    mat = build_dissimilarity_matrix(curves, measure="euclid-features",
+                                     grid=make_scale_grid(1, 4, 4),
+                                     normalization=normalization)
+    assert np.isfinite(mat.values).all() and (mat.values[0, 1:] > 0).all()
+    for length, level in ((61, 123456.7), (1009, -3.3), (256, 1e-5)):
+        curves = np.vstack([np.random.default_rng(39).normal(size=length),
+                            np.full(length, level), np.full(length, 1.0)])
+        with pytest.raises(DegenerateInputError, match=r"curve 1:"):
+            build_dissimilarity_matrix(curves, measure="euclid-features",
+                                       normalization=normalization)
+
+
+@pytest.mark.parametrize("pair", [wer_distance, mca_distance, mca_analysis,
+                                  wavelet_coherence])
+def test_pair_measures_reject_a_stacked_spectrum(pair):
+    curves = np.random.default_rng(41).normal(size=(3, 64))
+    stack = cwt_morlet(curves, GRID)
+    one = cwt_morlet(curves[0], GRID)
+    for wz, wx in ((stack, one), (one, stack), (stack, stack)):
+        with pytest.raises(ValueError, match="single fields"):
+            pair(wz, wx)
 
 
 def test_mca_failed_frobenius_identity_raises(monkeypatch):
