@@ -145,21 +145,16 @@ def cmd_features(config):
 
 def cmd_select(config):
     features = io.read_features(config["input"])
+    shared = {key: config[key] for key in ("screen_quantile", "penalty",
+                                           "restarts", "seed")}
     if config["kmax"] is not None:
-        final, reports = select_features_stable(
-            features, config["kmax"],
-            screen_quantile=config["screen_quantile"],
-            penalty=config["penalty"], restarts=config["restarts"],
-            seed=config["seed"])
+        final, reports = select_features_stable(features, config["kmax"],
+                                                **shared)
         io.write_selection_stable(config["output"], final, reports)
         print(f"selected features (mode over K=2..{config['kmax']}): "
               f"{list(final)}")
     else:
-        report = select_features(
-            features, config["k"],
-            screen_quantile=config["screen_quantile"],
-            penalty=config["penalty"], restarts=config["restarts"],
-            seed=config["seed"])
+        report = select_features(features, config["k"], **shared)
         io.write_selection(config["output"], report)
         if report.no_structure:
             print("no structure: every feature was screened out")
@@ -189,8 +184,7 @@ def _spectral_matrix(config, dataset):
         grid=make_scale_grid(config["omin"], config["omax"],
                              config["voices"]),
         omega0=config["omega0"], normalization=config["normalization"],
-        theta=config["theta"],
-        threads=1 if config["threads"] is None else config["threads"])
+        theta=config["theta"], threads=config["threads"])
 
 
 def cmd_dissim(config):
@@ -318,7 +312,7 @@ _IO = {"input": (str, None, REQUIRED), "output": (str, None, REQUIRED)}
 _SPECTRAL = {"omin": (int, None, 1), "omax": (int, None, 6),
              "voices": (int, None, 8), "omega0": (float, None, 6.0),
              "normalization": (str, ("L1", "L2"), "L1"),
-             "theta": (float, None, 0.95), "threads": (int, None, None)}
+             "theta": (float, None, 0.95), "threads": (int, None, 1)}
 
 #: ``cluster``'s spectrum-only settings. They default to None there, so
 #: that the features pipeline can tell a setting it would ignore from a

@@ -3,7 +3,8 @@ dissimilarity matrices, and cluster-count detection via the transformed
 distortion jump.
 
 k-means has one engine, which subset selection
-(:mod:`waveclust.feature_selection`) shares: k-means++ seeding and Lloyd
+(:mod:`waveclust.feature_selection`) shares and the jump rule runs as
+``kmeans`` once per cluster count: k-means++ seeding and Lloyd
 iterations run all restarts at once, and each step measures its squared
 distances with one ``cdist`` call over every restart's centers. SciPy's
 ``cdist`` is imported on the first distance a k-means run measures, not
@@ -208,24 +209,15 @@ def choose_k_by_jump(features, k_max, restarts=10, seed=0):
     """Pick the cluster count at the largest jump of d_K ** (-p/2).
 
     Each K's distortion is the cost of ``kmeans(features, K, restarts,
-    seed)``. The k-means++ seeding is drawn once, with ``k_max`` centers
-    per restart from ``derived_rng(seed, "kmeans")``, and every K starts
-    from its first K centers: by the prefix property of
-    ``_plus_plus_centers`` these are the centers ``kmeans`` would seed.
+    seed)`` divided by n * p, for K = 1..``k_max``.
     """
     rows = _feature_rows(features)
     n, p = rows.shape
     if not 2 <= k_max <= n:
         raise ValueError(f"k_max must be in 2..{n} (the number of rows), "
                          f"got {k_max}")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    seeds = _plus_plus_centers(rows, k_max, restarts,
-                               derived_rng(seed, "kmeans"))
-    distortions = np.empty(k_max)
-    for k in range(1, k_max + 1):
-        _, costs = _lloyd(rows, seeds[:, :k].copy(), MAX_ITER)
-        distortions[k - 1] = float(costs.min()) / (n * p)
+    distortions = np.array([kmeans(rows, k, restarts, seed).cost
+                            for k in range(1, k_max + 1)]) / (n * p)
     with np.errstate(over="ignore", divide="ignore"):
         transformed = distortions ** (-p / 2.0)
     finite = np.isfinite(transformed)

@@ -13,9 +13,10 @@ benchmarked against naive ones.
 
 All pair computations are pure. ``build_dissimilarity_matrix`` makes
 one ``cwt_morlet`` call, into the (n, J_s, N) stack every spectral
-measure reads, fills the upper triangle one row at a time (optionally
-on a thread pool over rows) and mirrors it. Both spectral measures have
-a row formula, which the pair functions call with a one-element row.
+measure reads, and computes the matrix one row at a time (optionally on
+a thread pool over rows), writing each row into the upper triangle and
+the lower as it arrives. Both spectral measures have a row formula,
+which the pair functions call with a one-element row.
 For WER, all curves' auto-spectra are smoothed in one call and a row's
 cross-spectra in one more. The smoother
 (``cwt.smooth_spectrum``) works in time by FFT and across scales by one
@@ -336,6 +337,12 @@ def mca_distance(wz, wx, theta=0.95):
     return float(_mca_row(wz.matrix, others, np.conj(others), theta)[0])
 
 
+def _power_of_two_near(values):
+    """The power of two 2**e with 2**(e-1) <= |v| < 2**e for each value,
+    and 1 for a zero."""
+    return np.ldexp(1.0, np.frexp(values)[1])
+
+
 def _spectrum_feature_rows(fields, curves):
     """Per-curve magnitude signatures for the euclid-features measure.
 
@@ -346,12 +353,21 @@ def _spectrum_feature_rows(fields, curves):
 
     A zero or constant curve, whose centered magnitudes are rounding
     (``FLAT_MAGNITUDE_RTOL``), is a ``DegenerateInputError`` naming it.
+    Each field and each curve is divided by a power of two near its
+    largest magnitude before it is squared, so no square overflows or
+    underflows at any scale. That division is exact, so where no square
+    over- or underflowed unscaled, the signatures keep their bits.
     """
     mag = np.abs(fields)
+    field_scale = _power_of_two_near(mag.max(axis=(1, 2)))
+    mag /= field_scale[:, None, None]
     mag -= mag.mean(axis=2, keepdims=True)
     rms = np.sqrt(np.mean(mag ** 2, axis=(1, 2)))
-    flat = np.flatnonzero(
-        rms <= FLAT_MAGNITUDE_RTOL * np.sqrt(np.mean(curves ** 2, axis=1)))
+    curve_scale = _power_of_two_near(np.abs(curves).max(axis=1))
+    curve_rms = np.sqrt(np.mean((curves / curve_scale[:, None]) ** 2,
+                                axis=1))
+    flat = np.flatnonzero(rms <= FLAT_MAGNITUDE_RTOL * curve_rms
+                          * (curve_scale / field_scale))
     if flat.size:
         raise DegenerateInputError(f"curve {flat[0]}: flat spectrum "
                                    "magnitude: features are undefined")
@@ -407,13 +423,12 @@ def build_dissimilarity_matrix(dataset, measure="WER", grid=None,
             return _mca_row(fields[i], fields[i + 1:], conj_fields[i + 1:],
                             theta, row=i)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            upper = list(pool.map(row, range(n - 1)))
-    else:
-        upper = [row(i) for i in range(n - 1)]
     values = np.zeros((n, n))
-    for i, d in enumerate(upper):
-        values[i, i + 1:] = d
-        values[i + 1:, i] = d
+    # At one thread the rows run on the caller's thread and the executor
+    # starts none: a pool thread there raised peak memory by about 5 MB.
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        mapper = pool.map if threads > 1 else map
+        for i, d in enumerate(mapper(row, range(n - 1))):
+            values[i, i + 1:] = d
+            values[i + 1:, i] = d
     return DissimilarityMatrix(values=values, measure=measure)

@@ -241,8 +241,6 @@ def neighborhood_graph(features, partition):
     times it for the outer hull; the hulls themselves are taken on the
     projected plane.
     """
-    from scipy.spatial.distance import cdist
-
     rows = np.atleast_2d(np.asarray(getattr(features, "values", features),
                                     dtype=float))
     if partition.k < 2:
@@ -258,7 +256,7 @@ def neighborhood_graph(features, partition):
     point_coords = (rows - mean) @ components.T
     center_coords = (centers - mean) @ components.T
 
-    dists = cdist(rows, centers)
+    dists = _center_distances(rows, partition)
     order = np.argsort(dists, axis=1)
     pair_lo = np.minimum(order[:, 0], order[:, 1])
     pair_hi = np.maximum(order[:, 0], order[:, 1])

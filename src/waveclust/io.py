@@ -7,9 +7,11 @@ artifacts are written with sorted keys for the same reason. Each
 distinct value is rendered by ``repr`` once: a dissimilarity matrix's
 mirrored entries share their text, but only when their bits are equal.
 
-Readers parse a whole file at once. A cell that does not parse is a
-``ValueError`` naming the file and the cell's 1-based line number. A
-leading row is a header only when none of its cells parses.
+Readers open a file once: one read gives the leading comments'
+key=value fields and the stripped lines. They parse a whole file at
+once; a cell that does not parse is a ``ValueError`` naming the file and
+the cell's 1-based line number. A leading row is a header only when
+none of its cells parses.
 """
 
 import hashlib
@@ -42,53 +44,62 @@ def _parses(cell):
 
 
 def _data_lines(path):
-    """Non-comment lines, stripped. A leading row none of whose cells
-    parses as a float is a header and is skipped; one where some cells
-    parse and some do not is a cell error naming the file and line. So a
-    one-column file's unparsable first row is still taken for a header."""
+    """One read of ``path``: the key=value fields of its leading '#'
+    comment lines, its data lines and all its lines, stripped. A leading
+    row none of whose cells parses as a float is a header, not data; one
+    where some cells parse and some do not is a cell error naming the
+    file and line. So a one-column file's unparsable first row is still
+    taken for a header."""
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [text for text in map(str.strip, handle)
-                 if text and not text.startswith("#")]
+        text = list(map(str.strip, handle))
+    fields = {}
+    for line in text:
+        if not line.startswith("#"):
+            break
+        for token in line.lstrip("# \t").split():
+            if "=" in token:
+                key, value = token.split("=", 1)
+                fields[key] = value
+    lines = [line for line in text if line and not line.startswith("#")]
     if not lines:
         raise ValueError(f"{path}: no data rows")
     try:
         list(map(float, lines[0].split(",")))
     except ValueError:
         if any(map(_parses, lines[0].split(","))):
-            _raise_at_line(path, lines, _float_row)
+            _raise_at_line(path, lines, text, _float_row)
         lines = lines[1:]
     if not lines:
         raise ValueError(f"{path}: no data rows after the header")
-    return lines
+    return fields, lines, text
 
 
-def _raise_at_line(path, lines, parse):
-    """Raise the error ``parse`` meets on the first of ``path``'s data
-    ``lines`` it cannot read, naming the file and the line's 1-based
-    number. Readers parse a whole file at once and call this only once
-    that has failed, so the lines are numbered on the error path alone."""
+def _raise_at_line(path, lines, text, parse):
+    """Raise the error ``parse`` meets on the first data line it cannot
+    read, naming ``path`` and the line's 1-based number in ``text``.
+    Readers parse a whole file at once and call this only once that has
+    failed, so lines are numbered on the error path alone."""
     for index, line in enumerate(lines):
         try:
             parse(line)
         except ValueError as exc:
             message = str(exc)
             break
-    with open(path, "r", encoding="utf-8") as handle:
-        numbers = [number for number, text
-                   in enumerate(map(str.strip, handle), 1)
-                   if text and not text.startswith("#")]
+    numbers = [number for number, line in enumerate(text, 1)
+               if line and not line.startswith("#")]
     # ``lines`` are the file's data lines less a skipped header.
     number = numbers[len(numbers) - len(lines) + index]
     raise ValueError(f"{path}: line {number}: {message}")
 
 
-def _parse_lines(path, lines, parse):
-    """``parse`` of each data line; a line it cannot read is an error
-    that names the file and the line."""
+def _parse_lines(path, parse):
+    """``path``'s comment fields and ``parse`` of each data line; a line
+    it cannot read is an error that names the file and the line."""
+    fields, lines, text = _data_lines(path)
     try:
-        return list(map(parse, lines))
+        return fields, list(map(parse, lines))
     except ValueError:
-        _raise_at_line(path, lines, parse)
+        _raise_at_line(path, lines, text, parse)
 
 
 def _float_row(line):
@@ -96,28 +107,14 @@ def _float_row(line):
 
 
 def _read_matrix(path):
-    """The data rows of a CSV file as one float matrix; rows must have
-    equal widths. Each row becomes an array as it is parsed, so at most
-    one row's values are held as Python floats."""
-    rows = _parse_lines(path, _data_lines(path), _float_row)
+    """A CSV file's comment fields and data rows, the rows as one float
+    matrix of equal widths. Each row becomes an array as it is parsed,
+    so at most one row's values are held as Python floats."""
+    fields, rows = _parse_lines(path, _float_row)
     widths = {r.size for r in rows}
     if len(widths) != 1:
         raise ValueError(f"{path}: rows have differing lengths {widths}")
-    return np.vstack(rows)
-
-
-def _comment_fields(path):
-    """key=value pairs from leading '#' comment lines."""
-    fields = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            if not line.lstrip().startswith("#"):
-                break
-            for token in line.lstrip("# \t").split():
-                if "=" in token:
-                    key, value = token.split("=", 1)
-                    fields[key] = value
-    return fields
+    return fields, np.vstack(rows)
 
 
 def write_dataset(path, dataset):
@@ -127,16 +124,16 @@ def write_dataset(path, dataset):
 
 
 def read_dataset(path):
-    return FunctionalDataset(curves=_read_matrix(path))
+    return FunctionalDataset(curves=_read_matrix(path)[1])
 
 
 def read_signal(path, sampling_step=1.0):
     """A long signal: one value per row, or one row of values."""
-    lines = _data_lines(path)
+    _, lines, text = _data_lines(path)
     try:
         values = list(map(float, ",".join(lines).split(",")))
     except ValueError:
-        _raise_at_line(path, lines, _float_row)
+        _raise_at_line(path, lines, text, _float_row)
     return SampledSignal(values=np.array(values, dtype=float),
                          sampling_step=sampling_step)
 
@@ -150,7 +147,7 @@ def write_labels(path, labels):
 def read_labels(path):
     """One integer label per row; ``2.0`` reads as 2, ``1.5`` is an
     error."""
-    values = _parse_lines(path, _data_lines(path), float)
+    values = _parse_lines(path, float)[1]
     for value in values:
         if not value.is_integer():
             raise ValueError(f"{path}: label {value!r} is not an integer")
@@ -168,10 +165,9 @@ def write_features(path, features):
 
 
 def read_features(path):
-    fields = _comment_fields(path)
+    fields, values = _read_matrix(path)
     kind = canonical_kind(fields.get("kind", "logitRC"))
     wavelet = fields.get("wavelet", "symmlet6")
-    values = _read_matrix(path)
     if not np.isfinite(values).all():
         raise ValueError(f"{path}: feature values must be finite "
                          "(found nan or inf)")
@@ -208,8 +204,8 @@ def write_dissimilarity(path, matrix):
 
 
 def read_dissimilarity(path):
-    fields = _comment_fields(path)
-    return DissimilarityMatrix(values=_read_matrix(path),
+    fields, values = _read_matrix(path)
+    return DissimilarityMatrix(values=values,
                                measure=fields.get("measure", "WER"))
 
 
@@ -227,7 +223,7 @@ def _partition_row(line):
 
 
 def read_partition(path):
-    rows = _parse_lines(path, _data_lines(path), _partition_row)
+    rows = _parse_lines(path, _partition_row)[1]
     return (np.array([label for label, _ in rows], dtype=int),
             np.array([dist for _, dist in rows], dtype=float))
 

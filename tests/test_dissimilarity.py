@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from waveclust import (
     wavelet_coherence,
     wer_distance,
 )
+from waveclust import dissimilarity
 from waveclust.dissimilarity import _mca_decomposition, _mca_directions
 from test_imports import run_fresh
 
@@ -235,6 +237,22 @@ def test_matrix_determinism_and_thread_invariance():
                 f"{measure} at threads={threads}"))
 
 
+def test_rows_run_on_the_calling_thread_at_one_thread(monkeypatch):
+    """At one thread no pool thread runs a row: one cost a second malloc
+    arena, about 5 MB of peak memory on a small build."""
+    ran_on = set()
+    wer_row = dissimilarity._wer_row
+
+    def recording_row(*args, **kwargs):
+        ran_on.add(threading.get_ident())
+        return wer_row(*args, **kwargs)
+
+    monkeypatch.setattr(dissimilarity, "_wer_row", recording_row)
+    build_dissimilarity_matrix(far_dataset(32, n=4), measure="WER",
+                               grid=make_scale_grid(1, 4, 4), threads=1)
+    assert ran_on == {threading.get_ident()}
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_threads_below_one_rejected(threads):
     with pytest.raises(ValueError, match="threads must be at least 1"):
@@ -416,8 +434,8 @@ def test_degenerate_pair_error_names_the_pair(measure):
     flat = [np.zeros(64)]
     if measure == "euclid-features":
         # A constant curve's centered |CWT| is rounding (rms ~1e-23 here),
-        # not a shape to scale up to unit norm.
-        flat.append(np.full(64, 5.0))
+        # not a shape to scale up to unit norm, at any level.
+        flat += [np.full(64, level) for level in (5.0, 5e200, 5e-200)]
     match = r"curve 2:" if measure == "euclid-features" else r"pair \(0, 2\)"
     for curve in flat:
         curves = np.vstack([rng.normal(size=64), rng.normal(size=64), curve])
@@ -425,6 +443,24 @@ def test_degenerate_pair_error_names_the_pair(measure):
         with pytest.raises(DegenerateInputError, match=match):
             build_dissimilarity_matrix(ds, measure=measure,
                                        grid=make_scale_grid(1, 4, 4))
+
+
+@pytest.mark.parametrize("scale, rtol", [
+    (1e155, 1e-12), (1e-170, 1e-12), (1e300, 1e-12), (1e-300, 1e-12),
+    (2.0 ** 520, 0.0), (2.0 ** -560, 0.0)])
+def test_euclid_features_take_a_curve_at_any_scale(scale, rtol):
+    """The signatures factor amplitude out, so a curve scaled until its
+    square or its |CWT|'s square over- or underflows leaves the matrix
+    as it was: bit for bit when the scale is a power of two, which the
+    transform carries exactly."""
+    curves = np.random.default_rng(41).normal(size=(3, 64))
+    grid = make_scale_grid(1, 4, 4)
+    expected = build_dissimilarity_matrix(curves, measure="euclid-features",
+                                          grid=grid).values
+    curves[2] *= scale
+    values = build_dissimilarity_matrix(curves, measure="euclid-features",
+                                        grid=grid).values
+    assert_allclose(values, expected, rtol=rtol, atol=0.0)
 
 
 @pytest.mark.parametrize("normalization", ["L1", "L2"])

@@ -1,3 +1,4 @@
+import builtins
 import json
 import re
 import tempfile
@@ -54,7 +55,7 @@ def test_signal_reader_matches_a_row_by_row_reader(tmp_path, text):
     path = tmp_path / "signal.csv"
     path.write_text(text)
     rows = [np.asarray([float(f) for f in ln.split(",")])
-            for ln in io._data_lines(path)]
+            for ln in io._data_lines(path)[1]]
     expected = np.concatenate(rows)
     values = io.read_signal(path).values
     assert values.dtype == np.float64
@@ -123,6 +124,40 @@ def test_unreadable_cells_name_the_path_and_line(tmp_path, reader, text,
     with pytest.raises(ValueError) as info:
         reader(path)
     assert str(info.value) == f"{path}: line {line}: {error}"
+
+
+@pytest.mark.parametrize("reader, good, bad", [
+    (io.read_dataset, "1.0,2.0\n3.0,4.0\n", "1.0,2.0\n3.0,x\n"),
+    (io.read_signal, "1.0\n2.0\n", "1.0\nx\n"),
+    (io.read_labels, "0\n1\n", "0\nx\n"),
+    (io.read_features, "# kind=AC wavelet=haar\n0.1,0.2\n0.3,0.4\n",
+     "# kind=AC wavelet=haar\n0.1,0.2\nx,0.4\n"),
+    (io.read_dissimilarity, "# measure=MCA\n0.0,1.0\n1.0,0.0\n",
+     "# measure=MCA\n0.0,1.0\n1.0,x\n"),
+    (io.read_partition, "0,0,0.5\n1,1,0.25\n", "0,0,0.5\n1,x,0.25\n"),
+], ids=["dataset", "signal", "labels", "features", "dissimilarity",
+        "partition"])
+@pytest.mark.parametrize("valid", [True, False], ids=["good", "bad-cell"])
+def test_each_reader_opens_its_file_once(tmp_path, monkeypatch, reader,
+                                         good, bad, valid):
+    """One read gives a reader its fields, its rows and, for a cell that
+    does not parse, the line to name."""
+    path = tmp_path / "file.csv"
+    path.write_text(good if valid else bad)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    if valid:
+        reader(path)
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line ")):
+            reader(path)
+    assert opened == [path]
 
 
 def reference_rows(rows):
