@@ -33,7 +33,8 @@ from .data import resample_dataset, slice_series
 from .dissimilarity import MEASURES, build_dissimilarity_matrix
 from .dwt import feature_matrix
 from .errors import DegenerateInputError
-from .evaluation import neighborhood_graph, shadow_values, validation_report
+from .evaluation import (_label_array, neighborhood_graph, shadow_values,
+                         validation_report)
 from .feature_selection import select_features, select_features_stable
 from .simulation import FarModel, gen_benchmark, gen_far, gen_sinus
 
@@ -235,9 +236,7 @@ def cmd_cluster(config):
 def _partition_from_labels(values, labels):
     """The k-means partition a label vector induces on feature rows: the
     cluster means as centers, their within-cluster SSE as cost."""
-    if labels.min() < 0:
-        raise ValueError(f"labels must be nonnegative integers, got "
-                         f"{int(labels.min())}")
+    labels = _label_array(labels)
     if not np.bincount(labels).all():
         raise ValueError("every cluster must be non-empty")
     k = int(labels.max()) + 1

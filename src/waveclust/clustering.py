@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dissimilarity import DissimilarityMatrix
 from .rng import derived_rng
 
 #: Lloyd iteration cap of a ``kmeans`` run.
@@ -265,8 +266,9 @@ def pam(dissimilarity, k, seed=0):
     smaller medoid index; a medoid always belongs to its own cluster, even
     when another medoid is 0 away from it (a duplicated point).
     """
-    d = getattr(dissimilarity, "values", dissimilarity)
-    d = np.asarray(d, dtype=float)
+    if not isinstance(dissimilarity, DissimilarityMatrix):
+        dissimilarity = DissimilarityMatrix(dissimilarity, measure=None)
+    d = dissimilarity.values
     n = d.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")

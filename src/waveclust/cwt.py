@@ -24,6 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .data import FunctionalDataset
+
 
 @dataclass(frozen=True)
 class ScaleGrid:
@@ -79,7 +81,7 @@ def morlet_kernel(scale, n_samples, omega0=6.0):
 @dataclass
 class Spectrum:
     """CWT coefficients of one curve, an (n_scales, N) complex matrix, or
-    of a stack of curves, (..., n_scales, N), as a build holds them.
+    of a stack of curves, (n, n_scales, N), as a build holds them.
 
     ``coi_flag[j]`` is True where row ``j``'s scale exceeds N/2, meaning
     the periodized kernel wraps enough to contaminate the whole row.
@@ -120,7 +122,7 @@ def _morlet_bank(grid, n, omega0, p):
 
 
 def cwt_morlet(curve, grid=None, omega0=6.0, normalization="L1"):
-    """Morlet CWT over the scale grid of one curve or of an (..., N) stack.
+    """Morlet CWT over the scale grid of one curve or of an (n, N) stack.
 
     The circular correlation at every scale is evaluated exactly via the
     FFT: ``ifft(fft(z) * conj(fft(psi_a)))[k]`` equals the direct sum
@@ -132,8 +134,8 @@ def cwt_morlet(curve, grid=None, omega0=6.0, normalization="L1"):
     build transforms all its curves in one call; field ``i`` of the
     result equals the transform of curve ``i`` alone, bit for bit.
     """
-    curve = np.asarray(curve, dtype=float)
-    if curve.ndim < 1 or curve.shape[-1] < 8:
+    rows = FunctionalDataset(curve).curves
+    if rows.shape[-1] < 8:
         raise ValueError("curves must have at least 8 samples")
     grid = grid if grid is not None else ScaleGrid()
     if grid.scales[0] < 1.0:
@@ -144,13 +146,13 @@ def cwt_morlet(curve, grid=None, omega0=6.0, normalization="L1"):
         p = 0.5
     else:
         raise ValueError(f"unknown normalization: {normalization!r}")
-    bank, norm = _morlet_bank(grid, curve.shape[-1], omega0, p)
+    bank, norm = _morlet_bank(grid, rows.shape[-1], omega0, p)
     # C order keeps each field contiguous, whatever the curves' layout.
-    rows = np.fft.ifft(np.multiply(np.fft.fft(curve)[..., None, :], bank,
-                                   order="C"), axis=-1)
-    rows /= norm
-    return Spectrum(matrix=rows, grid=grid, omega0=omega0,
-                    normalization=normalization)
+    fields = np.fft.ifft(np.multiply(np.fft.fft(rows)[:, None, :], bank,
+                                     order="C"), axis=-1)
+    fields /= norm
+    return Spectrum(matrix=fields if np.ndim(curve) == 2 else fields[0],
+                    grid=grid, omega0=omega0, normalization=normalization)
 
 
 def _gaussian_row_kernel(sigma, n):

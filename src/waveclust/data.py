@@ -194,8 +194,6 @@ def _resample_rows(curves, J):
             f"resampling {n} samples down to {target} discards detail",
             stacklevel=3,
         )
-    if not np.all(np.isfinite(curves)):
-        raise ValueError("curve values must all be finite")
     return _natural_spline(curves, np.arange(target) / (target - 1))
 
 
@@ -209,10 +207,9 @@ def resample_dyadic(curve, J):
     with a warning because detail is discarded. A fractional ``J`` is an
     error.
     """
-    curve = np.asarray(curve, dtype=float)
-    if curve.ndim != 1:
+    if np.ndim(curve) != 1:
         raise ValueError("curve must be one-dimensional")
-    return _resample_rows(curve, J)
+    return _resample_rows(FunctionalDataset(curve).curves, J)[0]
 
 
 def resample_dataset(dataset, J):

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cwt import ScaleGrid, cwt_morlet, smooth_spectrum
+from .data import FunctionalDataset
 from .errors import DegenerateInputError
 
 #: Smoothed auto-spectra at or below this are treated as identically zero.
@@ -395,7 +396,8 @@ def build_dissimilarity_matrix(dataset, measure="WER", grid=None,
         raise ValueError(f"unknown measure {measure!r}; pick from {MEASURES}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    curves = np.atleast_2d(getattr(dataset, "curves", dataset))
+    curves = (dataset if isinstance(dataset, FunctionalDataset)
+              else FunctionalDataset(dataset)).curves
     n = curves.shape[0]
     if n < 2:
         raise ValueError("need at least two curves")

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clustering import _feature_rows
+from .data import FunctionalDataset
 from .errors import DegenerateInputError
 
 #: Clamp for relative contributions before the logit, keeping it finite.
@@ -128,10 +130,10 @@ def dwt_forward(curves, wavelet="symmlet6"):
     wavelet : str or WaveletFilter
     """
     filt = wavelet if isinstance(wavelet, WaveletFilter) else get_filter(wavelet)
-    rows = np.atleast_2d(np.asarray(curves, dtype=float))
+    rows = FunctionalDataset(curves).curves
     n_samples = rows.shape[1]
     J = int(n_samples).bit_length() - 1
-    if 2 ** J != n_samples or J < 1:
+    if 2 ** J != n_samples:
         raise ValueError(
             f"curve length must be a power of two >= 2, got {n_samples}"
         )
@@ -197,7 +199,7 @@ def relative_contributions(ac, energy=None):
         1e-31 of its energy for lengths 2 to 8192 with either filter,
         while a ripple of 1e-6 of the level carries about 1e-12.
     """
-    ac = np.atleast_2d(np.asarray(ac, dtype=float))
+    ac = _feature_rows(ac)
     total = ac.sum(axis=1)
     if energy is None:
         energy = total

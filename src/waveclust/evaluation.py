@@ -11,14 +11,17 @@ centers, near 0 deep inside a cluster and 1 on a boundary -- and a
 neighborhood graph of cluster centers on the first principal plane,
 with shadow-weighted edges and median-rule convex hulls.
 
-The SciPy pieces (``linear_sum_assignment``, ``cdist``, ``ConvexHull``)
-are imported inside the functions that use them, so importing the
-package loads no SciPy module.
+The SciPy pieces (``linear_sum_assignment``, ``ConvexHull``, and
+``cdist`` through ``clustering._cdist``) are imported on first use, so
+importing the package loads no SciPy module.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .clustering import _cdist, _feature_rows
+from .dissimilarity import DissimilarityMatrix
 
 
 def _label_array(partition_or_labels):
@@ -138,18 +141,6 @@ def validation_report(pred, truth):
     )
 
 
-def _center_distances(space, partition):
-    """(n, K) distances from observations to centers or medoids."""
-    if partition.centers is not None:
-        from scipy.spatial.distance import cdist
-
-        rows = np.atleast_2d(np.asarray(getattr(space, "values", space),
-                                        dtype=float))
-        return cdist(rows, partition.centers)
-    d = np.asarray(getattr(space, "values", space), dtype=float)
-    return d[:, partition.medoids]
-
-
 def shadow_values(space, partition):
     """Per-observation boundary scores ``2 d1 / (d1 + d2)`` in [0, 1].
 
@@ -162,7 +153,13 @@ def shadow_values(space, partition):
     """
     if partition.k < 2:
         raise ValueError("shadow values need at least two clusters")
-    return _shadows(_center_distances(space, partition), partition.labels)
+    if partition.centers is not None:
+        dists = _cdist(_feature_rows(space), partition.centers)
+    else:
+        if not isinstance(space, DissimilarityMatrix):
+            space = DissimilarityMatrix(space, measure=None)
+        dists = space.values[:, partition.medoids]
+    return _shadows(dists, partition.labels)
 
 
 def _shadows(dists, labels):
@@ -241,8 +238,7 @@ def neighborhood_graph(features, partition):
     times it for the outer hull; the hulls themselves are taken on the
     projected plane.
     """
-    rows = np.atleast_2d(np.asarray(getattr(features, "values", features),
-                                    dtype=float))
+    rows = _feature_rows(features)
     if partition.k < 2:
         raise ValueError("the graph needs at least two clusters")
     if rows.shape[0] < partition.k + 2:
@@ -256,7 +252,7 @@ def neighborhood_graph(features, partition):
     point_coords = (rows - mean) @ components.T
     center_coords = (centers - mean) @ components.T
 
-    dists = _center_distances(rows, partition)
+    dists = _cdist(rows, centers)
     order = np.argsort(dists, axis=1)
     pair_lo = np.minimum(order[:, 0], order[:, 1])
     pair_hi = np.maximum(order[:, 0], order[:, 1])

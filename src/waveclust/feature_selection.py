@@ -64,9 +64,9 @@ def clusterability_index(column):
     and TSS the total sum of squares. A constant column scores 0; a
     balanced two-point mass scores 1.
     """
-    col = np.asarray(column, dtype=float)
-    if col.ndim != 1:
+    if np.ndim(column) != 1:
         raise ValueError("column must be one-dimensional")
+    col = _feature_rows(column)[0]
     n = col.size
     if n < 10:
         raise ValueError("need at least 10 observations per column")
