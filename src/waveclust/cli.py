@@ -224,7 +224,7 @@ def cmd_cluster(config):
             matrix = _spectral_matrix(config,
                                       io.read_dataset(config["input"]))
             inputs = {"dataset": config["input"]}
-        part = pam(matrix, config["k"], seed=config["seed"])
+        part = pam(matrix, config["k"])
         distances = matrix.values[np.arange(matrix.n),
                                   part.medoids[part.labels]]
     io.write_partition(config["output"], part, distances)

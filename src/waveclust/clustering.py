@@ -45,8 +45,6 @@ class Partition:
     cost: float
     centers: np.ndarray = None
     medoids: np.ndarray = None
-    seed: int = 0
-    restarts: int = 1
     method: str = "kmeans"
 
     def __post_init__(self):
@@ -182,8 +180,7 @@ def kmeans(features, k, restarts=20, seed=0):
     labels, costs = _lloyd(rows, centers, MAX_ITER)
     best = int(np.argmin(costs))
     return Partition(labels=labels[best], k=k, cost=float(costs[best]),
-                     centers=centers[best], seed=seed, restarts=restarts,
-                     method="kmeans")
+                     centers=centers[best], method="kmeans")
 
 
 @dataclass
@@ -255,16 +252,18 @@ def _pam_build(d, k):
     return medoids
 
 
-def pam(dissimilarity, k, seed=0):
+def pam(dissimilarity, k):
     """Partitioning around medoids, run to swap-optimality.
 
-    BUILD greedily seeds the K medoids, then SWAP repeatedly applies the
-    single (medoid, non-medoid) exchange that lowers the total cost the
-    most, until no exchange improves it. Both phases are deterministic;
-    ``seed`` is recorded for interface symmetry with k-means but unused.
-    Labels assign each observation to its nearest medoid, ties to the
-    smaller medoid index; a medoid always belongs to its own cluster, even
-    when another medoid is 0 away from it (a duplicated point).
+    ``dissimilarity`` is a :class:`DissimilarityMatrix`, taken as is, or
+    an array checked as one: a nan or inf, a negative or asymmetric
+    entry, or a nonzero diagonal is an error. BUILD greedily seeds the K
+    medoids, then SWAP repeatedly applies the single (medoid,
+    non-medoid) exchange that lowers the total cost the most, until no
+    exchange improves it. Both phases are deterministic. Labels assign
+    each observation to its nearest medoid, ties to the smaller medoid
+    index; a medoid always belongs to its own cluster, even when another
+    medoid is 0 away from it (a duplicated point).
     """
     if not isinstance(dissimilarity, DissimilarityMatrix):
         dissimilarity = DissimilarityMatrix(dissimilarity, measure=None)
@@ -305,4 +304,4 @@ def pam(dissimilarity, k, seed=0):
     labels[medoids] = np.arange(k)
     cost = float(d[np.arange(n), medoids[labels]].sum())
     return Partition(labels=labels, k=k, cost=cost, medoids=medoids,
-                     seed=seed, restarts=1, method="pam")
+                     method="pam")

@@ -132,7 +132,9 @@ def cwt_morlet(curve, grid=None, omega0=6.0, normalization="L1"):
     call is one forward FFT per curve, one product with the bank, one
     inverse FFT per row and the division by ``a ** p``. A dissimilarity
     build transforms all its curves in one call; field ``i`` of the
-    result equals the transform of curve ``i`` alone, bit for bit.
+    result equals the transform of curve ``i`` alone, bit for bit. The
+    curves are checked as a :class:`FunctionalDataset`, so a nan or inf
+    sample is an error rather than a field of nan.
     """
     rows = FunctionalDataset(curve).curves
     if rows.shape[-1] < 8:

@@ -204,7 +204,9 @@ def resample_dyadic(curve, J):
     ``i / (N - 1)`` and evaluated at ``k / (2**J - 1)``. When the input
     length already equals ``2**J`` the curve is returned unchanged (the
     grids coincide). Downsampling (``2**J < N``) is allowed but flagged
-    with a warning because detail is discarded. A fractional ``J`` is an
+    with a warning because detail is discarded. The curve is checked as a
+    :class:`FunctionalDataset` first, so a nan or inf sample is an error
+    at every length, the dyadic one included. A fractional ``J`` is an
     error.
     """
     if np.ndim(curve) != 1:

@@ -16,7 +16,11 @@ one ``cwt_morlet`` call, into the (n, J_s, N) stack every spectral
 measure reads, and computes the matrix one row at a time (optionally on
 a thread pool over rows), writing each row into the upper triangle and
 the lower as it arrives. Both spectral measures have a row formula,
-which the pair functions call with a one-element row.
+which the pair functions call with a one-element row. WER and the
+coherence are ratios, so they first divide each field by a power of
+two near its largest magnitude, an exact step that keeps curves at any
+level in range; MCA's values depend on level, so it is not rescaled
+and names a pair whose covariance or distance leaves the float range.
 For WER, all curves' auto-spectra are smoothed in one call and a row's
 cross-spectra in one more. The smoother
 (``cwt.smooth_spectrum``) works in time by FFT and across scales by one
@@ -89,8 +93,11 @@ class DissimilarityMatrix:
 
 
 def _check_same_layout(wz, wx):
-    if wz.grid != wx.grid:
-        raise ValueError("spectra must share one scale grid")
+    for name in ("grid", "omega0", "normalization"):
+        a, b = getattr(wz, name), getattr(wx, name)
+        if a != b:
+            raise ValueError(f"spectra must share one {name}, got {a!r} "
+                             f"and {b!r}")
     if wz.matrix.ndim != 2 or wx.matrix.shape != wz.matrix.shape:
         raise ValueError("spectra must be single fields of one length")
 
@@ -103,16 +110,17 @@ def wavelet_coherence(wz, wx):
     with S the time/scale smoother. Without smoothing the ratio would be
     identically 1; with it, R measures local co-oscillation and lies in
     [0, 1] (clipped; entries where either smoothed auto-spectrum
-    vanishes are set to 0).
+    vanishes are set to 0). R is a ratio, so each field is scaled as WER
+    scales it, and curves at any level work.
     """
     _check_same_layout(wz, wx)
     grid = wz.grid
+    w, x = _scaled_to_unit(np.stack([wz.matrix, wx.matrix]))
     # The auto-spectra take the same product path as the cross term (not
     # abs()**2, which rounds differently) so that for x = z all three
     # smoothed fields are bitwise equal and the ratio is exactly 1.
     cross, auto_z, auto_x = np.abs(smooth_spectrum(np.stack([
-        wz.matrix * np.conj(wx.matrix), wz.matrix * np.conj(wz.matrix),
-        wx.matrix * np.conj(wx.matrix)]), grid))
+        w * np.conj(x), w * np.conj(w), x * np.conj(x)]), grid))
     ok = (auto_z > _AUTO_FLOOR) & (auto_x > _AUTO_FLOOR)
     r = np.zeros(cross.shape)
     np.divide(cross, np.sqrt(auto_z * auto_x), out=r, where=ok)
@@ -131,6 +139,17 @@ def time_averaged_coherence(wz, wx):
 def _pair_prefix(row, k):
     """Error prefix naming pair k of matrix row ``row``, if one is given."""
     return "" if row is None else f"pair ({row}, {row + 1 + k}): "
+
+
+def _scaled_to_unit(fields):
+    """Divide each field of the stack ``fields`` in place by a power of
+    two near its largest magnitude, so that no product of two fields
+    overflows or underflows at any level. The division is exact and
+    WER^2 is a ratio, so WER keeps its bits wherever no product over- or
+    underflowed unscaled."""
+    scale = _power_of_two_near(np.abs(fields).max(axis=(1, 2)))
+    fields /= scale[:, None, None]
+    return fields
 
 
 def _auto_sums(fields, grid):
@@ -182,10 +201,15 @@ def wer_distance(wz, wx):
     which lies in [0, 1] (Cauchy-Schwarz, attained at x = z), and
 
         d(z, x) = sqrt(J_s * N * (1 - WER^2))  in  [0, sqrt(J_s * N)].
+
+    The spectra must share grid, omega0 and normalization. Each field is
+    divided by a power of two near its largest magnitude first, which
+    leaves WER^2 exact, so curves at any level work.
     """
     _check_same_layout(wz, wx)
-    auto = _auto_sums([wz.matrix, wx.matrix], wz.grid)
-    return float(_wer_row(wz.matrix, auto[0], [wx.matrix], auto[1:],
+    fields = _scaled_to_unit(np.stack([wz.matrix, wx.matrix]))
+    auto = _auto_sums(fields, wz.grid)
+    return float(_wer_row(fields[0], auto[0], fields[1:], auto[1:],
                           wz.grid)[0])
 
 
@@ -230,13 +254,20 @@ def _mca_decomposition(w, conj_others, theta, row=None):
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
-    q = w @ conj_others.transpose(0, 2, 1)
-    qqh = q @ np.conj(q).transpose(0, 2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = w @ conj_others.transpose(0, 2, 1)
+        qqh = q @ np.conj(q).transpose(0, 2, 1)
     fro2 = np.trace(qqh, axis1=1, axis2=2).real
-    bad = np.flatnonzero(fro2 <= 0)
+    # nan, inf, zero and subnormal sums all fail this test.
+    bad = np.flatnonzero(~((fro2 >= np.finfo(float).tiny) & (fro2 < np.inf)))
     if bad.size:
-        raise DegenerateInputError(_pair_prefix(row, bad[0]) + "all-zero "
-                                   "cross covariance: MCA is undefined")
+        k = bad[0]
+        if not (w.any() and conj_others[k].any()):
+            why = "all-zero cross covariance: MCA is undefined"
+        else:
+            side = "underflows" if fro2[k] < 1 else "overflows"
+            why = f"cross covariance {side}: MCA is undefined at this level"
+        raise DegenerateInputError(_pair_prefix(row, k) + why)
     # eigh sorts ascending; rounding can leave null directions slightly
     # negative.
     eig, u = np.linalg.eigh(qqh)
@@ -291,13 +322,19 @@ def _mca_row(w, others, conj_others, theta, row=None):
     """
     q, lam, u, retained = _mca_decomposition(w, conj_others, theta, row=row)
     out = np.empty(len(others))
-    for d in np.unique(retained):
-        k = np.flatnonzero(retained == d)
-        uh, vh = _mca_directions(q[k], lam[k], u[k, :, :d])
-        deltas = np.diff(uh @ w - vh @ others[k], axis=-1)
-        d2 = np.sum(np.abs(deltas) ** 2, axis=-1)
-        lam2 = lam[k, :d] ** 2
-        out[k] = np.sum(lam2 * d2, axis=-1) / np.sum(lam2, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in np.unique(retained):
+            k = np.flatnonzero(retained == d)
+            uh, vh = _mca_directions(q[k], lam[k], u[k, :, :d])
+            deltas = np.diff(uh @ w - vh @ others[k], axis=-1)
+            d2 = np.sum(np.abs(deltas) ** 2, axis=-1)
+            lam2 = lam[k, :d] ** 2
+            out[k] = np.sum(lam2 * d2, axis=-1) / np.sum(lam2, axis=-1)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise DegenerateInputError(_pair_prefix(row, bad[0]) + "the MCA "
+                                   "distance overflows: MCA is undefined at "
+                                   "this level")
     return out
 
 
@@ -307,7 +344,8 @@ def mca_analysis(wz, wx, theta=0.95):
     Raises
     ------
     DegenerateInputError
-        If Q is identically zero (an all-zero spectrum).
+        If Q is identically zero (an all-zero spectrum), or if ||Q||_F^2
+        overflows or underflows: Q scales with both curves' levels.
     FloatingPointError
         If the eigenvalues of Q Q^H violate the Frobenius identity
         ``sum lam^2 = ||Q||_F^2`` beyond 1e-8 relative -- a numerical
@@ -383,8 +421,13 @@ def build_dissimilarity_matrix(dataset, measure="WER", grid=None,
 
     Parameters
     ----------
-    dataset : FunctionalDataset or array_like
+    dataset : FunctionalDataset, taken as is, or array_like curves,
+        checked as one (a nan or inf sample is an error).
     measure : {"WER", "MCA", "euclid-features", "euclid-raw"}
+        WER and the Euclidean measures take curves at any level. MCA's
+        covariances scale with the product of two curves' levels; a pair
+        whose covariance or distance leaves the float range is a
+        ``DegenerateInputError`` naming it.
     grid, omega0, normalization : CWT settings for spectral measures.
     theta : inertia threshold for MCA.
     threads : size of the worker pool over matrix rows (curve i against
@@ -413,7 +456,7 @@ def build_dissimilarity_matrix(dataset, measure="WER", grid=None,
         def row(i):
             return np.linalg.norm(rows[i + 1:] - rows[i], axis=1)
     elif measure == "WER":
-        auto = _auto_sums(fields, grid)
+        auto = _auto_sums(_scaled_to_unit(fields), grid)
 
         def row(i):
             return _wer_row(fields[i], auto[i], fields[i + 1:],

@@ -145,11 +145,12 @@ def shadow_values(space, partition):
     """Per-observation boundary scores ``2 d1 / (d1 + d2)`` in [0, 1].
 
     ``d1`` is the distance to the assigned center (k-means partitions
-    measure in the feature space given by ``space``; PAM partitions read
-    their dissimilarity matrix) and ``d2`` the distance to the nearest
-    other center. An observation exactly on its center scores 0, one
-    equidistant between two centers scores 1; a 0/0 (coincident centers)
-    counts as 0.
+    measure in the feature space given by ``space``, whose rows must be
+    finite; PAM partitions read their dissimilarity matrix, a
+    :class:`DissimilarityMatrix` or an array checked as one) and ``d2``
+    the distance to the nearest other center. An observation exactly on
+    its center scores 0, one equidistant between two centers scores 1; a
+    0/0 (coincident centers) counts as 0.
     """
     if partition.k < 2:
         raise ValueError("shadow values need at least two clusters")

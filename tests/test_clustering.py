@@ -4,13 +4,18 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from waveclust import (
     DissimilarityMatrix,
+    Partition,
     choose_k_by_jump,
+    clusterability_index,
     feature_matrix,
     gen_benchmark,
     kmeans,
+    neighborhood_graph,
     pam,
+    relative_contributions,
     select_features,
     select_features_stable,
+    shadow_values,
 )
 from waveclust.rng import derived_rng
 
@@ -85,14 +90,24 @@ def test_kmeans_rejects_k_above_n():
         kmeans(np.zeros((3, 2)), 4)
 
 
+#: A k-means partition of the four rows below, for the diagnostics.
+TWO_CENTERS = Partition(labels=[0, 0, 1, 1], k=2, cost=0.0,
+                        centers=np.array([[1.5, 1.5], [4.0, 5.0]]))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("call", [
     lambda rows: kmeans(rows, 2),
     lambda rows: choose_k_by_jump(rows, 3),
     lambda rows: select_features(rows, 2),
     lambda rows: select_features_stable(rows, 3),
+    lambda rows: shadow_values(rows, TWO_CENTERS),
+    lambda rows: neighborhood_graph(rows, TWO_CENTERS),
+    lambda rows: clusterability_index(np.tile(rows[:, 0], 3)),
+    lambda rows: relative_contributions(rows),
 ], ids=["kmeans", "choose_k_by_jump", "select_features",
-        "select_features_stable"])
+        "select_features_stable", "shadow_values", "neighborhood_graph",
+        "clusterability_index", "relative_contributions"])
 def test_feature_consumers_reject_non_finite_values(call, bad):
     rows = np.array([[0.0, 1.0], [bad, 2.0], [3.0, 4.0], [5.0, 6.0]])
     with pytest.raises(ValueError, match="must be finite"):
@@ -265,9 +280,30 @@ def test_pam_rejects_k_above_n():
         pam(block_matrix([2, 2]), 5)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_dissimilarity_matrix_rejects_non_finite_entries(bad):
+#: Entries (0, 3) and (3, 0) that spoil a dissimilarity matrix, and the
+#: error each one raises.
+BAD_ENTRIES = {"nan": (np.nan, np.nan, "must be finite"),
+               "inf": (np.inf, np.inf, "must be finite"),
+               "negative": (-1.0, -1.0, "nonnegative"),
+               "asymmetric": (1.0, 2.0, "symmetric")}
+
+#: Every reader of a raw matrix checks it as a DissimilarityMatrix.
+MATRIX_READERS = {
+    "pam": lambda values: pam(values, 2),
+    "shadow_values": lambda values: shadow_values(
+        values, pam(block_matrix([2, 2]), 2)),
+}
+
+
+@pytest.mark.parametrize("call, bad", [
+    *[pytest.param(lambda values: DissimilarityMatrix(values, "WER"), bad,
+                   id=bad) for bad in ("nan", "inf")],
+    *[pytest.param(call, bad, id=f"{name}-{bad}")
+      for name, call in MATRIX_READERS.items() for bad in BAD_ENTRIES],
+])
+def test_dissimilarity_matrix_rejects_non_finite_entries(call, bad):
+    upper, lower, message = BAD_ENTRIES[bad]
     values = block_matrix([2, 2]).values.copy()
-    values[0, 3] = values[3, 0] = bad
-    with pytest.raises(ValueError, match="must be finite"):
-        DissimilarityMatrix(values, "WER")
+    values[0, 3], values[3, 0] = upper, lower
+    with pytest.raises(ValueError, match=message):
+        call(values)

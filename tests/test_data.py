@@ -120,9 +120,16 @@ def test_resample_rejects_short_curves():
         resample_dyadic(np.arange(3.0), 4)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_resample_rejects_nonfinite_curves(value):
-    curve = np.random.default_rng(8).normal(size=48)
+@pytest.mark.parametrize("value, length", [
+    *[pytest.param(value, 48, id=str(value))
+      for value in (np.nan, np.inf, -np.inf)],
+    # At the dyadic length the curve is returned as it is, but checked
+    # first.
+    *[pytest.param(value, 64, id=f"dyadic-{value}")
+      for value in (np.nan, np.inf, -np.inf)],
+])
+def test_resample_rejects_nonfinite_curves(value, length):
+    curve = np.random.default_rng(8).normal(size=length)
     curve[17] = value
     with pytest.raises(ValueError, match="finite"):
         resample_dyadic(curve, 6)

@@ -77,6 +77,21 @@ def test_coherence_grid_mismatch_rejected():
         wavelet_coherence(wz, other)
 
 
+@pytest.mark.parametrize("pair", [wer_distance, mca_distance, mca_analysis,
+                                  wavelet_coherence])
+@pytest.mark.parametrize("setting, value", [("omega0", 4.0),
+                                            ("normalization", "L2")])
+def test_pair_measures_reject_spectra_of_other_transforms(pair, setting,
+                                                          value):
+    """Spectra of two transforms are not compared, as spectra on two grids
+    are not: without the check, WER between a curve's L1 and L2 spectra
+    was a finite distance."""
+    curve = np.random.default_rng(4).normal(size=64)
+    with pytest.raises(ValueError, match=f"share one {setting}"):
+        pair(cwt_morlet(curve, GRID), cwt_morlet(curve, GRID,
+                                                 **{setting: value}))
+
+
 def test_time_averaged_coherence_shape_and_range():
     wz, wx = spectra(5)
     per_scale = time_averaged_coherence(wz, wx)
@@ -461,6 +476,51 @@ def test_euclid_features_take_a_curve_at_any_scale(scale, rtol):
     values = build_dissimilarity_matrix(curves, measure="euclid-features",
                                         grid=grid).values
     assert_allclose(values, expected, rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("scale, rtol", [
+    (1e155, 1e-12), (1e-170, 1e-12), (1e300, 1e-12), (1e-300, 1e-12),
+    (2.0 ** 520, 0.0), (2.0 ** -560, 0.0)])
+def test_wer_and_coherence_take_a_curve_at_any_level(scale, rtol):
+    """WER^2 and the coherence are ratios, and each field is scaled before
+    it is squared, so a curve scaled until its |CWT|'s square over- or
+    underflows leaves the WER matrix, wer_distance and the coherence
+    field as they were: bit for bit when the scale is a power of two."""
+    curves = np.random.default_rng(1).normal(size=(3, 64))
+    curves[2] = np.roll(curves[0], 7)
+    grid = make_scale_grid(1, 4, 4)
+    expected = build_dissimilarity_matrix(curves, measure="WER",
+                                          grid=grid).values
+    field = wavelet_coherence(cwt_morlet(curves[0], grid),
+                              cwt_morlet(curves[2], grid)).values
+    curves[2] *= scale
+    values = build_dissimilarity_matrix(curves, measure="WER",
+                                        grid=grid).values
+    assert_allclose(values, expected, rtol=rtol, atol=0.0)
+    wz, wx = cwt_morlet(curves[0], grid), cwt_morlet(curves[2], grid)
+    assert_allclose(wer_distance(wz, wx), values[0, 2], rtol=rtol, atol=0.0)
+    assert_allclose(wavelet_coherence(wz, wx).values, field, rtol=rtol,
+                    atol=1e-15 if rtol else 0.0)
+
+
+@pytest.mark.parametrize("scale, match", [
+    (1e155, "cross covariance overflows"),
+    (1e300, "cross covariance overflows"),
+    (1e100, "the MCA distance overflows"),
+    (1e-170, "cross covariance underflows"),
+    (1e-300, "cross covariance underflows"),
+])
+def test_mca_names_a_pair_out_of_the_float_range(scale, match):
+    """MCA's covariance scales with the curves' levels, so it is not
+    rescaled. A pair whose covariance or distance leaves the float range
+    is named, not reported as a zero covariance or an eigh failure."""
+    z = np.random.default_rng(1).normal(size=64)
+    curves = np.vstack([z, np.roll(z, 3), scale * np.roll(z, 7)])
+    grid = make_scale_grid(1, 4, 4)
+    with pytest.raises(DegenerateInputError, match=r"pair \(0, 2\): " + match):
+        build_dissimilarity_matrix(curves, measure="MCA", grid=grid)
+    with pytest.raises(DegenerateInputError, match=match):
+        mca_distance(cwt_morlet(z, grid), cwt_morlet(curves[2], grid))
 
 
 @pytest.mark.parametrize("normalization", ["L1", "L2"])

@@ -8,6 +8,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -19,6 +20,7 @@ from waveclust import (
     cwt_morlet,
     dwt_forward,
     dwt_inverse,
+    feature_matrix,
     kmeans,
     make_scale_grid,
     mca_distance,
@@ -88,6 +90,27 @@ def test_mca_matrix_symmetric_nonnegative_and_pairwise(curves):
     for i in range(n):
         for j in range(i + 1, n):
             assert values[i, j] == mca_distance(spectra[i], spectra[j])
+
+
+@SMALL
+@given(curve_sets(min_curves=2), st.data())
+def test_one_non_finite_sample_is_rejected_at_every_curve_entry(curves, data):
+    """A nan or inf anywhere in a stack is a ValueError at every entry
+    that takes curves, raised before any arithmetic."""
+    n, n_samples = curves.shape
+    where = (data.draw(st.integers(0, n - 1), label="curve"),
+             data.draw(st.integers(0, n_samples - 1), label="sample"))
+    curves[where] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]),
+                              label="value")
+    entries = [dwt_forward, feature_matrix,
+               lambda c: cwt_morlet(c, GRID),
+               *[lambda c, m=m: build_dissimilarity_matrix(c, measure=m,
+                                                           grid=GRID)
+                 for m in ("WER", "MCA", "euclid-features", "euclid-raw")]]
+    for entry in entries:
+        with pytest.raises(ValueError, match="curve values must all be "
+                                             "finite"):
+            entry(curves)
 
 
 @st.composite
