@@ -33,8 +33,7 @@ from .data import resample_dataset, slice_series
 from .dissimilarity import MEASURES, build_dissimilarity_matrix
 from .dwt import feature_matrix
 from .errors import DegenerateInputError
-from .evaluation import (_label_array, neighborhood_graph, shadow_values,
-                         validation_report)
+from .evaluation import neighborhood_graph, shadow_values, validation_report
 from .feature_selection import select_features, select_features_stable
 from .simulation import FarModel, gen_benchmark, gen_far, gen_sinus
 
@@ -234,16 +233,13 @@ def cmd_cluster(config):
 
 
 def _partition_from_labels(values, labels):
-    """The k-means partition a label vector induces on feature rows: the
-    cluster means as centers, their within-cluster SSE as cost."""
-    labels = _label_array(labels)
-    if not np.bincount(labels).all():
-        raise ValueError("every cluster must be non-empty")
-    k = int(labels.max()) + 1
-    centers = np.vstack([values[labels == j].mean(axis=0) for j in range(k)])
-    cost = float(((values - centers[labels]) ** 2).sum())
-    return Partition(labels=labels, k=k, cost=cost, centers=centers,
-                     method="kmeans")
+    """The k-means partition a label vector induces on feature rows, checked
+    first, then given the cluster means as centers and their SSE as cost."""
+    part = Partition(labels=labels, k=int(labels.max()) + 1, cost=0.0)
+    part.centers = np.vstack([values[labels == j].mean(axis=0)
+                              for j in range(part.k)])
+    part.cost = float(((values - part.centers[labels]) ** 2).sum())
+    return part
 
 
 def cmd_diagnose(config):

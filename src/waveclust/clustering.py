@@ -30,6 +30,24 @@ MAX_ITER = 100
 SWAP_TOL = 1e-12
 
 
+def _label_array(partition_or_labels):
+    """Labels as an int array; ``2.0`` is label 2, while a fractional or
+    non-finite label is an error rather than being truncated."""
+    labels = np.asarray(getattr(partition_or_labels, "labels",
+                                partition_or_labels))
+    if labels.dtype.kind not in "biu":
+        values = labels.astype(float)
+        bad = values[~(np.isfinite(values) & (values == np.trunc(values)))]
+        if bad.size:
+            raise ValueError(f"labels must be integers, got "
+                             f"{float(bad[0])!r}")
+    labels = labels.astype(int, copy=False)
+    if labels.size and labels.min() < 0:
+        raise ValueError(f"labels must be nonnegative integers, got "
+                         f"{int(labels.min())}")
+    return labels
+
+
 @dataclass
 class Partition:
     """A clustering of n observations into K non-empty groups.
@@ -48,7 +66,7 @@ class Partition:
     method: str = "kmeans"
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=int)
+        self.labels = _label_array(self.labels)
         counts = np.bincount(self.labels, minlength=self.k)
         if counts.size > self.k or np.any(counts == 0):
             raise ValueError("every cluster must be non-empty")

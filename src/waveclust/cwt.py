@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import FunctionalDataset
+from .data import FunctionalDataset, _integer
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,8 @@ class ScaleGrid:
     voices: int = 8
 
     def __post_init__(self):
+        for key in ("octave_min", "octave_max", "voices"):
+            object.__setattr__(self, key, _integer(getattr(self, key), key))
         if self.octave_max <= self.octave_min:
             raise ValueError("octave_max must exceed octave_min")
         if self.voices < 1:
@@ -61,8 +63,7 @@ class ScaleGrid:
 
 def make_scale_grid(o_min=1, o_max=6, voices=8):
     """Construct the voiced dyadic grid covering octaves [o_min, o_max]."""
-    return ScaleGrid(octave_min=int(o_min), octave_max=int(o_max),
-                     voices=int(voices))
+    return ScaleGrid(octave_min=o_min, octave_max=o_max, voices=voices)
 
 
 def morlet_kernel(scale, n_samples, omega0=6.0):
@@ -81,7 +82,8 @@ def morlet_kernel(scale, n_samples, omega0=6.0):
 @dataclass
 class Spectrum:
     """CWT coefficients of one curve, an (n_scales, N) complex matrix, or
-    of a stack of curves, (n, n_scales, N), as a build holds them.
+    of a stack of curves, (n, n_scales, N), as a build holds them; any
+    other shape, or a nan or inf, is an error.
 
     ``coi_flag[j]`` is True where row ``j``'s scale exceeds N/2, meaning
     the periodized kernel wraps enough to contaminate the whole row.
@@ -94,6 +96,14 @@ class Spectrum:
     coi_flag: np.ndarray = field(default=None)
 
     def __post_init__(self):
+        self.matrix = np.asarray(self.matrix)
+        shape = self.matrix.shape
+        if len(shape) not in (2, 3) or shape[-2] != self.grid.n_scales:
+            raise ValueError(f"a spectrum on {self.grid.n_scales} scales is "
+                             f"(n_scales, N) or (n, n_scales, N), got {shape}")
+        if not np.isfinite(self.matrix).all():
+            raise ValueError("spectrum values must be finite (found nan or "
+                             "inf)")
         if self.coi_flag is None:
             self.coi_flag = self.grid.scales > self.n_samples / 2
 

@@ -93,6 +93,8 @@ class FunctionalDataset:
 def _integer(value, name):
     """``value`` as an int; a fractional or non-finite value is an error
     rather than being truncated."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
     if not float(value).is_integer():
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)

@@ -20,26 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import _cdist, _feature_rows
+from .clustering import _cdist, _feature_rows, _label_array
 from .dissimilarity import DissimilarityMatrix
-
-
-def _label_array(partition_or_labels):
-    """Labels as an int array; ``2.0`` is label 2, while a fractional or
-    non-finite label is an error rather than being truncated."""
-    labels = np.asarray(getattr(partition_or_labels, "labels",
-                                partition_or_labels))
-    if labels.dtype.kind not in "biu":
-        values = labels.astype(float)
-        bad = values[~(np.isfinite(values) & (values == np.trunc(values)))]
-        if bad.size:
-            raise ValueError(f"labels must be integers, got "
-                             f"{float(bad[0])!r}")
-    labels = labels.astype(int)
-    if labels.size and labels.min() < 0:
-        raise ValueError(f"labels must be nonnegative integers, got "
-                         f"{int(labels.min())}")
-    return labels
 
 
 def _contingency(a, b):
@@ -57,8 +39,6 @@ def _matching(a, b):
     if a.size != b.size:
         raise ValueError("prediction and truth must have equal length")
     table = _contingency(a, b)
-    if max(table.shape) > 12:
-        raise ValueError("assignment matching supports at most 12 clusters")
     rows, cols = linear_sum_assignment(table, maximize=True)
     return table, rows, cols
 
@@ -68,8 +48,7 @@ def misclassification(pred, truth):
 
     The contingency table between the two labelings is matched by the
     optimal assignment (maximum total agreement), so the result does not
-    depend on how either side numbers its clusters. Both labelings may
-    use at most 12 distinct labels, numbered from 0.
+    depend on how either side numbers its clusters.
     """
     a = _label_array(pred)
     table, rows, cols = _matching(a, _label_array(truth))

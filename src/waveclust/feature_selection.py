@@ -38,7 +38,7 @@ from itertools import combinations
 import numpy as np
 
 from .clustering import _feature_rows, _lloyd, _plus_plus_centers
-from .rng import derived_rng
+from .rng import _master_seed, derived_rng
 
 #: Internal seed for the uniform-surrogate reference distribution.
 _REFERENCE_SEED = 83230
@@ -209,6 +209,7 @@ def _search(features, ks, screen_quantile, penalty, restarts, seed):
     SelectionReport.
     """
     values = _feature_rows(features)
+    seed = _master_seed(seed)
     n, n_features = values.shape
     if min(ks) < 2:
         raise ValueError("k must be at least 2")

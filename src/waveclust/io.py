@@ -7,18 +7,21 @@ artifacts are written with sorted keys for the same reason. Each
 distinct value is rendered by ``repr`` once: a dissimilarity matrix's
 mirrored entries share their text, but only when their bits are equal.
 
-Readers open a file once: one read gives the leading comments'
-key=value fields and the stripped lines. They parse a whole file at
-once; a cell that does not parse is a ``ValueError`` naming the file and
-the cell's 1-based line number. A leading row is a header only when
-none of its cells parses.
+Readers open a file once and stream its cells into one float array, so
+at most one line's cells are held as strings. They differ only in the
+shape they require and the owner their values go to. A cell that does
+not parse, or a row of the wrong width, is a ``ValueError`` naming the
+file and the line; an owner's error names the file. A leading row is a
+header only when none of its cells parses.
 """
 
 import hashlib
 import json
+from itertools import chain, repeat
 
 import numpy as np
 
+from .clustering import _feature_rows, _label_array
 from .data import FunctionalDataset, SampledSignal
 from .dissimilarity import DissimilarityMatrix
 from .dwt import FeatureMatrix, canonical_kind
@@ -47,9 +50,8 @@ def _data_lines(path):
     """One read of ``path``: the key=value fields of its leading '#'
     comment lines, its data lines and all its lines, stripped. A leading
     row none of whose cells parses as a float is a header, not data; one
-    where some cells parse and some do not is a cell error naming the
-    file and line. So a one-column file's unparsable first row is still
-    taken for a header."""
+    where some cells parse is data, whose bad cell the reader names. So
+    a one-column file's unparsable first row is taken for a header."""
     with open(path, "r", encoding="utf-8") as handle:
         text = list(map(str.strip, handle))
     fields = {}
@@ -63,25 +65,25 @@ def _data_lines(path):
     lines = [line for line in text if line and not line.startswith("#")]
     if not lines:
         raise ValueError(f"{path}: no data rows")
-    try:
-        list(map(float, lines[0].split(",")))
-    except ValueError:
-        if any(map(_parses, lines[0].split(","))):
-            _raise_at_line(path, lines, text, _float_row)
+    if not any(map(_parses, lines[0].split(","))):
         lines = lines[1:]
     if not lines:
         raise ValueError(f"{path}: no data rows after the header")
     return fields, lines, text
 
 
-def _raise_at_line(path, lines, text, parse):
-    """Raise the error ``parse`` meets on the first data line it cannot
-    read, naming ``path`` and the line's 1-based number in ``text``.
-    Readers parse a whole file at once and call this only once that has
-    failed, so lines are numbered on the error path alone."""
+def _raise_at_line(path, lines, text, width=None):
+    """Raise the error of the first data line with other than ``width``
+    values (when given) or a cell that does not parse, naming ``path``
+    and the line's 1-based number in ``text``. A reader calls this only
+    once its parse has failed, so lines are numbered on that path alone."""
     for index, line in enumerate(lines):
+        cells = line.split(",")
+        if width is not None and len(cells) != width:
+            message = f"expected {width} values, got {len(cells)}"
+            break
         try:
-            parse(line)
+            list(map(float, cells))
         except ValueError as exc:
             message = str(exc)
             break
@@ -92,29 +94,28 @@ def _raise_at_line(path, lines, text, parse):
     raise ValueError(f"{path}: line {number}: {message}")
 
 
-def _parse_lines(path, parse):
-    """``path``'s comment fields and ``parse`` of each data line; a line
-    it cannot read is an error that names the file and the line."""
+def _read(path, width, owner):
+    """``owner(fields, values)`` of ``path``'s comment fields and cells,
+    streamed into one float array: flat when ``width`` is None, else one
+    row of ``width`` values per data line (-1, as in ``reshape``, takes
+    the first line's count). The owner's error names the file."""
     fields, lines, text = _data_lines(path)
+    commas = list(map(str.count, lines, repeat(",")))
+    width = commas[0] + 1 if width == -1 else width
     try:
-        return fields, list(map(parse, lines))
+        values = np.fromiter(map(float, chain.from_iterable(
+            map(str.split, lines, repeat(",")))), float,
+            sum(commas) + len(lines))
     except ValueError:
-        _raise_at_line(path, lines, text, parse)
-
-
-def _float_row(line):
-    return np.array(list(map(float, line.split(","))))
-
-
-def _read_matrix(path):
-    """A CSV file's comment fields and data rows, the rows as one float
-    matrix of equal widths. Each row becomes an array as it is parsed,
-    so at most one row's values are held as Python floats."""
-    fields, rows = _parse_lines(path, _float_row)
-    widths = {r.size for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: rows have differing lengths {widths}")
-    return fields, np.vstack(rows)
+        values = None
+    if values is None or width and commas.count(width - 1) < len(lines):
+        _raise_at_line(path, lines, text, width)
+    del lines, text  # free the text before the owner's checks allocate
+    try:
+        return owner(fields, values if width is None
+                     else values.reshape(-1, width))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_dataset(path, dataset):
@@ -124,18 +125,13 @@ def write_dataset(path, dataset):
 
 
 def read_dataset(path):
-    return FunctionalDataset(curves=_read_matrix(path)[1])
+    return _read(path, -1, lambda _, rows: FunctionalDataset(curves=rows))
 
 
 def read_signal(path, sampling_step=1.0):
-    """A long signal: one value per row, or one row of values."""
-    _, lines, text = _data_lines(path)
-    try:
-        values = list(map(float, ",".join(lines).split(",")))
-    except ValueError:
-        _raise_at_line(path, lines, text, _float_row)
-    return SampledSignal(values=np.array(values, dtype=float),
-                         sampling_step=sampling_step)
+    """A long signal: its values in reading order, in rows of any length."""
+    return _read(path, None, lambda _, values: SampledSignal(
+        values=values, sampling_step=sampling_step))
 
 
 def write_labels(path, labels):
@@ -145,13 +141,8 @@ def write_labels(path, labels):
 
 
 def read_labels(path):
-    """One integer label per row; ``2.0`` reads as 2, ``1.5`` is an
-    error."""
-    values = _parse_lines(path, float)[1]
-    for value in values:
-        if not value.is_integer():
-            raise ValueError(f"{path}: label {value!r} is not an integer")
-    return np.array(values, dtype=int)
+    """One label per row, by the label rule: ``2.0`` is 2, ``1.5`` fails."""
+    return _read(path, 1, lambda _, rows: _label_array(rows[:, 0]))
 
 
 def write_features(path, features):
@@ -165,13 +156,10 @@ def write_features(path, features):
 
 
 def read_features(path):
-    fields, values = _read_matrix(path)
-    kind = canonical_kind(fields.get("kind", "logitRC"))
-    wavelet = fields.get("wavelet", "symmlet6")
-    if not np.isfinite(values).all():
-        raise ValueError(f"{path}: feature values must be finite "
-                         "(found nan or inf)")
-    return FeatureMatrix(values=values, kind=kind, wavelet=wavelet)
+    return _read(path, -1, lambda fields, rows: FeatureMatrix(
+        kind=canonical_kind(fields.get("kind", "logitRC")),
+        wavelet=fields.get("wavelet", "symmlet6"),
+        values=_feature_rows(rows)))
 
 
 def write_dissimilarity(path, matrix):
@@ -204,9 +192,8 @@ def write_dissimilarity(path, matrix):
 
 
 def read_dissimilarity(path):
-    fields, values = _read_matrix(path)
-    return DissimilarityMatrix(values=values,
-                               measure=fields.get("measure", "WER"))
+    return _read(path, -1, lambda fields, rows: DissimilarityMatrix(
+        values=rows, measure=fields.get("measure", "WER")))
 
 
 def write_partition(path, partition, distances):
@@ -217,15 +204,10 @@ def write_partition(path, partition, distances):
             handle.write(f"{i},{int(label)},{_fmt(dist)}\n")
 
 
-def _partition_row(line):
-    _, label, dist = line.split(",")
-    return int(label), float(dist)
-
-
 def read_partition(path):
-    rows = _parse_lines(path, _partition_row)[1]
-    return (np.array([label for label, _ in rows], dtype=int),
-            np.array([dist for _, dist in rows], dtype=float))
+    """A partition file's labels, under the label rule, and distances."""
+    return _read(path, 3, lambda _, rows: (_label_array(rows[:, 1]),
+                                           rows[:, 2]))
 
 
 def write_shadows(path, shadows):

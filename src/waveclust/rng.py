@@ -9,6 +9,16 @@ import zlib
 
 import numpy as np
 
+from .data import _integer
+
+
+def _master_seed(seed):
+    """``seed`` as a nonnegative int, so no two seeds share a stream."""
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return seed
+
 
 def derived_seed_sequence(seed, *labels):
     """Build a SeedSequence for the stream identified by ``labels``.
@@ -16,7 +26,7 @@ def derived_seed_sequence(seed, *labels):
     Labels may be strings or integers; strings are hashed with CRC32 so the
     derivation is stable across platforms and sessions.
     """
-    keys = [int(seed) & 0xFFFFFFFF]
+    keys = [_master_seed(seed)]
     for label in labels:
         if isinstance(label, str):
             keys.append(zlib.crc32(label.encode("utf-8")))

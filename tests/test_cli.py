@@ -124,6 +124,57 @@ def test_dissim_reuse_and_thread_invariance(bench, tmp_path):
     assert len(np.unique(labels)) == 3
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("features", "wavelet", "haar"),
+    ("select", "screen_quantile", 0.3),
+    ("select", "penalty", 0.2),
+    ("dissim", "omega0", 5.0),
+    ("dissim", "normalization", "L2"),
+    ("benchmark", "sigma", 0.5),
+    ("benchmark", "rho", 0.5),
+], ids=str)
+def test_flags_reach_their_library_calls(tmp_path, command, flag, value):
+    """The artifact a flag gives equals the one the library call with that
+    value writes, and differs from the one with the default value."""
+    curves, _ = wc.gen_benchmark(seed=2, n_per_cluster=4, length=64)
+    data, feats = tmp_path / "curves.csv", tmp_path / "features.csv"
+    io.write_dataset(data, curves)
+    io.write_features(feats, wc.feature_matrix(curves))
+    argv = {"features": ("--input", data),
+            "select": ("--input", feats, "--k", 2),
+            "dissim": ("--input", data),
+            "benchmark": ("--n", 2, "--length", 64)}[command]
+    out = tmp_path / "out"
+    assert run(command, *argv, "--" + flag.replace("_", "-"), value,
+               "--output", out) == 0
+
+    def library(path, **setting):
+        if command == "features":
+            io.write_features(path, wc.feature_matrix(curves, **setting))
+        elif command == "select":
+            io.write_selection(path, wc.select_features(
+                io.read_features(feats), 2, **setting))
+        elif command == "dissim":
+            io.write_dissimilarity(path, wc.build_dissimilarity_matrix(
+                curves, **setting))
+        else:
+            io.write_dataset(path, wc.gen_benchmark(
+                n_per_cluster=2, length=64, **setting)[0])
+        return path.read_bytes()
+
+    assert out.read_bytes() == library(tmp_path / "ref", **{flag: value})
+    assert out.read_bytes() != library(tmp_path / "default")
+
+
+def test_a_negative_seed_exits_two(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    assert run("benchmark", "--seed", -1, "--n", 2, "--length", 64,
+               "--output", out) == 2
+    err = capsys.readouterr().err
+    assert err == "error: seed must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", [0, -2])
 def test_spectral_commands_reject_threads_below_one(bench, tmp_path, capsys,
                                                     threads):
@@ -187,7 +238,9 @@ def test_diagnose_rejects_a_bad_partition_with_one_line(tmp_path, capsys,
         f"{i},{label},0.0\n" for i, label in enumerate(labels)))
     assert run("diagnose", "--input", feats, "--partition", partition,
                "--output-prefix", tmp_path / "d") == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    # The reader applies the label rule, and its errors name the file.
+    where = f"{partition}: " if message.startswith("labels") else ""
+    assert capsys.readouterr().err == f"error: {where}{message}\n"
     assert [str(w.message) for w in recwarn] == []
     assert not (tmp_path / "d.shadows.csv").exists()
 
@@ -416,8 +469,8 @@ def test_non_finite_dissimilarity_exits_two_with_one_line(tmp_path, capsys):
     out = tmp_path / "partition.csv"
     assert run("cluster", "--pipeline", "spectrum", "--input", dissim,
                "--dissim-input", dissim, "--k", 2, "--output", out) == 2
-    assert capsys.readouterr().err == ("error: dissimilarities must be "
-                                       "finite (found nan or inf)\n")
+    assert capsys.readouterr().err == (f"error: {dissim}: dissimilarities "
+                                       "must be finite (found nan or inf)\n")
     assert not out.exists()
 
 
@@ -581,8 +634,9 @@ def test_diagnose_rejects_bad_truth_labels(bench, tmp_path, capsys):
     halves.write_text("".join(f"{v + 0.5}\n" for v in labels))
     capsys.readouterr()
     for bad, message in (
-            (shifted, "labels must be nonnegative integers, got -1"),
-            (halves, f"{halves}: label 0.5 is not an integer")):
+            (shifted, f"{shifted}: labels must be nonnegative integers, "
+                      "got -1"),
+            (halves, f"{halves}: labels must be integers, got 0.5")):
         assert run("diagnose", "--input", feats, "--partition", partition,
                    "--truth", bad, "--output-prefix", tmp_path / "d") == 2
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -90,6 +90,20 @@ def test_kmeans_rejects_k_above_n():
         kmeans(np.zeros((3, 2)), 4)
 
 
+@pytest.mark.parametrize("labels, message", [
+    ([0.5, 1.7, 0.2, 1.1], "labels must be integers, got 0.5"),
+    ([0, 1, np.nan, 1], "labels must be integers, got nan"),
+    ([0, 1, -1, 1], "labels must be nonnegative integers, got -1"),
+])
+def test_partition_takes_labels_by_the_label_rule(labels, message):
+    with pytest.raises(ValueError) as info:
+        Partition(labels=labels, k=2, cost=0.0)
+    assert str(info.value) == message
+    part = Partition(labels=[0.0, 1.0, 0.0, 1.0], k=2, cost=0.0)
+    assert part.labels.dtype == np.int64
+    assert_array_equal(part.labels, [0, 1, 0, 1])
+
+
 #: A k-means partition of the four rows below, for the diagnostics.
 TWO_CENTERS = Partition(labels=[0, 0, 1, 1], k=2, cost=0.0,
                         centers=np.array([[1.5, 1.5], [4.0, 5.0]]))

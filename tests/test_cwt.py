@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from waveclust import cwt_morlet, make_scale_grid, morlet_kernel, smooth_spectrum
-from waveclust.cwt import _boxcar_width, _morlet_bank
+from waveclust.cwt import ScaleGrid, Spectrum, _boxcar_width, _morlet_bank
 
 
 def direct_cwt(curve, grid, omega0=6.0, p=1.0):
@@ -46,6 +46,43 @@ def test_grid_ratio_and_rejections():
         make_scale_grid(4, 4, 8)
     with pytest.raises(ValueError):
         make_scale_grid(1, 2, 0)
+
+
+@pytest.mark.parametrize("make", [make_scale_grid, ScaleGrid])
+@pytest.mark.parametrize("fields, name", [((1, 3, 2.5), "voices"),
+                                          ((1.5, 3, 2), "octave_min"),
+                                          ((1, np.inf, 2), "octave_max")])
+def test_grid_takes_integers_only(make, fields, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        make(*fields)
+    grid = make(1.0, np.int64(3), 2.0)
+    assert grid == ScaleGrid(1, 3, 2)
+    assert type(grid.n_scales) is int and grid.n_scales == 5
+
+
+SHAPES = "a spectrum on 5 scales is (n_scales, N) or (n, n_scales, N), got "
+
+
+@pytest.mark.parametrize("case, message", [
+    ("nan", "spectrum values must be finite (found nan or inf)"),
+    ("inf", "spectrum values must be finite (found nan or inf)"),
+    ("1-D", SHAPES + "(32,)"),
+    ("4-D", SHAPES + "(1, 1, 5, 32)"),
+    ("4 rows", SHAPES + "(4, 32)"),
+    ("stack of 6 rows", SHAPES + "(1, 6, 32)"),
+])
+def test_spectrum_rejects_what_no_transform_gives(case, message):
+    grid = make_scale_grid(1, 3, 2)
+    matrix = cwt_morlet(np.random.default_rng(0).normal(size=32), grid).matrix
+    bad = {"nan": np.where(np.arange(32) == 3, np.nan, matrix),
+           "inf": np.where(np.arange(32) == 3, np.inf, matrix),
+           "1-D": matrix[0],
+           "4-D": matrix[None, None],
+           "4 rows": matrix[:4],
+           "stack of 6 rows": np.stack([np.vstack([matrix, matrix[:1]])])}
+    with pytest.raises(ValueError) as info:
+        Spectrum(matrix=bad[case], grid=grid)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("normalization,p", [("L1", 1.0), ("L2", 0.5)])

@@ -54,8 +54,16 @@ def test_single_moved_observation():
 def test_misclassification_guards():
     with pytest.raises(ValueError):
         misclassification([0, 1], [0, 1, 2])
-    with pytest.raises(ValueError):
-        misclassification(np.arange(13), np.arange(13))
+
+
+def test_matching_takes_any_number_of_clusters():
+    # Thirteen clusters, and labels as large as 20, match as two do.
+    labels = np.repeat(np.arange(13), 2)
+    report = validation_report(labels, (labels + 5) % 13)
+    assert (report.misclassified, report.rate) == (0, 0.0)
+    assert report.matching == tuple((k, (k + 5) % 13) for k in range(13))
+    assert misclassification([0, 0, 1, 1], [0, 0, 20, 20]) == (0, 0.0)
+    assert rand_indices([0, 0, 1, 1], [0, 0, 20, 20]) == (1.0, 1.0)
 
 
 def test_rate_never_exceeds_one_minus_one_over_k():

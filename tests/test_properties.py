@@ -4,6 +4,7 @@ derandomized, so every run draws the same examples."""
 
 import contextlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from waveclust import (
     make_scale_grid,
     mca_distance,
     pam,
+    validation_report,
     wer_distance,
 )
 from waveclust.cli import main
@@ -272,8 +274,9 @@ def test_cli_k_above_row_count_exits_two(n, excess, command):
 
 
 @SMALL
-@given(st.integers(13, 16), st.integers(0, 6), st.data())
-def test_cli_more_than_twelve_clusters_with_truth_exits_two(k, extra, data):
+@given(st.integers(13, 16), st.integers(2, 6), st.data())
+def test_cli_more_than_twelve_clusters_with_truth_validates(k, extra, data):
+    # The graph needs K + 2 rows, so ``extra`` starts at 2.
     n = k + extra
     labels = np.concatenate([np.arange(k), data.draw(st.lists(
         st.integers(0, k - 1), min_size=extra, max_size=extra),
@@ -289,7 +292,11 @@ def test_cli_more_than_twelve_clusters_with_truth_exits_two(k, extra, data):
         part.write_text("observation,label,distance\n" + "".join(
             f"{i},{label},0.0\n" for i, label in enumerate(labels)))
         truth_path.write_text("".join(f"{t}\n" for t in truth))
-        assert_data_error(*run_cli(
-            "diagnose", "--input", feats, "--partition", part, "--truth",
-            truth_path, "--output-prefix", tmp / "diag"))
-        assert not (tmp / "diag.validation.json").exists()
+        code, err = run_cli("diagnose", "--input", feats, "--partition",
+                            part, "--truth", truth_path, "--output-prefix",
+                            tmp / "diag")
+        assert (code, err) == (0, "")
+        written = json.loads((tmp / "diag.validation.json").read_text())
+    report = validation_report(labels, truth)
+    assert written["misclassified"] == report.misclassified
+    assert written["matching"] == [list(pair) for pair in report.matching]

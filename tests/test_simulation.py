@@ -1,4 +1,5 @@
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from waveclust import (
     gen_far,
     gen_sinus,
 )
+from waveclust.rng import derived_rng
 from waveclust.simulation import _kms_norm, _operator
 from test_imports import run_fresh
 
@@ -202,6 +204,26 @@ def test_benchmark_seeds_differ():
     a, _ = gen_benchmark(seed=3, n_per_cluster=5, length=128)
     b, _ = gen_benchmark(seed=4, n_per_cluster=5, length=128)
     assert not np.array_equal(a.curves, b.curves)
+
+
+def test_seeds_do_not_alias():
+    # No two seeds share a stream: 2**32 is not 0, and the seeds that
+    # would alias one (-1 for 2**32 - 1, 1.7 for 1) are errors.
+    a, _ = gen_benchmark(seed=0, n_per_cluster=2, length=64)
+    b, _ = gen_benchmark(seed=2 ** 32, n_per_cluster=2, length=64)
+    assert not np.array_equal(a.curves, b.curves)
+    for seed, message in ((-1, "seed must be nonnegative, got -1"),
+                          (1.7, "seed must be an integer, got 1.7")):
+        with pytest.raises(ValueError) as info:
+            gen_benchmark(seed=seed, n_per_cluster=2, length=64)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7.0, 2 ** 31, 2 ** 32 - 1])
+def test_seeds_below_two_to_the_32_keep_their_streams(seed):
+    expected = np.random.default_rng(np.random.SeedSequence(
+        [int(seed), zlib.crc32(b"sinus")])).random(4)
+    assert_array_equal(derived_rng(seed, "sinus").random(4), expected)
 
 
 def test_benchmark_bytes_do_not_depend_on_the_blas_thread_count():
