@@ -7,17 +7,21 @@ artifacts are written with sorted keys for the same reason. Each
 distinct value is rendered by ``repr`` once: a dissimilarity matrix's
 mirrored entries share their text, but only when their bits are equal.
 
-Readers open a file once and stream its cells into one float array, so
-at most one line's cells are held as strings. They differ only in the
-shape they require and the owner their values go to. A cell that does
-not parse, or a row of the wrong width, is a ``ValueError`` naming the
-file and the line; an owner's error names the file. A leading row is a
-header only when none of its cells parses.
+Readers open a file once and hand its data lines to NumPy's C reader,
+``np.loadtxt``. It converts each cell with the ``PyOS_string_to_double``
+that ``float`` calls, so a value keeps ``float``'s bits, but it makes no
+Python float per cell. Readers differ only in the shape they require and
+the owner their values go to. The cell grammar is NumPy's: ``float``'s
+less underscores (``1_0``) and non-ASCII digits. A cell holding one of
+the ASCII separators ``\\x1c``-``\\x1f``, which NumPy strips like
+whitespace and ``float`` refuses, is refused too. A cell that does not
+parse, or a row of the wrong width, is a ``ValueError`` naming the file
+and the line; an owner's error names the file. A leading row is a header
+only when none of its cells parses.
 """
 
 import hashlib
 import json
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -38,9 +42,28 @@ def _write_rows(handle, rows):
         handle.write("\n")
 
 
-def _parses(cell):
+#: ASCII separators: NumPy's reader strips them from a cell like
+#: whitespace, ``float`` refuses them, and so do the readers.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _floats(lines):
+    """The cells of nonempty ``lines`` as one row per line, by NumPy's C
+    reader; a ``ValueError`` for a cell outside the grammar or for rows of
+    unequal width."""
+    if any(mark in line for line in lines for mark in _SEPARATORS):
+        raise ValueError("a cell holds an ASCII separator")
+    return np.loadtxt(lines, delimiter=",", comments=None, dtype=float,
+                      ndmin=2)
+
+
+def _parses(text):
+    """Whether every comma-separated cell of ``text`` parses. An empty
+    cell is no number, though NumPy would skip it as an empty line."""
+    if not text:
+        return False
     try:
-        float(cell)
+        _floats([text])
     except ValueError:
         return False
     return True
@@ -49,9 +72,9 @@ def _parses(cell):
 def _data_lines(path):
     """One read of ``path``: the key=value fields of its leading '#'
     comment lines, its data lines and all its lines, stripped. A leading
-    row none of whose cells parses as a float is a header, not data; one
-    where some cells parse is data, whose bad cell the reader names. So
-    a one-column file's unparsable first row is taken for a header."""
+    row none of whose cells parses is a header, not data; one where some
+    cells parse is data, whose bad cell the reader names. So a
+    one-column file's unparsable first row is taken for a header."""
     with open(path, "r", encoding="utf-8") as handle:
         text = list(map(str.strip, handle))
     fields = {}
@@ -82,10 +105,9 @@ def _raise_at_line(path, lines, text, width=None):
         if width is not None and len(cells) != width:
             message = f"expected {width} values, got {len(cells)}"
             break
-        try:
-            list(map(float, cells))
-        except ValueError as exc:
-            message = str(exc)
+        if not _parses(line):
+            cell = next(cell for cell in cells if not _parses(cell))
+            message = f"could not convert string to float: {cell!r}"
             break
     numbers = [number for number, line in enumerate(text, 1)
                if line and not line.startswith("#")]
@@ -96,24 +118,22 @@ def _raise_at_line(path, lines, text, width=None):
 
 def _read(path, width, owner):
     """``owner(fields, values)`` of ``path``'s comment fields and cells,
-    streamed into one float array: flat when ``width`` is None, else one
-    row of ``width`` values per data line (-1, as in ``reshape``, takes
-    the first line's count). The owner's error names the file."""
+    parsed by NumPy's C reader in the module's grammar: flat when
+    ``width`` is None (the lines, of any lengths, joined into one row),
+    else one row of ``width`` values per data line (-1, as in
+    ``reshape``, takes the first line's count). The owner's error names
+    the file."""
     fields, lines, text = _data_lines(path)
-    commas = list(map(str.count, lines, repeat(",")))
-    width = commas[0] + 1 if width == -1 else width
+    width = lines[0].count(",") + 1 if width == -1 else width
     try:
-        values = np.fromiter(map(float, chain.from_iterable(
-            map(str.split, lines, repeat(",")))), float,
-            sum(commas) + len(lines))
+        values = _floats([",".join(lines)] if width is None else lines)
     except ValueError:
         values = None
-    if values is None or width and commas.count(width - 1) < len(lines):
+    if values is None or width and values.shape[1] != width:
         _raise_at_line(path, lines, text, width)
     del lines, text  # free the text before the owner's checks allocate
     try:
-        return owner(fields, values if width is None
-                     else values.reshape(-1, width))
+        return owner(fields, values.reshape(-1) if width is None else values)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -135,9 +155,11 @@ def read_signal(path, sampling_step=1.0):
 
 
 def write_labels(path, labels):
+    """One label per row, by the label rule, checked before the file is
+    opened."""
+    labels = _label_array(labels).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for label in np.asarray(labels, dtype=int):
-            handle.write(f"{int(label)}\n")
+        handle.writelines(f"{label}\n" for label in labels)
 
 
 def read_labels(path):
@@ -296,14 +318,15 @@ def write_graph_dot(path, graph):
 
 
 def write_graph_csv(path, graph, labels):
-    """Projected observation coordinates with hull-vertex memberships."""
-    labels = np.asarray(labels, dtype=int)
+    """Projected observation coordinates with hull-vertex memberships;
+    the labels follow the label rule."""
+    labels = _label_array(labels).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("observation,cluster,x,y,inner_hull,outer_hull\n")
         for i, ((x, y), label) in enumerate(zip(graph.point_coords, labels)):
-            inner = int(i in graph.inner_hull.get(int(label), ()))
-            outer = int(i in graph.outer_hull.get(int(label), ()))
-            handle.write(f"{i},{int(label)},{_fmt(x)},{_fmt(y)},"
+            inner = int(i in graph.inner_hull.get(label, ()))
+            outer = int(i in graph.outer_hull.get(label, ()))
+            handle.write(f"{i},{label},{_fmt(x)},{_fmt(y)},"
                          f"{inner},{outer}\n")
 
 

@@ -69,6 +69,28 @@ def test_labels_round_trip(tmp_path):
     assert_array_equal(io.read_labels(path), labels)
 
 
+@pytest.mark.parametrize("labels, error", [
+    ([0.5, 1.7, 2.2, 1.0], "labels must be integers, got 0.5"),
+    ([0, np.nan, 1, 1], "labels must be integers, got nan"),
+    ([0, -1, 1, 1], "labels must be nonnegative integers, got -1"),
+], ids=["fractional", "nan", "negative"])
+def test_label_writers_follow_the_label_rule(tmp_path, labels, error):
+    rng = np.random.default_rng(3)
+    features = np.vstack([rng.normal(size=(2, 2)),
+                          rng.normal(size=(2, 2)) + 8.0])
+    graph = wc.neighborhood_graph(features, wc.kmeans(features, 2, seed=3))
+    for write in (io.write_labels,
+                  lambda path, labels: io.write_graph_csv(path, graph,
+                                                          labels)):
+        path = tmp_path / "labels.csv"
+        with pytest.raises(ValueError) as info:
+            write(path, labels)
+        assert str(info.value) == error
+        assert not path.exists()
+    io.write_labels(path, [2.0, 0.0, 1.0, 1.0])
+    assert path.read_text() == "2\n0\n1\n1\n"
+
+
 def test_labels_reader_rejects_non_integral_values(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("0\n2.0\n1\n")
@@ -130,6 +152,77 @@ def test_unreadable_cells_name_the_path_and_line(tmp_path, reader, text,
         reader(path)
     where = f"{path}:" if line is None else f"{path}: line {line}:"
     assert str(info.value) == f"{where} {error}"
+
+
+#: Each reader, a file with one cell to fill in, where that cell's value
+#: lands, and (for the readers of real values) the owner's error for inf.
+CELL_PLACES = {
+    "dataset": (io.read_dataset, "{},2.0\n3.0,4.0\n",
+                lambda back: back.curves[0, 0],
+                "curve values must all be finite"),
+    "signal": (io.read_signal, "{}\n2.0\n", lambda back: back.values[0],
+               "signal values must all be finite"),
+    "features": (io.read_features, "# kind=AC wavelet=haar\n{},0.2\n",
+                 lambda back: back.values[0, 0],
+                 "feature values must be finite (found nan or inf)"),
+    "dissimilarity": (io.read_dissimilarity, "0.0,{0}\n{0},0.0\n",
+                      lambda back: back.values[0, 1],
+                      "dissimilarities must be finite (found nan or inf)"),
+    "labels": (io.read_labels, "{}\n0\n", lambda back: back[0], None),
+    "partition": (io.read_partition, "0,{},0.5\n1,0,0.5\n",
+                  lambda back: back[0][0], None),
+}
+
+
+@pytest.mark.parametrize("cell", ["1", "1.", ".5", "-0", "+1.5", "1E-3",
+                                  " 2.5", "5e-324", "1e999"])
+@pytest.mark.parametrize("place", CELL_PLACES)
+def test_hand_typed_cells_read_as_float_reads_them(tmp_path, place, cell):
+    reader, template, value_of, not_finite = CELL_PLACES[place]
+    path = tmp_path / "cells.csv"
+    path.write_text(template.format(cell))
+    expected = float(cell)
+    if not_finite is None:
+        # A label reader keeps an integral value and names any other.
+        if expected.is_integer() and expected >= 0:
+            assert value_of(reader(path)) == int(expected)
+        else:
+            with pytest.raises(ValueError) as info:
+                reader(path)
+            assert str(info.value) == (f"{path}: labels must be integers, "
+                                       f"got {expected!r}")
+    elif np.isfinite(expected):
+        value = value_of(reader(path))
+        assert np.float64(value).view(np.int64) == \
+            np.float64(expected).view(np.int64)
+    else:
+        with pytest.raises(ValueError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}: {not_finite}"
+
+
+@pytest.mark.parametrize("place, cell", [
+    (place, cell) for place in CELL_PLACES
+    for cell in ["1_0", "\u0661\u0662", "1.0\x1f"]
+    # A one-column line is stripped of its trailing separator.
+    if not (cell == "1.0\x1f" and place in ("signal", "labels"))
+] + [("signal", "1.0\x1f,2.0")])
+def test_cells_float_takes_but_the_grammar_refuses_name_their_line(
+        tmp_path, place, cell):
+    """``float`` takes underscores and non-ASCII digits, NumPy's reader a
+    trailing ASCII separator; the readers take none of them."""
+    reader, template, _, _ = CELL_PLACES[place]
+    # A one-column file's unparsable first row would be its header.
+    text = "0\n" * (place in ("signal", "labels")) + template.format(cell)
+    path = tmp_path / "cells.csv"
+    path.write_text(text)
+    bad = cell.split(",")[0]
+    line = next(number for number, row in enumerate(text.split("\n"), 1)
+                if bad in row.strip())
+    with pytest.raises(ValueError) as info:
+        reader(path)
+    assert str(info.value) == (f"{path}: line {line}: could not convert "
+                               f"string to float: {bad!r}")
 
 
 @pytest.mark.parametrize("reader, text, error", [
@@ -266,10 +359,14 @@ def test_row_writers_match_one_repr_per_value(values):
         io.write_features(tmp / "features.csv", features)
         curves_text = (tmp / "curves.csv").read_text()
         features_text = (tmp / "features.csv").read_text()
+        curves_back = io.read_dataset(tmp / "curves.csv").curves
+        features_back = io.read_features(tmp / "features.csv").values
     assert curves_text == reference_rows(values)
     header = ("# kind=logitRC wavelet=symmlet6\n"
               + ",".join(features.column_names()) + "\n")
     assert features_text == header + reference_rows(values)
+    assert_array_equal(curves_back.view(np.int64), values.view(np.int64))
+    assert_array_equal(features_back.view(np.int64), values.view(np.int64))
 
 
 def test_row_writer_prints_integers_as_floats(tmp_path):
