@@ -3,7 +3,8 @@
 Every subcommand's settings are declared once, in ``_COMMANDS``: each
 setting ``a_b`` is the flag ``--a-b`` and the config-file key ``a_b``,
 with its type, its choices and its default (or ``REQUIRED``). The
-parser, the config-file check and the manifest all read that table.
+parser, the config-file check and the manifest all read that table; a
+run takes, defaults and records only the settings it uses (``_unused``).
 
 ``main`` resolves a subcommand's settings from flags, optionally
 underlaid by a JSON config file (flags win). The subcommand writes its
@@ -32,7 +33,6 @@ from .cwt import make_scale_grid
 from .data import resample_dataset, slice_series
 from .dissimilarity import MEASURES, build_dissimilarity_matrix
 from .dwt import feature_matrix
-from .errors import DegenerateInputError
 from .evaluation import neighborhood_graph, shadow_values, validation_report
 from .feature_selection import select_features, select_features_stable
 from .simulation import FarModel, gen_benchmark, gen_far, gen_sinus
@@ -67,16 +67,15 @@ def _check_config_value(path, key, value, setting):
 
 def _resolve_config(args):
     """Merge the command's table defaults, the optional JSON config file,
-    and flags.
+    and flags, less the settings the run leaves unused (``_unused``).
 
     Flags beat the config file, which beats defaults. A config value of
-    null leaves the default in place; any other value must be one its
-    flag would accept. A config that is not a JSON object, unknown or
-    ill-typed config keys, and missing required settings are data errors.
-    """
+    null counts as not given; any other value must be one its flag would
+    accept. A config that is not a JSON object, unknown or ill-typed
+    config keys, missing required settings and given unused ones are
+    data errors."""
     settings = _COMMANDS[args.command][2]
-    config = {key: None if default is REQUIRED else default
-              for key, (_, _, default) in settings.items()}
+    given = {}
     path = args.config
     if path:
         try:
@@ -92,14 +91,18 @@ def _resolve_config(args):
                 raise ValueError(f"config file {path}: unknown field {key!r}")
             if value is not None:
                 _check_config_value(path, key, value, settings[key])
-                config[key] = value
-    for key in config:
-        flag = getattr(args, key)
-        if flag is not None:
-            config[key] = flag
+                given[key] = value
+    given.update((key, getattr(args, key)) for key in settings
+                 if getattr(args, key) is not None)
+    config = {key: given.get(key, None if default is REQUIRED else default)
+              for key, (_, _, default) in settings.items()}
     for key, (_, _, default) in settings.items():
         if default is REQUIRED and config[key] is None:
             raise ValueError(f"missing required setting {key!r}")
+    for key, reason in _unused(args.command, config).items():
+        if key in given:
+            raise ValueError(f"field {key!r} {reason}")
+        del config[key]
     return config
 
 
@@ -180,7 +183,7 @@ _MEASURE_NAMES = {m.lower(): m for m in MEASURES}
 def _spectral_matrix(config, dataset):
     """The dissimilarity matrix the resolved spectral settings ask for."""
     return build_dissimilarity_matrix(
-        dataset, measure=_MEASURE_NAMES[config["measure"] or "wer"],
+        dataset, measure=_MEASURE_NAMES[config["measure"]],
         grid=make_scale_grid(config["omin"], config["omax"],
                              config["voices"]),
         omega0=config["omega0"], normalization=config["normalization"],
@@ -196,10 +199,6 @@ def cmd_dissim(config):
 
 def cmd_cluster(config):
     if config["pipeline"] == "features":
-        for key in _SPECTRUM_ONLY:
-            if config.pop(key) is not None:
-                raise ValueError(f"field {key!r} applies only to "
-                                 "pipeline='spectrum'")
         features = io.read_features(config["input"])
         part = kmeans(features, config["k"], restarts=config["restarts"],
                       seed=config["seed"])
@@ -208,20 +207,10 @@ def cmd_cluster(config):
         inputs = {"features": config["input"]}
     else:
         if config["dissim_input"]:
-            for key in _SPECTRUM_ONLY:
-                if key != "dissim_input" and config[key] is not None:
-                    raise ValueError(f"field {key!r} does not apply with "
-                                     "dissim_input: no matrix is computed")
-        # An unset measure stays None (recorded as null) and means WER.
-        for key, (_, _, default) in _SPECTRAL.items():
-            if config[key] is None:
-                config[key] = default
-        if config["dissim_input"]:
             matrix = io.read_dissimilarity(config["dissim_input"])
             inputs = {"dissimilarity": config["dissim_input"]}
         else:
-            matrix = _spectral_matrix(config,
-                                      io.read_dataset(config["input"]))
+            matrix = _spectral_matrix(config, io.read_dataset(config["input"]))
             inputs = {"dataset": config["input"]}
         part = pam(matrix, config["k"])
         distances = matrix.values[np.arange(matrix.n),
@@ -303,19 +292,13 @@ def cmd_simulate(config):
 # The settings table: setting name -> (type, choices, default).
 _IO = {"input": (str, None, REQUIRED), "output": (str, None, REQUIRED)}
 
-#: Settings shared by ``dissim`` and ``cluster --pipeline spectrum``.
-_SPECTRAL = {"omin": (int, None, 1), "omax": (int, None, 6),
+#: The settings that compute a dissimilarity matrix, shared by ``dissim``
+#: and ``cluster --pipeline spectrum``.
+_SPECTRAL = {"measure": (str, tuple(_MEASURE_NAMES), "wer"),
+             "omin": (int, None, 1), "omax": (int, None, 6),
              "voices": (int, None, 8), "omega0": (float, None, 6.0),
              "normalization": (str, ("L1", "L2"), "L1"),
              "theta": (float, None, 0.95), "threads": (int, None, 1)}
-
-#: ``cluster``'s spectrum-only settings. They default to None there, so
-#: that the features pipeline can tell a setting it would ignore from a
-#: default.
-_SPECTRUM_ONLY = {"measure": (str, tuple(_MEASURE_NAMES), None),
-                  "dissim_input": (str, None, None),
-                  **{key: (kind, choices, None)
-                     for key, (kind, choices, _) in _SPECTRAL.items()}}
 
 _OUTPUTS = {"output": (str, None, REQUIRED),
             "labels_output": (str, None, None)}
@@ -343,10 +326,10 @@ _COMMANDS = {
                 "k-means on features or PAM on spectral dissimilarities", {
         **_IO, "pipeline": (str, ("features", "spectrum"), "features"),
         "k": (int, None, REQUIRED), "restarts": (int, None, 20),
-        "seed": (int, None, 0), **_SPECTRUM_ONLY}),
-    "dissim": (cmd_dissim, "all-pairs dissimilarity matrix", {
-        **_IO, "measure": (str, tuple(_MEASURE_NAMES), "wer"),
+        "seed": (int, None, 0), "dissim_input": (str, None, None),
         **_SPECTRAL}),
+    "dissim": (cmd_dissim, "all-pairs dissimilarity matrix",
+               {**_IO, **_SPECTRAL}),
     "diagnose": (cmd_diagnose,
                  "shadow values, neighborhood graph, optional validation", {
         "input": (str, None, REQUIRED), "partition": (str, None, REQUIRED),
@@ -359,6 +342,21 @@ _COMMANDS = {
     "benchmark": (cmd_simulate, "generate the 3-cluster benchmark",
                   {**_OUTPUTS, **_SIMULATION}),
 }
+
+
+def _unused(command, config):
+    """Each setting a run with the merged ``config`` leaves unused: why."""
+    if command == "cluster" and config["pipeline"] == "features":
+        return dict.fromkeys(["dissim_input", *_SPECTRAL],
+                             "applies only to pipeline='spectrum'")
+    if command == "cluster" and config["dissim_input"]:
+        return dict.fromkeys(_SPECTRAL, "does not apply with dissim_input: "
+                                        "no matrix is computed")
+    if command == "select" and config["kmax"] is not None:
+        return {"k": "does not apply with kmax: the search covers K = 2..kmax"}
+    if command == "simulate" and config["model"] == "sinus":
+        return {"rho": "does not apply with model='sinus'"}
+    return {}
 
 
 def build_parser():
@@ -388,7 +386,7 @@ def main(argv=None):
         inputs, outputs = _COMMANDS[args.command][0](config)
         io.write_manifest(outputs[next(iter(outputs))] + ".manifest.json",
                           _manifest(args.command, config, inputs, outputs))
-    except (OSError, ValueError, KeyError, DegenerateInputError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

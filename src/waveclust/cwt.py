@@ -174,12 +174,10 @@ def _gaussian_row_kernel(sigma, n):
     return k / k.sum()
 
 
-def _boxcar_width(voices, n_scales):
-    """Nearest odd count to 0.6 * voices, at least 1, capped to the grid."""
-    w = int(np.floor(0.6 * voices / 2)) * 2 + 1
-    if w > n_scales:
-        w = n_scales if n_scales % 2 == 1 else n_scales - 1
-    return max(w, 1)
+def _boxcar_width(voices):
+    """Nearest odd count to 0.6 * voices. It lies in 1..voices + 1, so it
+    fits every grid, which has at least voices + 1 scales."""
+    return int(np.floor(0.6 * voices / 2)) * 2 + 1
 
 
 @lru_cache(maxsize=16)
@@ -194,7 +192,7 @@ def _smoothing_kernels(grid, n):
                          for a in grid.scales])
     time_hat.flags.writeable = False
     j_s = grid.n_scales
-    width = _boxcar_width(grid.voices, j_s)
+    width = _boxcar_width(grid.voices)
     rows = np.arange(j_s)[:, None]
     box = np.zeros((j_s, j_s))
     box[rows, (rows + np.arange(width) - width // 2) % j_s] = 1.0 / width

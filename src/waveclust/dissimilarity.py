@@ -370,6 +370,16 @@ def mca_distance(wz, wx, theta=0.95):
     ``d_j = || diff(pattern_z[j] - pattern_x[j]) ||_2`` (first forward
     difference along time), and the distance is the inertia-weighted
     combination ``sum_j lam_j^2 d_j^2 / sum_j lam_j^2`` over j < D.
+
+    So the distance is in squared units (no square root is taken, unlike
+    WER), and its patterns scale with each curve's amplitude: it sees a
+    curve's level as much as its shape. On a year of daily demand curves
+    (``bench/inputs.demand_record``, 33 scales, PAM at K = 2) its ARI
+    against weekday/weekend is 0.083 and -0.013 for seeds 1 and 2, where
+    WER scores 1.0, and 0.859 when each curve is first divided by its
+    rms. Rouyer et al. (2008) define a scale-invariant MCA dissimilarity
+    from angles between the leading patterns and between the singular
+    vectors; whether to adopt it is open.
     """
     _check_same_layout(wz, wx)
     others = wx.matrix[None]

@@ -226,10 +226,21 @@ def write_partition(path, partition, distances):
             handle.write(f"{i},{int(label)},{_fmt(dist)}\n")
 
 
+def _distance_column(distances):
+    """A partition's distances to its centers or medoids, each finite and
+    nonnegative, as the matrix entries and norms ``write_partition``
+    writes are."""
+    bad = distances[~(np.isfinite(distances) & (distances >= 0))]
+    if bad.size:
+        raise ValueError(f"distances must be finite and nonnegative, got "
+                         f"{float(bad[0])!r}")
+    return distances
+
+
 def read_partition(path):
     """A partition file's labels, under the label rule, and distances."""
     return _read(path, 3, lambda _, rows: (_label_array(rows[:, 1]),
-                                           rows[:, 2]))
+                                           _distance_column(rows[:, 2])))
 
 
 def write_shadows(path, shadows):

@@ -565,7 +565,9 @@ _SIMULATION_CONFIG = {"labels_output": None, "length": 1024,
 
 #: Each command with only its required flags, and the manifest ``config``
 #: it records. These are the defaults manifests held before the settings
-#: table existed; keeping them keeps manifests byte-identical.
+#: table existed; keeping them keeps manifests byte-identical. The one
+#: exception is the spectrum ``cluster`` run, whose unset ``measure`` was
+#: recorded as null and is now recorded as the ``"wer"`` it computes.
 _REQUIRED_ONLY = [
     (["slice", "--input", "signal.csv", "--output", "sliced.csv",
       "--delta", 32], "sliced.csv",
@@ -589,7 +591,7 @@ _REQUIRED_ONLY = [
       "pipeline": "features", "restarts": 20, "seed": 0}),
     (["cluster", "--input", "curves.csv", "--output", "medoids.csv",
       "--k", 3, "--pipeline", "spectrum"], "medoids.csv",
-     {"dissim_input": None, "input": "curves.csv", "k": 3, "measure": None,
+     {"dissim_input": None, "input": "curves.csv", "k": 3, "measure": "wer",
       "output": "medoids.csv", "pipeline": "spectrum", "restarts": 20,
       "seed": 0, **_SPECTRAL_CONFIG}),
     (["dissim", "--input", "curves.csv", "--output", "dissim.csv"],
@@ -619,6 +621,69 @@ def test_required_only_runs_record_the_same_config(tmp_path, monkeypatch):
         manifest = json.loads((tmp_path / (output + ".manifest.json"))
                               .read_text())
         assert manifest["config"] == expected, argv
+
+
+@pytest.fixture
+def inputs(tmp_path, monkeypatch):
+    """Curves, their features and a matrix of them, in the working
+    directory."""
+    monkeypatch.chdir(tmp_path)
+    curves, _ = wc.gen_benchmark(seed=1, n_per_cluster=4, length=64)
+    io.write_dataset("curves.csv", curves)
+    assert run("features", "--input", "curves.csv",
+               "--output", "features.csv") == 0
+    assert run("dissim", "--measure", "euclid-raw", "--input", "curves.csv",
+               "--output", "dissim.csv") == 0
+    return tmp_path
+
+
+_SPECTRAL_KEYS = "measure omin omax voices omega0 normalization theta threads"
+
+#: One run of each kind, less its output, and the table settings it
+#: leaves unused.
+_RUNS = {
+    "cluster-features": (["cluster", "--input", "features.csv", "--k", 2],
+                         "dissim_input " + _SPECTRAL_KEYS),
+    "cluster-matrix": (["cluster", "--pipeline", "spectrum", "--input",
+                        "curves.csv", "--k", 2, "--voices", 4], ""),
+    "cluster-read": (["cluster", "--pipeline", "spectrum", "--dissim-input",
+                      "dissim.csv", "--input", "curves.csv", "--k", 2],
+                     _SPECTRAL_KEYS),
+    "select-k": (["select", "--input", "features.csv", "--k", 2], ""),
+    "select-kmax": (["select", "--input", "features.csv", "--kmax", 3], "k"),
+    "simulate-sinus": (["simulate", "--model", "sinus", "--n", 4,
+                        "--length", 64], "rho"),
+    "simulate-benchmark": (["simulate", "--model", "benchmark", "--n", 2,
+                            "--length", 64], ""),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RUNS))
+def test_manifest_records_exactly_the_settings_its_run_uses(inputs, kind):
+    argv, unused = _RUNS[kind]
+    assert run(*argv, "--output", "out") == 0
+    manifest = json.loads((inputs / "out.manifest.json").read_text())
+    table = set(_COMMANDS[argv[0]][2])
+    assert set(manifest["config"]) == table - set(unused.split()) - {
+        "threads"}
+
+
+@pytest.mark.parametrize("argv, key, value, reason", [
+    (_RUNS["select-kmax"][0], "k", 2,
+     "does not apply with kmax: the search covers K = 2..kmax"),
+    (_RUNS["simulate-sinus"][0], "rho", 0.3,
+     "does not apply with model='sinus'"),
+], ids=["select-k-with-kmax", "simulate-rho-with-sinus"])
+def test_a_given_unused_setting_exits_two(inputs, capsys, argv, key, value,
+                                          reason):
+    config = inputs / "config.json"
+    config.write_text(json.dumps({key: value}))
+    for extra in (("--" + key, value), ("--config", config)):
+        assert run(*argv, "--output", "out", *extra) == 2
+        assert capsys.readouterr().err == f"error: field {key!r} {reason}\n"
+        assert not (inputs / "out").exists()
+    config.write_text(json.dumps({key: None}))
+    assert run(*argv, "--output", "out", "--config", config) == 0
 
 
 def test_diagnose_rejects_bad_truth_labels(bench, tmp_path, capsys):

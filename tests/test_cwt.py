@@ -206,7 +206,7 @@ def test_smoothing_impulse_direct_oracle():
 
     # time direction: circular unit-sum Gaussian of sd = scale, per row
     offsets = ((np.arange(n) + n // 2) % n) - n // 2
-    width = _boxcar_width(grid.voices, grid.n_scales)
+    width = _boxcar_width(grid.voices)
     rows = np.zeros((js, n))
     row0 = js // 2
     a = grid.scales[row0]

@@ -241,8 +241,16 @@ def test_cells_float_takes_but_the_grammar_refuses_name_their_line(
     (io.read_labels, "0\n-1\n", "labels must be nonnegative integers, got -1"),
     (io.read_partition, "0,-2,0.5\n1,0,0.5\n",
      "labels must be nonnegative integers, got -2"),
+    (io.read_partition, "0,0,nan\n1,1,-2.5\n",
+     "distances must be finite and nonnegative, got nan"),
+    (io.read_partition, "0,0,0.5\n1,1,-2.5\n",
+     "distances must be finite and nonnegative, got -2.5"),
+    (io.read_partition, "0,0,inf\n1,1,0.5\n",
+     "distances must be finite and nonnegative, got inf"),
 ], ids=["signal", "dataset", "dataset-width", "features", "features-kind",
-        "dissimilarity", "dissimilarity-shape", "labels", "partition"])
+        "dissimilarity", "dissimilarity-shape", "labels", "partition",
+        "partition-nan-distance", "partition-negative-distance",
+        "partition-inf-distance"])
 def test_owner_errors_name_the_path(tmp_path, reader, text, error):
     path = tmp_path / "bad.csv"
     path.write_text(text)
