@@ -349,9 +349,14 @@ def _unused(command, config):
     if command == "cluster" and config["pipeline"] == "features":
         return dict.fromkeys(["dissim_input", *_SPECTRAL],
                              "applies only to pipeline='spectrum'")
-    if command == "cluster" and config["dissim_input"]:
-        return dict.fromkeys(_SPECTRAL, "does not apply with dissim_input: "
-                                        "no matrix is computed")
+    if command == "cluster":
+        unused = dict.fromkeys(["restarts", "seed"],
+                               "applies only to pipeline='features'")
+        if config["dissim_input"]:
+            unused.update(dict.fromkeys(
+                _SPECTRAL, "does not apply with dissim_input: no matrix "
+                           "is computed"))
+        return unused
     if command == "select" and config["kmax"] is not None:
         return {"k": "does not apply with kmax: the search covers K = 2..kmax"}
     if command == "simulate" and config["model"] == "sinus":

@@ -14,9 +14,10 @@ benchmarked against naive ones.
 All pair computations are pure. ``build_dissimilarity_matrix`` makes
 one ``cwt_morlet`` call, into the (n, J_s, N) stack every spectral
 measure reads, and computes the matrix one row at a time (optionally on
-a thread pool over rows), writing each row into the upper triangle and
-the lower as it arrives. Both spectral measures have a row formula,
-which the pair functions call with a one-element row. WER and the
+a thread pool over rows, whose module is imported only when a pool
+runs), writing each row into the upper triangle and the lower as it
+arrives. Both spectral measures have a row formula, which the pair
+functions call with a one-element row. WER and the
 coherence are ratios, so they first divide each field by a power of
 two near its largest magnitude, an exact step that keeps curves at any
 level in range; MCA's values depend on level, so it is not rescaled
@@ -35,7 +36,6 @@ and its patterns with one batched product pair. No measure holds more
 than one row of cross fields or differences.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -479,11 +479,19 @@ def build_dissimilarity_matrix(dataset, measure="WER", grid=None,
                             theta, row=i)
 
     values = np.zeros((n, n))
-    # At one thread the rows run on the caller's thread and the executor
-    # starts none: a pool thread there raised peak memory by about 5 MB.
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        mapper = pool.map if threads > 1 else map
-        for i, d in enumerate(mapper(row, range(n - 1))):
+
+    def fill(rows):
+        for i, d in enumerate(rows):
             values[i, i + 1:] = d
             values[i + 1:, i] = d
+
+    # At one thread the rows run on the caller's thread, with no pool: a
+    # pool thread there raised peak memory by about 5 MB, and importing
+    # the pool costs about 3.5 ms.
+    if threads == 1:
+        fill(map(row, range(n - 1)))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            fill(pool.map(row, range(n - 1)))
     return DissimilarityMatrix(values=values, measure=measure)

@@ -5,6 +5,13 @@ a clusterability index -- one minus the ratio of the best 1-D 2-means
 split error to the total sum of squares on the range-transformed column
 -- and drops columns scoring below a quantile (default: the median) of
 the same index measured on uniform-noise surrogates of equal length.
+One kernel scores every row of a block at once, with the operations of
+one column along each row, so a matrix's columns are screened in one
+call and the surrogate reference of each length n is filled in one
+blocked pass, cached: its 200 surrogates are drawn from one stream in
+blocks of at most 2**14 values, so the pass holds one block at a time.
+The threshold is NumPy's ``"linear"`` quantile rule on the sorted
+reference, taken in plain floats with the bits of ``np.quantile``.
 Selection then searches all non-empty subsets of the surviving columns:
 k-means (the engine of :mod:`waveclust.clustering`, capped at
 ``SELECT_MAX_ITER`` Lloyd steps) is run on each subset's columns (each
@@ -44,6 +51,9 @@ from .rng import _master_seed, derived_rng
 _REFERENCE_SEED = 83230
 #: Number of uniform surrogates behind the screening threshold.
 _REFERENCE_COUNT = 200
+#: Most values in one block of surrogates the reference pass scores at
+#: once (at least one surrogate per block).
+_REFERENCE_BLOCK_CELLS = 1 << 14
 #: Lloyd iteration cap of each subset k-means run.
 SELECT_MAX_ITER = 40
 #: Fewest (subset, K) runs a search must hold before its subsets are
@@ -53,6 +63,36 @@ SELECT_MAX_ITER = 40
 #: runs (0.87x at 105 runs, 1.00x at 133, 1.1-1.2x at 189-217 and
 #: 1.2-1.4x at 589-1197).
 _PARALLEL_MIN_RUNS = 200
+
+
+def _clusterability_rows(rows):
+    """The clusterability index of every row of a 2-D block, as an array.
+
+    Each row goes through the steps of one column along axis 1: the
+    range transform, the sort, the total sum of squares, both cumulative
+    sums and the scan of all split points. The block is made
+    C-contiguous, so each row's sum is the pairwise sum NumPy takes of a
+    1-D column (a Fortran-order block would be summed term by term), and
+    every index has the bits of the one-column computation.
+    """
+    rows = np.ascontiguousarray(rows)
+    n = rows.shape[1]
+    if n < 10:
+        raise ValueError("need at least 10 observations per column")
+    low = rows.min(axis=1, keepdims=True)
+    span = rows.max(axis=1, keepdims=True) - low
+    x = np.sort((rows - low) / np.where(span == 0, 1.0, span), axis=1)
+    tss = np.sum((x - x.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    cum1 = np.cumsum(x, axis=1)
+    cum2 = np.cumsum(x * x, axis=1)
+    sizes = np.arange(1, n)
+    left = cum2[:, :-1] - cum1[:, :-1] ** 2 / sizes
+    right = ((cum2[:, -1:] - cum2[:, :-1])
+             - (cum1[:, -1:] - cum1[:, :-1]) ** 2 / (n - sizes))
+    best = np.min(left + right, axis=1)
+    score = 1.0 - best / np.where(tss == 0, 1.0, tss)
+    # A constant row has tss == 0 and scores 0.
+    return np.where((tss > 0) & (score > 0), score, 0.0)
 
 
 def clusterability_index(column):
@@ -66,24 +106,7 @@ def clusterability_index(column):
     """
     if np.ndim(column) != 1:
         raise ValueError("column must be one-dimensional")
-    col = _feature_rows(column)[0]
-    n = col.size
-    if n < 10:
-        raise ValueError("need at least 10 observations per column")
-    span = col.max() - col.min()
-    if span == 0:
-        return 0.0
-    x = np.sort((col - col.min()) / span)
-    tss = float(np.sum((x - x.mean()) ** 2))
-    if tss == 0:
-        return 0.0
-    cum1 = np.cumsum(x)
-    cum2 = np.cumsum(x * x)
-    sizes = np.arange(1, n)
-    left = cum2[:-1] - cum1[:-1] ** 2 / sizes
-    right = (cum2[-1] - cum2[:-1]) - (cum1[-1] - cum1[:-1]) ** 2 / (n - sizes)
-    best = float(np.min(left + right))
-    return max(0.0, 1.0 - best / tss)
+    return float(_clusterability_rows(_feature_rows(column))[0])
 
 
 @lru_cache(maxsize=None)
@@ -91,18 +114,44 @@ def _reference_indices(n):
     """Sorted clusterability indices of uniform surrogates of length n.
 
     Seeded independently of callers so the cache never depends on call
-    order; this is the null distribution features must beat.
+    order; this is the null distribution features must beat. The
+    surrogates are drawn from one stream in blocks of at most
+    ``_REFERENCE_BLOCK_CELLS`` values (at least one surrogate), each
+    block scored in one pass, so the pass holds one block at a time.
+    Drawing ``(b, n)`` values takes the stream's next ``b * n`` values,
+    so every surrogate is the one ``rng.random(n)`` would draw in turn.
     """
     rng = np.random.default_rng([_REFERENCE_SEED, int(n)])
-    return tuple(
-        sorted(clusterability_index(rng.random(n))
-               for _ in range(_REFERENCE_COUNT))
-    )
+    step = max(1, _REFERENCE_BLOCK_CELLS // n)
+    indices = np.concatenate([
+        _clusterability_rows(rng.random((min(step, _REFERENCE_COUNT - start),
+                                         n)))
+        for start in range(0, _REFERENCE_COUNT, step)])
+    return tuple(np.sort(indices).tolist())
 
 
 def screening_threshold(n, quantile=0.5):
-    """The uniform-reference quantile a feature's index must reach."""
-    return float(np.quantile(np.array(_reference_indices(int(n))), quantile))
+    """The uniform-reference quantile a feature's index must reach.
+
+    This is NumPy's ``"linear"`` quantile rule (the default of
+    ``np.quantile``), taken in plain floats on the sorted reference: at
+    position ``(m - 1) * quantile`` between neighbors ``a`` and ``b``
+    with fraction ``t``, ``a + (b - a) * t``, or ``b - (b - a) * (1 - t)``
+    when ``t >= 0.5``, as NumPy interpolates. The value has the bits of
+    ``np.quantile`` of the reference.
+    """
+    if not 0 <= quantile <= 1:
+        raise ValueError("Quantiles must be in the range [0, 1]")
+    reference = _reference_indices(int(n))
+    position = (len(reference) - 1) * quantile
+    if position >= len(reference) - 1:
+        return reference[-1]
+    low = int(position)
+    t = position - low
+    a, b = reference[low], reference[low + 1]
+    if t >= 0.5:
+        return b - (b - a) * (1 - t)
+    return a + (b - a) * t
 
 
 @dataclass
@@ -130,9 +179,9 @@ class SelectionReport:
     no_structure: bool = False
 
 
-def _partition_sse(rows, labels, k):
-    """Within-cluster sum of squares of ``rows`` under given labels."""
-    total = float(np.sum(rows * rows))
+def _partition_sse(rows, total, labels, k):
+    """Within-cluster sum of squares of ``rows`` under given labels;
+    ``total`` is ``rows``' sum of squares."""
     counts = np.bincount(labels, minlength=k).astype(float)
     sums = np.zeros((k, rows.shape[1]))
     np.add.at(sums, labels, rows)
@@ -143,14 +192,15 @@ def _partition_sse(rows, labels, k):
     return total - centered
 
 
-def _subset_sses(standardized, screened, ks, restarts, seed, subset):
+def _subset_sses(standardized, total, screened, ks, restarts, seed, subset):
     """The partition SSE of every K in ``ks`` for one subset's k-means runs.
 
     ``standardized`` holds the screened columns, in the order of
-    ``screened``; ``subset`` names original column indices. The subset
-    draws its stream once and seeds ``max(ks)`` centers per restart; the
-    run for K starts from a copy of the first K of them. The result
-    depends only on the arguments, so any process may compute it.
+    ``screened``, and ``total`` is its sum of squares; ``subset`` names
+    original column indices. The subset draws its stream once and seeds
+    ``max(ks)`` centers per restart; the run for K starts from a copy of
+    the first K of them. The result depends only on the arguments, so
+    any process may compute it.
     """
     rows = standardized[:, [screened.index(j) for j in subset]]
     rng = derived_rng(seed, "select", sum(1 << j for j in subset))
@@ -158,7 +208,7 @@ def _subset_sses(standardized, screened, ks, restarts, seed, subset):
     sses = []
     for k in ks:
         labels, costs = _lloyd(rows, seeds[:, :k].copy(), SELECT_MAX_ITER)
-        sses.append(_partition_sse(standardized,
+        sses.append(_partition_sse(standardized, total,
                                    labels[int(np.argmin(costs))], k))
     return sses
 
@@ -217,8 +267,7 @@ def _search(features, ks, screen_quantile, penalty, restarts, seed):
         raise ValueError(f"k must be at most the number of rows, {n}")
     if n_features > 16:
         raise ValueError("exhaustive search supports at most 16 features")
-    index = np.array([clusterability_index(values[:, j])
-                      for j in range(n_features)])
+    index = _clusterability_rows(values.T)
     threshold = screening_threshold(n, screen_quantile)
     screened = tuple(int(j) for j in np.flatnonzero(index >= threshold))
     cols = values[:, screened]
@@ -226,7 +275,9 @@ def _search(features, ks, screen_quantile, penalty, restarts, seed):
                                                 - cols.min(axis=0))
     subsets = [subset for size in range(1, len(screened) + 1)
                for subset in combinations(screened, size)]
-    job = partial(_subset_sses, standardized, screened, ks, restarts, seed)
+    total = float(np.sum(standardized * standardized))
+    job = partial(_subset_sses, standardized, total, screened, ks, restarts,
+                  seed)
 
     best_by_size = {k: {} for k in ks}
     picks = {k: ((), float("nan"), float("inf")) for k in ks}

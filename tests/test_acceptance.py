@@ -388,7 +388,7 @@ def _run_pipelines(workdir, threads, failures):
     run("cluster", "--input", "sinus.csv", "--output", "spec-part.csv",
         "--pipeline", "spectrum", "--measure", "wer", "--k", "2",
         "--omin", "1", "--omax", "4", "--voices", "4",
-        "--seed", "5", "--threads", str(threads))
+        "--threads", str(threads))
 
 
 def test_12_end_to_end_determinism(tmp_path, capsys):

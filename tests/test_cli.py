@@ -592,8 +592,7 @@ _REQUIRED_ONLY = [
     (["cluster", "--input", "curves.csv", "--output", "medoids.csv",
       "--k", 3, "--pipeline", "spectrum"], "medoids.csv",
      {"dissim_input": None, "input": "curves.csv", "k": 3, "measure": "wer",
-      "output": "medoids.csv", "pipeline": "spectrum", "restarts": 20,
-      "seed": 0, **_SPECTRAL_CONFIG}),
+      "output": "medoids.csv", "pipeline": "spectrum", **_SPECTRAL_CONFIG}),
     (["dissim", "--input", "curves.csv", "--output", "dissim.csv"],
      "dissim.csv",
      {"input": "curves.csv", "measure": "wer", "output": "dissim.csv",
@@ -645,10 +644,11 @@ _RUNS = {
     "cluster-features": (["cluster", "--input", "features.csv", "--k", 2],
                          "dissim_input " + _SPECTRAL_KEYS),
     "cluster-matrix": (["cluster", "--pipeline", "spectrum", "--input",
-                        "curves.csv", "--k", 2, "--voices", 4], ""),
+                        "curves.csv", "--k", 2, "--voices", 4],
+                       "restarts seed"),
     "cluster-read": (["cluster", "--pipeline", "spectrum", "--dissim-input",
                       "dissim.csv", "--input", "curves.csv", "--k", 2],
-                     _SPECTRAL_KEYS),
+                     "restarts seed " + _SPECTRAL_KEYS),
     "select-k": (["select", "--input", "features.csv", "--k", 2], ""),
     "select-kmax": (["select", "--input", "features.csv", "--kmax", 3], "k"),
     "simulate-sinus": (["simulate", "--model", "sinus", "--n", 4,
@@ -673,7 +673,13 @@ def test_manifest_records_exactly_the_settings_its_run_uses(inputs, kind):
      "does not apply with kmax: the search covers K = 2..kmax"),
     (_RUNS["simulate-sinus"][0], "rho", 0.3,
      "does not apply with model='sinus'"),
-], ids=["select-k-with-kmax", "simulate-rho-with-sinus"])
+    # PAM draws nothing and restarts nothing.
+    (_RUNS["cluster-matrix"][0], "seed", 5,
+     "applies only to pipeline='features'"),
+    (_RUNS["cluster-read"][0], "restarts", 4,
+     "applies only to pipeline='features'"),
+], ids=["select-k-with-kmax", "simulate-rho-with-sinus",
+        "spectrum-seed", "spectrum-restarts-with-dissim-input"])
 def test_a_given_unused_setting_exits_two(inputs, capsys, argv, key, value,
                                           reason):
     config = inputs / "config.json"

@@ -40,6 +40,38 @@ def test_import_loads_no_multiprocessing():
     assert run_fresh(code) == "False"
 
 
+def test_import_loads_no_thread_pool():
+    # build_dissimilarity_matrix imports it when it runs a row pool.
+    code = ("import sys, waveclust\n"
+            "print('concurrent.futures' in sys.modules)")
+    assert run_fresh(code) == "False"
+
+
+def test_screening_threshold_loads_no_numpy_ma():
+    # NumPy's quantile imports numpy.ma on its first call; the threshold
+    # takes the same rule in plain floats.
+    code = ("import sys, waveclust\n"
+            "waveclust.screening_threshold(365)\n"
+            "print('numpy.ma' in sys.modules)")
+    assert run_fresh(code) == "False"
+
+
+def test_threaded_wer_build_works_first_in_a_fresh_process():
+    code = """
+import sys
+import numpy as np
+import waveclust as wc
+curves = np.random.default_rng(0).normal(size=(5, 32)).cumsum(axis=1)
+grid = wc.make_scale_grid(1, 3, 4)
+pooled = wc.build_dissimilarity_matrix(curves, measure="WER", grid=grid,
+                                       threads=2)
+serial = wc.build_dissimilarity_matrix(curves, measure="WER", grid=grid)
+assert pooled.values.tobytes() == serial.values.tobytes()
+print('concurrent.futures' in sys.modules)
+"""
+    assert run_fresh(code) == "True"
+
+
 def test_spectral_route_loads_no_scipy():
     code = f"""
 import sys

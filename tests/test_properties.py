@@ -31,7 +31,13 @@ from waveclust import (
 )
 from waveclust.cli import main
 from waveclust.clustering import _lloyd, _plus_plus_centers
-from waveclust.feature_selection import SELECT_MAX_ITER
+from waveclust.feature_selection import (
+    SELECT_MAX_ITER,
+    _clusterability_rows,
+    _reference_indices,
+    clusterability_index,
+    screening_threshold,
+)
 from waveclust.rng import derived_rng
 
 GRID = make_scale_grid(1, 3, 4)
@@ -147,6 +153,67 @@ def test_selection_engine_never_returns_an_empty_cluster(rows):
         for restart in labels:
             counts = np.bincount(restart, minlength=k)
             assert counts.size == k and counts.min() > 0, (k, counts)
+
+
+def one_column_index(col):
+    """The clusterability index by 1-D operations on one column."""
+    span = col.max() - col.min()
+    if span == 0:
+        return 0.0
+    x = np.sort((col - col.min()) / span)
+    tss = float(np.sum((x - x.mean()) ** 2))
+    if tss == 0:
+        return 0.0
+    n = col.size
+    cum1 = np.cumsum(x)
+    cum2 = np.cumsum(x * x)
+    sizes = np.arange(1, n)
+    left = cum2[:-1] - cum1[:-1] ** 2 / sizes
+    right = (cum2[-1] - cum2[:-1]) - (cum1[-1] - cum1[:-1]) ** 2 / (n - sizes)
+    return max(0.0, 1.0 - float(np.min(left + right)) / tss)
+
+
+@st.composite
+def column_stacks(draw):
+    """A few columns of one length as the rows of a stack: normal,
+    constant, two-value or rounded, each at its own magnitude, laid out
+    in C or Fortran order."""
+    n = draw(st.integers(10, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["normal", "constant", "two-value",
+                                     "rounded"]))
+        if kind == "normal":
+            row = rng.normal(size=n)
+        elif kind == "constant":
+            row = np.full(n, rng.normal())
+        elif kind == "two-value":
+            row = rng.choice(rng.normal(size=2), size=n)
+        else:
+            row = np.round(rng.normal(size=n), 1)
+        rows.append(row * 10.0 ** draw(st.integers(-150, 150)))
+    order = draw(st.sampled_from(["C", "F"]))
+    return np.array(rows, order=order)
+
+
+@SMALL
+@given(column_stacks())
+def test_stacked_clusterability_equals_each_column_bitwise(stack):
+    by_row = np.array([clusterability_index(row) for row in stack])
+    by_column = np.array([one_column_index(row) for row in stack])
+    assert _clusterability_rows(stack).tobytes() == by_row.tobytes()
+    assert by_row.tobytes() == by_column.tobytes()
+
+
+@SMALL
+@given(st.integers(10, 400),
+       st.one_of(st.sampled_from([0, 1, 0.0, 0.5, 1.0]),
+                 st.floats(0.0, 1.0)))
+def test_screening_threshold_is_numpys_linear_quantile_bitwise(n, q):
+    expected = float(np.quantile(np.array(_reference_indices(n)), q))
+    assert np.float64(screening_threshold(n, q)).tobytes() == \
+        np.float64(expected).tobytes()
 
 
 @st.composite
