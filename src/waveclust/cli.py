@@ -391,7 +391,7 @@ def main(argv=None):
         inputs, outputs = _COMMANDS[args.command][0](config)
         io.write_manifest(outputs[next(iter(outputs))] + ".manifest.json",
                           _manifest(args.command, config, inputs, outputs))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -7,6 +7,13 @@ artifacts are written with sorted keys for the same reason. Each
 distinct value is rendered by ``repr`` once: a dissimilarity matrix's
 mirrored entries share their text, but only when their bits are equal.
 
+Every writer takes one path. It checks its input and turns each column
+into Python ints and floats (``tolist``) before any file is opened; a
+matrix turns one row at a time, as its line is made. A CSV line is the
+``repr`` of each cell joined by commas, and a JSON artifact is one
+line. ``_write_lines`` alone opens a file for writing: UTF-8, each line
+ended by '\\n'.
+
 Readers open a file once and hand its data lines to NumPy's C reader,
 ``np.loadtxt``. It converts each cell with the ``PyOS_string_to_double``
 that ``float`` calls, so a value keeps ``float``'s bits, but it makes no
@@ -22,6 +29,7 @@ only when none of its cells parses.
 
 import hashlib
 import json
+from itertools import chain, count
 
 import numpy as np
 
@@ -31,15 +39,36 @@ from .dissimilarity import DissimilarityMatrix
 from .dwt import FeatureMatrix, canonical_kind
 
 
-def _fmt(value):
-    return repr(float(value))
+def _write_lines(path, lines):
+    """Write ``lines`` to ``path`` in UTF-8, each ended by '\\n': the one
+    place the toolkit opens a file for writing. A writer checks and
+    converts its values before it calls this, so a refused input leaves
+    no file; ``lines`` may be a generator, which only formats them."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        for line in lines:
+            handle.write(line)
+            handle.write("\n")
 
 
-def _write_rows(handle, rows):
-    for row in rows:
-        values = np.asarray(row, dtype=float).tolist()
-        handle.write(",".join(map(repr, values)))
-        handle.write("\n")
+def _cells(row):
+    """A CSV line: one ``repr`` per Python int or float of ``row``."""
+    return ",".join(map(repr, row))
+
+
+def _column(values, dtype=float):
+    """``values`` as a list of Python numbers of ``dtype``."""
+    return np.asarray(values, dtype=dtype).tolist()
+
+
+def _rows(matrix):
+    """The CSV lines of a 2-D array, a row's Python floats made only when
+    its line is, so no more than one row of them is alive."""
+    return (_cells(row.tolist()) for row in np.asarray(matrix, dtype=float))
+
+
+def _table(header, *columns):
+    """``header``, then one CSV line per row of the column lists."""
+    return chain([header], map(_cells, zip(*columns)))
 
 
 #: ASCII separators: NumPy's reader strips them from a cell like
@@ -140,8 +169,7 @@ def _read(path, width, owner):
 
 def write_dataset(path, dataset):
     """One curve per row."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        _write_rows(handle, dataset.curves)
+    _write_lines(path, _rows(dataset.curves))
 
 
 def read_dataset(path):
@@ -157,9 +185,7 @@ def read_signal(path, sampling_step=1.0):
 def write_labels(path, labels):
     """One label per row, by the label rule, checked before the file is
     opened."""
-    labels = _label_array(labels).tolist()
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.writelines(f"{label}\n" for label in labels)
+    _write_lines(path, map(repr, _label_array(labels).tolist()))
 
 
 def read_labels(path):
@@ -171,10 +197,9 @@ def write_features(path, features):
     """Feature CSV: a comment naming kind and wavelet, then labeled
     columns (scale index counted from the coarsest side, resolution
     level from the finest), then one row per curve."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"# kind={features.kind} wavelet={features.wavelet}\n")
-        handle.write(",".join(features.column_names()) + "\n")
-        _write_rows(handle, features.values)
+    _write_lines(path, chain(
+        [f"# kind={features.kind} wavelet={features.wavelet}",
+         ",".join(features.column_names())], _rows(features.values)))
 
 
 def read_features(path):
@@ -194,23 +219,24 @@ def write_dissimilarity(path, matrix):
     when it formats its own. Row i's unused text is kept reversed and
     popped as it is written, so about n²/4 strings are alive at most.
     """
-    values = matrix.values
-    bits = values.view(np.int64)
-    unmirrored = bits != bits.T
+    bits = matrix.values.view(np.int64)
+    _write_lines(path, chain([f"# measure={matrix.measure}"],
+                             _mirrored_rows(matrix.values, bits != bits.T)))
+
+
+def _mirrored_rows(values, unmirrored):
+    """``write_dissimilarity``'s data lines."""
     pending = []
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"# measure={matrix.measure}\n")
-        for i, row in enumerate(values):
-            texts = list(map(list.pop, pending))
-            for k in np.flatnonzero(unmirrored[i, :i]).tolist():
-                texts[k] = repr(float(row[k]))
-            tail = list(map(repr, row[i:].tolist()))
-            texts += tail
-            handle.write(",".join(texts))
-            handle.write("\n")
-            tail.reverse()
-            tail.pop()
-            pending.append(tail)
+    for i, row in enumerate(values):
+        texts = list(map(list.pop, pending))
+        for k in np.flatnonzero(unmirrored[i, :i]).tolist():
+            texts[k] = repr(float(row[k]))
+        tail = list(map(repr, row[i:].tolist()))
+        texts += tail
+        yield ",".join(texts)
+        tail.reverse()
+        tail.pop()
+        pending.append(tail)
 
 
 def read_dissimilarity(path):
@@ -220,10 +246,9 @@ def read_dissimilarity(path):
 
 def write_partition(path, partition, distances):
     """CSV of (observation, label, distance to its center or medoid)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("observation,label,distance\n")
-        for i, (label, dist) in enumerate(zip(partition.labels, distances)):
-            handle.write(f"{i},{int(label)},{_fmt(dist)}\n")
+    _write_lines(path, _table("observation,label,distance", count(),
+                              _column(partition.labels, int),
+                              _column(distances)))
 
 
 def _distance_column(distances):
@@ -245,25 +270,19 @@ def read_partition(path):
 
 def write_shadows(path, shadows):
     """CSV of (observation, shadow value)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("observation,shadow\n")
-        handle.writelines(f"{i},{_fmt(s)}\n" for i, s in enumerate(shadows))
+    _write_lines(path, _table("observation,shadow", count(),
+                              _column(shadows)))
 
 
 def write_distortion(path, curve):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"# jump_k={curve.jump_k} p={curve.p} "
-                     f"capped={curve.capped}\n")
-        handle.write("k,distortion,transformed\n")
-        for k, d, y in zip(curve.k_values, curve.distortions,
-                           curve.transformed):
-            handle.write(f"{int(k)},{_fmt(d)},{_fmt(y)}\n")
+    _write_lines(path, chain(
+        [f"# jump_k={curve.jump_k} p={curve.p} capped={curve.capped}"],
+        _table("k,distortion,transformed", _column(curve.k_values, int),
+               _column(curve.distortions), _column(curve.transformed))))
 
 
 def _json_dump(path, payload):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    _write_lines(path, [json.dumps(payload, sort_keys=True, indent=2)])
 
 
 def _json_safe(value):
@@ -318,27 +337,29 @@ def write_validation(path, report):
 
 def write_graph_dot(path, graph):
     """The center graph in DOT form: positioned nodes, weighted edges."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("graph neighborhood {\n")
-        for k, (x, y) in enumerate(graph.center_coords):
-            handle.write(f'  c{k} [pos="{_fmt(x)},{_fmt(y)}"];\n')
-        for (k, l) in sorted(graph.edges):
-            weight = graph.edges[(k, l)]
-            handle.write(f"  c{k} -- c{l} [weight={_fmt(weight)}];\n")
-        handle.write("}\n")
+    edges = sorted(graph.edges)
+    weights = _column([graph.edges[edge] for edge in edges])
+    _write_lines(path, chain(
+        ["graph neighborhood {"],
+        (f'  c{k} [pos="{_cells(xy)}"];'
+         for k, xy in enumerate(_column(graph.center_coords))),
+        (f"  c{k} -- c{l} [weight={weight!r}];"
+         for (k, l), weight in zip(edges, weights)),
+        ["}"]))
 
 
 def write_graph_csv(path, graph, labels):
     """Projected observation coordinates with hull-vertex memberships;
     the labels follow the label rule."""
     labels = _label_array(labels).tolist()
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("observation,cluster,x,y,inner_hull,outer_hull\n")
-        for i, ((x, y), label) in enumerate(zip(graph.point_coords, labels)):
-            inner = int(i in graph.inner_hull.get(label, ()))
-            outer = int(i in graph.outer_hull.get(label, ()))
-            handle.write(f"{i},{label},{_fmt(x)},{_fmt(y)},"
-                         f"{inner},{outer}\n")
+    inner = [int(i in graph.inner_hull.get(label, ()))
+             for i, label in enumerate(labels)]
+    outer = [int(i in graph.outer_hull.get(label, ()))
+             for i, label in enumerate(labels)]
+    _write_lines(path, _table(
+        "observation,cluster,x,y,inner_hull,outer_hull", count(), labels,
+        _column(graph.point_coords[:, 0]), _column(graph.point_coords[:, 1]),
+        inner, outer))
 
 
 def file_digest(path):

@@ -312,6 +312,17 @@ def test_data_errors_exit_two(tmp_path):
                "--config", bad, "--k", 2, "--output", out) == 2
 
 
+def test_a_program_error_is_not_a_data_error(tmp_path, monkeypatch):
+    """No data path raises ``KeyError``; one is a bug, not exit 2."""
+    def broken(path):
+        raise KeyError("x")
+
+    monkeypatch.setattr(io, "read_features", broken)
+    with pytest.raises(KeyError):
+        run("choose-k", "--input", tmp_path / "features.csv",
+            "--output", tmp_path / "distortion.csv")
+
+
 def test_constant_curves_exit_two_with_one_line(tmp_path, capsys):
     curves = tmp_path / "constant.csv"
     curves.write_text("\n".join([",".join(["1.0"] * 64)] * 6) + "\n")

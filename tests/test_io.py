@@ -400,6 +400,28 @@ def test_dissimilarity_writer_peak_memory_at_a_year(tmp_path):
                                 + reference_rows(matrix.values))
 
 
+@pytest.mark.parametrize("write, owner, read", [
+    (io.write_dataset, lambda values: wc.FunctionalDataset(curves=values),
+     lambda path: io.read_dataset(path).curves),
+    (io.write_features, lambda values: wc.FeatureMatrix(
+        values=values, kind="logitRC", wavelet="symmlet6"),
+     lambda path: io.read_features(path).values),
+], ids=["dataset", "features"])
+def test_row_writers_peak_memory_at_4096_rows(tmp_path, write, owner, read):
+    # The 4096 x 256 values as Python floats at once would take 32 MB.
+    values = np.random.default_rng(5).normal(size=(4096, 256))
+    artifact = owner(values)
+    path = tmp_path / "rows.csv"
+    tracemalloc.start()
+    try:
+        write(path, artifact)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert_array_equal(read(path).view(np.int64), values.view(np.int64))
+
+
 def test_dissimilarity_reader_peak_memory_at_a_year(tmp_path):
     # The matrix's checks must not run while the file's text is held.
     days = np.random.default_rng(4).normal(size=(365, 48)).cumsum(axis=1)
@@ -499,6 +521,117 @@ def test_graph_exports(tmp_path):
     lines = csv.read_text().splitlines()
     assert lines[0] == "observation,cluster,x,y,inner_hull,outer_hull"
     assert len(lines) == 21
+
+
+def _json_text(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _partition_text(partition, distances):
+    return "observation,label,distance\n" + "".join(
+        f"{i},{int(label)},{float(dist)!r}\n"
+        for i, (label, dist) in enumerate(zip(partition.labels, distances)))
+
+
+def _shadows_text(shadows):
+    return "observation,shadow\n" + "".join(
+        f"{i},{float(s)!r}\n" for i, s in enumerate(shadows))
+
+
+def _distortion_text(curve):
+    return (f"# jump_k={curve.jump_k} p={curve.p} capped={curve.capped}\n"
+            "k,distortion,transformed\n" + "".join(
+                f"{int(k)},{float(d)!r},{float(y)!r}\n" for k, d, y in zip(
+                    curve.k_values, curve.distortions, curve.transformed)))
+
+
+def _graph_dot_text(graph):
+    return ("graph neighborhood {\n" + "".join(
+        f'  c{k} [pos="{float(x)!r},{float(y)!r}"];\n'
+        for k, (x, y) in enumerate(graph.center_coords)) + "".join(
+        f"  c{k} -- c{l} [weight={float(graph.edges[(k, l)])!r}];\n"
+        for k, l in sorted(graph.edges)) + "}\n")
+
+
+def _graph_csv_text(graph, labels):
+    return "observation,cluster,x,y,inner_hull,outer_hull\n" + "".join(
+        f"{i},{int(label)},{float(x)!r},{float(y)!r},"
+        f"{int(i in graph.inner_hull.get(int(label), ()))},"
+        f"{int(i in graph.outer_hull.get(int(label), ()))}\n"
+        for i, ((x, y), label) in enumerate(zip(graph.point_coords, labels)))
+
+
+@pytest.fixture(scope="module")
+def artifacts():
+    """One of each object the text and JSON writers take."""
+    rng = np.random.default_rng(3)
+    features = np.vstack([rng.normal(size=(10, 3)),
+                          rng.normal(size=(10, 3)) + 8.0])
+    part = wc.kmeans(features, 2, restarts=5, seed=3)
+    # Extreme magnitudes, a subnormal and a signed zero among them.
+    distances = np.linalg.norm(features - part.centers[part.labels], axis=1)
+    distances[:4] = [0.0, 5e-324, 1e300, 0.1]
+    report = wc.select_features(features, 2, seed=2)
+    final, reports = wc.select_features_stable(features, 3, seed=2)
+    return {
+        "partition": part, "distances": distances,
+        "shadows": np.append(wc.shadow_values(features, part), -0.0),
+        "curve": wc.choose_k_by_jump(features, 4, restarts=3, seed=0)[1],
+        "graph": wc.neighborhood_graph(features, part),
+        "labels": part.labels, "report": report, "final": final,
+        "reports": reports,
+        "validation": wc.validation_report(part.labels,
+                                           [0] * 9 + [1] * 11),
+        "manifest": {"command": "diagnose", "seed": None,
+                     "inputs": {"features": "ab" * 32},
+                     "config": {"penalty": 0.05, "k": 3}},
+    }
+
+
+#: Each writer beside a reference rendering of its full text.
+WRITERS = {
+    "partition": (lambda path, a: io.write_partition(
+        path, a["partition"], a["distances"]),
+        lambda a: _partition_text(a["partition"], a["distances"])),
+    "shadows": (lambda path, a: io.write_shadows(path, a["shadows"]),
+                lambda a: _shadows_text(a["shadows"])),
+    "distortion": (lambda path, a: io.write_distortion(path, a["curve"]),
+                   lambda a: _distortion_text(a["curve"])),
+    "graph-dot": (lambda path, a: io.write_graph_dot(path, a["graph"]),
+                  lambda a: _graph_dot_text(a["graph"])),
+    "graph-csv": (lambda path, a: io.write_graph_csv(path, a["graph"],
+                                                     a["labels"]),
+                  lambda a: _graph_csv_text(a["graph"], a["labels"])),
+    "labels": (lambda path, a: io.write_labels(path, a["labels"]),
+               lambda a: "".join(f"{int(v)}\n" for v in a["labels"])),
+    "selection": (lambda path, a: io.write_selection(path, a["report"]),
+                  lambda a: _json_text(io.selection_payload(a["report"]))),
+    "selection-stable": (
+        lambda path, a: io.write_selection_stable(path, a["final"],
+                                                  a["reports"]),
+        lambda a: _json_text({"final": list(a["final"]), "per_k": {
+            str(k): io.selection_payload(r)
+            for k, r in a["reports"].items()}})),
+    "validation": (
+        lambda path, a: io.write_validation(path, a["validation"]),
+        lambda a: _json_text({
+            "misclassified": int(a["validation"].misclassified),
+            "rate": float(a["validation"].rate),
+            "contingency": a["validation"].contingency.tolist(),
+            "rand": float(a["validation"].rand),
+            "adjusted_rand": float(a["validation"].adjusted_rand),
+            "matching": [list(p) for p in a["validation"].matching]})),
+    "manifest": (lambda path, a: io.write_manifest(path, a["manifest"]),
+                 lambda a: _json_text(a["manifest"])),
+}
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_writers_render_the_reference_bytes(tmp_path, artifacts, name):
+    write, reference = WRITERS[name]
+    path = tmp_path / "artifact"
+    write(path, artifacts)
+    assert path.read_bytes() == reference(artifacts).encode("utf-8")
 
 
 def test_file_digest_stable(tmp_path):
