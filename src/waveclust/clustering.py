@@ -6,7 +6,10 @@ k-means has one engine, which subset selection
 (:mod:`waveclust.feature_selection`) shares and the jump rule runs as
 ``kmeans`` once per cluster count: k-means++ seeding and Lloyd
 iterations run all restarts at once, and each step measures its squared
-distances with one ``cdist`` call over every restart's centers. SciPy's
+distances with one ``cdist`` call over every restart's centers. Each
+step moves the centers in buffers made once per run: the cluster sums
+are a 0/1 one-hot matrix times the rows, a BLAS product, kept because a
+``bincount`` sum is not guaranteed to round as BLAS does. SciPy's
 ``cdist`` is imported on the first distance a k-means run measures, not
 with the module, so PAM and the import of the package need no SciPy.
 ``kmeans`` seeds all its restarts from one random stream derived from
@@ -100,23 +103,33 @@ def _plus_plus_centers(rows, k, restarts, rng):
     centers[:, 0] = rows[rng.integers(n, size=restarts)]
     d2 = _cdist(centers[:, 0], rows, "sqeuclidean")
     for j in range(1, k):
-        totals = d2.sum(axis=1)
-        u = rng.random(restarts) * np.where(totals > 0, totals, 1.0)
-        cum = np.cumsum(np.where(totals[:, None] > 0, d2, 1.0), axis=1)
+        # A restart whose rows all sit on its centers has total 0: its u
+        # is 0, no cumulative weight lies below it, and it takes row 0,
+        # which sits on a center like every other row.
+        u = rng.random(restarts) * d2.sum(axis=1)
+        cum = np.cumsum(d2, axis=1)
         idx = np.minimum((cum < u[:, None]).sum(axis=1), n - 1)
         centers[:, j] = rows[idx]
-        d2 = np.minimum(d2, _cdist(centers[:, j], rows, "sqeuclidean"))
+        np.minimum(d2, _cdist(centers[:, j], rows, "sqeuclidean"), out=d2)
     return centers
 
 
-def _assign(rows, centers):
+def _assign(rows, centers, offsets):
     """Nearest-center labels of every restart, with no cluster left empty.
+
+    This is the assignment half of a Lloyd step, whose constants and
+    buffers ``_lloyd`` makes once per run. ``offsets`` is ``k *
+    np.arange(restarts)[:, None]``: adding it to the labels numbers every
+    restart's clusters apart, so one ``bincount`` counts them all. Counts
+    are integers, so any order gives them exactly; the cluster sums are
+    not, so ``_lloyd`` keeps them a BLAS product (see there).
 
     Returns ``(dist, labels, counts, refilled)``: squared distances
     (restarts, n, k), labels (restarts, n), cluster sizes (restarts, k)
-    and whether any center was moved. The distances come from one
-    ``cdist`` call over all restarts' centers; a (restarts, n, k, p)
-    broadcast would make wide rows several times slower. An empty
+    and whether any center was moved. The labels are a new array each
+    call, so the caller may keep the previous step's. The distances come
+    from one ``cdist`` call over all restarts' centers; a (restarts, n,
+    k, p) broadcast would make wide rows several times slower. An empty
     cluster's center moves onto the farthest point whose own cluster
     keeps another member (pigeonhole: one exists whenever a cluster is
     empty and k <= n), and that point joins it; ``dist`` is updated to
@@ -128,7 +141,6 @@ def _assign(rows, centers):
     dist = _cdist(rows, centers.reshape(-1, p), "sqeuclidean")
     dist = dist.reshape(n, restarts, k).transpose(1, 0, 2)
     labels = dist.argmin(axis=2)
-    offsets = k * np.arange(restarts)[:, None]
     counts = np.bincount((labels + offsets).ravel(),
                          minlength=restarts * k).reshape(restarts, k)
     refilled = not counts.all()
@@ -157,24 +169,38 @@ def _lloyd(rows, centers, max_iter):
     against the returned centers. Iteration stops when no restart's
     labels change, or after ``max_iter`` steps; no cluster of any
     restart is empty.
+
+    Each step runs in buffers made once per run: the labels are written
+    as 0/1 floats into a (restarts, k, n) one-hot buffer, whose product
+    with ``rows`` fills a (restarts, k, p) buffer of cluster sums, and
+    their quotient by the cluster sizes is written into ``centers``. The
+    sum stays a matrix product, which NumPy hands to BLAS: a
+    ``bincount`` or ``np.add.at`` sum adds in another order, and is not
+    guaranteed to round as BLAS does, so it would move the centers' bits.
     """
-    restarts, k, _ = centers.shape
+    restarts, k, p = centers.shape
+    n = rows.shape[0]
+    offsets = k * np.arange(restarts)[:, None]
+    which = np.arange(k)[None, :, None]
+    onehot = np.empty((restarts, k, n))
+    sums = np.empty((restarts, k, p))
     # Start from labels no assignment gives, so the first step always
     # moves the centers to means (a start at 0 would stop k = 1 at once).
-    labels = np.full((restarts, rows.shape[0]), -1)
+    labels = np.full((restarts, n), -1)
     for _ in range(max_iter):
-        dist, new_labels, counts, refilled = _assign(rows, centers)
-        if np.array_equal(new_labels, labels):
+        dist, new_labels, counts, refilled = _assign(rows, centers, offsets)
+        if (new_labels == labels).all():
             break
         labels = new_labels
-        onehot = labels[:, None, :] == np.arange(k)[None, :, None]
-        np.divide(onehot @ rows, counts[:, :, None], out=centers)
+        np.equal(labels[:, None, :], which, out=onehot, casting="unsafe")
+        np.matmul(onehot, rows, out=sums)
+        np.divide(sums, counts[:, :, None], out=centers)
     else:
         refilled = True
     if refilled:
         # Assign again to the final centers: the loop hit its cap, or
         # the converged assignment moved a center.
-        dist, labels, _, _ = _assign(rows, centers)
+        dist, labels, _, _ = _assign(rows, centers, offsets)
     costs = np.take_along_axis(dist, labels[:, :, None], 2)[:, :, 0].sum(axis=1)
     return labels, costs
 

@@ -58,10 +58,11 @@ _REFERENCE_BLOCK_CELLS = 1 << 14
 SELECT_MAX_ITER = 40
 #: Fewest (subset, K) runs a search must hold before its subsets are
 #: scored in a worker pool. Measured on a 2-CPU machine, one BLAS
-#: thread: a fork pool costs 17-21 ms to start and stop, one run takes
-#: 0.7-0.9 ms, and two workers broke even with one process at 130-190
-#: runs (0.87x at 105 runs, 1.00x at 133, 1.1-1.2x at 189-217 and
-#: 1.2-1.4x at 589-1197).
+#: thread: a fork pool that maps two trivial items costs 4.3-7.7 ms
+#: (median 4.8) to start and stop, one run takes 0.29 ms on average
+#: over K = 2..20 (0.12 ms at K = 2), and two workers broke even with
+#: one process at 126-189 runs of one search (0.50x at 63 runs, 0.97x
+#: at 126, 1.07x at 189, 1.39x at 315 and 1.65-1.73x at 567-1197).
 _PARALLEL_MIN_RUNS = 200
 
 
@@ -181,10 +182,17 @@ class SelectionReport:
 
 def _partition_sse(rows, total, labels, k):
     """Within-cluster sum of squares of ``rows`` under given labels;
-    ``total`` is ``rows``' sum of squares."""
+    ``total`` is ``rows``' sum of squares.
+
+    The cluster sums are one weighted ``bincount`` over the cells
+    ``label * p + column``: like ``np.add.at``, it adds each cell's rows
+    in row order, starting from 0.0, so the sums have its bits.
+    """
+    p = rows.shape[1]
     counts = np.bincount(labels, minlength=k).astype(float)
-    sums = np.zeros((k, rows.shape[1]))
-    np.add.at(sums, labels, rows)
+    cells = (labels[:, None] * p + np.arange(p)).ravel()
+    sums = np.bincount(cells, weights=rows.ravel(),
+                       minlength=k * p).reshape(k, p)
     nonzero = counts > 0
     centered = float(
         np.sum((sums[nonzero] ** 2).sum(axis=1) / counts[nonzero])

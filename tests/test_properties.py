@@ -10,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.spatial.distance import cdist
 
 from test_clustering import swap_is_optimal
 from waveclust import (
@@ -30,10 +31,11 @@ from waveclust import (
     wer_distance,
 )
 from waveclust.cli import main
-from waveclust.clustering import _lloyd, _plus_plus_centers
+from waveclust.clustering import _assign, _lloyd, _plus_plus_centers
 from waveclust.feature_selection import (
     SELECT_MAX_ITER,
     _clusterability_rows,
+    _partition_sse,
     _reference_indices,
     clusterability_index,
     screening_threshold,
@@ -153,6 +155,106 @@ def test_selection_engine_never_returns_an_empty_cluster(rows):
         for restart in labels:
             counts = np.bincount(restart, minlength=k)
             assert counts.size == k and counts.min() > 0, (k, counts)
+
+
+def reference_plus_plus(rows, k, restarts, rng):
+    """k-means++ seeding with both weight guards taken on every draw."""
+    n, p = rows.shape
+    centers = np.empty((restarts, k, p))
+    centers[:, 0] = rows[rng.integers(n, size=restarts)]
+    d2 = cdist(centers[:, 0], rows, "sqeuclidean")
+    for j in range(1, k):
+        totals = d2.sum(axis=1)
+        u = rng.random(restarts) * np.where(totals > 0, totals, 1.0)
+        cum = np.cumsum(np.where(totals[:, None] > 0, d2, 1.0), axis=1)
+        idx = np.minimum((cum < u[:, None]).sum(axis=1), n - 1)
+        centers[:, j] = rows[idx]
+        d2 = np.minimum(d2, cdist(centers[:, j], rows, "sqeuclidean"))
+    return centers
+
+
+def reference_lloyd(rows, centers, max_iter):
+    """Lloyd steps that allocate afresh: a new ``arange`` each step and a
+    bool one-hot times the rows."""
+    restarts, k, _ = centers.shape
+    labels = np.full((restarts, rows.shape[0]), -1)
+    for _ in range(max_iter):
+        dist, new_labels, counts, refilled = _assign(
+            rows, centers, k * np.arange(restarts)[:, None])
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        onehot = labels[:, None, :] == np.arange(k)[None, :, None]
+        np.divide(onehot @ rows, counts[:, :, None], out=centers)
+    else:
+        refilled = True
+    if refilled:
+        dist, labels, _, _ = _assign(rows, centers,
+                                     k * np.arange(restarts)[:, None])
+    costs = np.take_along_axis(dist, labels[:, :, None], 2)[:, :, 0].sum(axis=1)
+    return labels, costs
+
+
+def reference_partition_sse(rows, total, labels, k):
+    """Within-cluster sum of squares with the sums taken by ``np.add.at``."""
+    counts = np.bincount(labels, minlength=k).astype(float)
+    sums = np.zeros((k, rows.shape[1]))
+    np.add.at(sums, labels, rows)
+    nonzero = counts > 0
+    return total - float(np.sum((sums[nonzero] ** 2).sum(axis=1)
+                                / counts[nonzero]))
+
+
+@st.composite
+def engine_runs(draw):
+    """Rows (mostly repeated, or up to 60 normal draws of width 1-8 at
+    three scales, whose sums round), K in 1..n, 1-6 restarts and an
+    iteration cap that is often hit."""
+    if draw(st.booleans(), label="duplicated"):
+        rows = draw(duplicated_rows())
+    else:
+        shape = (draw(st.integers(2, 60)), draw(st.integers(1, 8)))
+        scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        rows = rng.standard_normal(shape) * scale
+    k = draw(st.integers(1, rows.shape[0]), label="k")
+    restarts = draw(st.integers(1, 6), label="restarts")
+    max_iter = draw(st.sampled_from([1, 2, SELECT_MAX_ITER]),
+                    label="max_iter")
+    return rows, k, restarts, max_iter
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and \
+        a.tobytes() == b.tobytes()
+
+
+@SMALL
+@given(engine_runs())
+@example((np.full((7, 3), 2.5), 4, 3, SELECT_MAX_ITER))
+def test_engine_equals_its_allocating_form_bit_for_bit(run):
+    """Seeding, Lloyd steps and the partition SSE equal their reference
+    forms in every bit. All-equal rows make every seeding total 0."""
+    rows, k, restarts, max_iter = run
+    seed = k * 7 + restarts
+    centers = _plus_plus_centers(rows, k, restarts,
+                                 derived_rng(seed, "property"))
+    expected_centers = reference_plus_plus(rows, k, restarts,
+                                           derived_rng(seed, "property"))
+    assert same_bits(centers, expected_centers)
+    labels, costs = _lloyd(rows, centers, max_iter)
+    expected_labels, expected_costs = reference_lloyd(rows, expected_centers,
+                                                      max_iter)
+    assert same_bits(labels, expected_labels)
+    assert same_bits(costs, expected_costs)
+    assert same_bits(centers, expected_centers)
+    # Each restart's partition, and the whole block as one cluster, whose
+    # sums add many rows (two-member sums are exact in any order).
+    total = float(np.sum(rows * rows))
+    for partition in (*labels, np.zeros(rows.shape[0], dtype=int)):
+        assert same_bits(_partition_sse(rows, total, partition, k),
+                         reference_partition_sse(rows, total, partition, k))
 
 
 def one_column_index(col):
