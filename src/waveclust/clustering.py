@@ -6,12 +6,17 @@ k-means has one engine, which subset selection
 (:mod:`waveclust.feature_selection`) shares and the jump rule runs as
 ``kmeans`` once per cluster count: k-means++ seeding and Lloyd
 iterations run all restarts at once, and each step measures its squared
-distances with one ``cdist`` call over every restart's centers. Each
-step moves the centers in buffers made once per run: the cluster sums
-are a 0/1 one-hot matrix times the rows, a BLAS product, kept because a
-``bincount`` sum is not guaranteed to round as BLAS does. SciPy's
-``cdist`` is imported on the first distance a k-means run measures, not
-with the module, so PAM and the import of the package need no SciPy.
+distances with one ``cdist`` call over every restart's centers. The
+nearest center is the ``argmin`` over the last axis of that call's own
+(n, restarts, k) output, which NumPy scans without a copy; the labels
+are then made a C-contiguous (restarts, n) array, because the cost's
+pairwise sum adds in an order its operand's layout sets. Each step
+moves the centers in buffers made once per run: the cluster sums are a
+0/1 one-hot matrix, written as one scatter of ones into a zeroed buffer,
+times the rows, a BLAS product, kept because a ``bincount`` sum is not
+guaranteed to round as BLAS does. SciPy's ``cdist`` is imported on the
+first distance a k-means run measures, not with the module, so PAM and
+the import of the package need no SciPy.
 ``kmeans`` seeds all its restarts from one random stream derived from
 ``seed``; the minimum-cost restart wins, ties to the lowest restart
 index. PAM is fully deterministic: a greedy BUILD initialization
@@ -129,21 +134,31 @@ def _assign(rows, centers, offsets):
     and whether any center was moved. The labels are a new array each
     call, so the caller may keep the previous step's. The distances come
     from one ``cdist`` call over all restarts' centers; a (restarts, n,
-    k, p) broadcast would make wide rows several times slower. An empty
-    cluster's center moves onto the farthest point whose own cluster
-    keeps another member (pigeonhole: one exists whenever a cluster is
-    empty and k <= n), and that point joins it; ``dist`` is updated to
-    match. So coincident centers, which send every tied point to the
-    lower index, cannot leave a cluster empty.
+    k, p) broadcast would make wide rows several times slower. The
+    ``cdist`` output is (n, restarts * k), so the ``argmin`` runs over
+    the last axis of its contiguous (n, restarts, k) reshape; NumPy
+    would copy the transposed (restarts, n, k) view returned as ``dist``
+    before scanning it. The labels are then copied into C order.
+    Transposed, they would make the gather of each point's distance in
+    ``_lloyd`` come out in Fortran order, and its ``sum(axis=1)`` would
+    add the costs in another order than the pairwise sum of a contiguous
+    row.
+
+    An empty cluster's center moves onto the farthest point whose own
+    cluster keeps another member (pigeonhole: one exists whenever a
+    cluster is empty and k <= n), and that point joins it; ``dist`` is
+    updated to match. So coincident centers, which send every tied point
+    to the lower index, cannot leave a cluster empty.
     """
     restarts, k, p = centers.shape
     n = rows.shape[0]
     dist = _cdist(rows, centers.reshape(-1, p), "sqeuclidean")
-    dist = dist.reshape(n, restarts, k).transpose(1, 0, 2)
-    labels = dist.argmin(axis=2)
+    dist = dist.reshape(n, restarts, k)
+    labels = np.ascontiguousarray(dist.argmin(axis=2).T)
+    dist = dist.transpose(1, 0, 2)
     counts = np.bincount((labels + offsets).ravel(),
                          minlength=restarts * k).reshape(restarts, k)
-    refilled = not counts.all()
+    refilled = np.count_nonzero(counts) < counts.size
     if refilled:
         points = np.arange(n)
         for r in np.flatnonzero((counts == 0).any(axis=1)):
@@ -170,29 +185,34 @@ def _lloyd(rows, centers, max_iter):
     labels change, or after ``max_iter`` steps; no cluster of any
     restart is empty.
 
-    Each step runs in buffers made once per run: the labels are written
-    as 0/1 floats into a (restarts, k, n) one-hot buffer, whose product
-    with ``rows`` fills a (restarts, k, p) buffer of cluster sums, and
-    their quotient by the cluster sizes is written into ``centers``. The
-    sum stays a matrix product, which NumPy hands to BLAS: a
-    ``bincount`` or ``np.add.at`` sum adds in another order, and is not
-    guaranteed to round as BLAS does, so it would move the centers' bits.
+    Each step runs in buffers made once per run. The labels become 0/1
+    floats in a (restarts, k, n) one-hot buffer: it is zeroed, and one
+    scatter writes a 1 at each point's flat index ``n * label + base``
+    (``base`` places each restart's block and each point's column). Its
+    product with ``rows`` fills a (restarts, k, p) buffer of cluster
+    sums, and their quotient by the cluster sizes is written into
+    ``centers``. The sum stays a matrix product, which NumPy hands to
+    BLAS: a ``bincount`` or ``np.add.at`` sum adds in another order, and
+    is not guaranteed to round as BLAS does, so it would move the
+    centers' bits. The convergence test counts the changed labels.
     """
     restarts, k, p = centers.shape
     n = rows.shape[0]
     offsets = k * np.arange(restarts)[:, None]
-    which = np.arange(k)[None, :, None]
     onehot = np.empty((restarts, k, n))
+    cells = onehot.reshape(-1)
+    base = n * offsets + np.arange(n)
     sums = np.empty((restarts, k, p))
     # Start from labels no assignment gives, so the first step always
     # moves the centers to means (a start at 0 would stop k = 1 at once).
     labels = np.full((restarts, n), -1)
     for _ in range(max_iter):
         dist, new_labels, counts, refilled = _assign(rows, centers, offsets)
-        if (new_labels == labels).all():
+        if not np.count_nonzero(new_labels != labels):
             break
         labels = new_labels
-        np.equal(labels[:, None, :], which, out=onehot, casting="unsafe")
+        onehot.fill(0.0)
+        cells[n * labels + base] = 1.0
         np.matmul(onehot, rows, out=sums)
         np.divide(sums, counts[:, :, None], out=centers)
     else:

@@ -173,13 +173,41 @@ def reference_plus_plus(rows, k, restarts, rng):
     return centers
 
 
+def reference_assign(rows, centers, offsets):
+    """The assignment step in its first form: the argmin of the
+    transposed (restarts, n, k) distance view, which NumPy copies into C
+    order before it scans, and the same refill of empty clusters."""
+    restarts, k, p = centers.shape
+    n = rows.shape[0]
+    dist = cdist(rows, centers.reshape(-1, p), "sqeuclidean")
+    dist = dist.reshape(n, restarts, k).transpose(1, 0, 2)
+    labels = dist.argmin(axis=2)
+    counts = np.bincount((labels + offsets).ravel(),
+                         minlength=restarts * k).reshape(restarts, k)
+    refilled = not counts.all()
+    if refilled:
+        points = np.arange(n)
+        for r in np.flatnonzero((counts == 0).any(axis=1)):
+            for empty in np.flatnonzero(counts[r] == 0):
+                d1 = dist[r, points, labels[r]]
+                eligible = counts[r, labels[r]] > 1
+                far = int(np.argmax(np.where(eligible, d1, -np.inf)))
+                counts[r, labels[r, far]] -= 1
+                counts[r, empty] += 1
+                labels[r, far] = empty
+                centers[r, empty] = rows[far]
+                dist[r, :, empty] = cdist(rows, rows[far:far + 1],
+                                          "sqeuclidean")[:, 0]
+    return dist, labels, counts, refilled
+
+
 def reference_lloyd(rows, centers, max_iter):
-    """Lloyd steps that allocate afresh: a new ``arange`` each step and a
-    bool one-hot times the rows."""
+    """Lloyd steps that allocate afresh: a new ``arange`` each step, a
+    bool one-hot times the rows and ``reference_assign``."""
     restarts, k, _ = centers.shape
     labels = np.full((restarts, rows.shape[0]), -1)
     for _ in range(max_iter):
-        dist, new_labels, counts, refilled = _assign(
+        dist, new_labels, counts, refilled = reference_assign(
             rows, centers, k * np.arange(restarts)[:, None])
         if np.array_equal(new_labels, labels):
             break
@@ -189,8 +217,8 @@ def reference_lloyd(rows, centers, max_iter):
     else:
         refilled = True
     if refilled:
-        dist, labels, _, _ = _assign(rows, centers,
-                                     k * np.arange(restarts)[:, None])
+        dist, labels, _, _ = reference_assign(
+            rows, centers, k * np.arange(restarts)[:, None])
     costs = np.take_along_axis(dist, labels[:, :, None], 2)[:, :, 0].sum(axis=1)
     return labels, costs
 
@@ -233,9 +261,13 @@ def same_bits(a, b):
 @SMALL
 @given(engine_runs())
 @example((np.full((7, 3), 2.5), 4, 3, SELECT_MAX_ITER))
+@example((np.repeat([[0.5, -1.0], [3.0, 2.0]], [9, 11], axis=0), 3, 4,
+          SELECT_MAX_ITER))
 def test_engine_equals_its_allocating_form_bit_for_bit(run):
     """Seeding, Lloyd steps and the partition SSE equal their reference
-    forms in every bit. All-equal rows make every seeding total 0."""
+    forms in every bit. All-equal rows make every seeding total 0; two
+    distinct rows under three centers seed one center onto another, so
+    every step refills an empty cluster."""
     rows, k, restarts, max_iter = run
     seed = k * 7 + restarts
     centers = _plus_plus_centers(rows, k, restarts,
@@ -255,6 +287,29 @@ def test_engine_equals_its_allocating_form_bit_for_bit(run):
     for partition in (*labels, np.zeros(rows.shape[0], dtype=int)):
         assert same_bits(_partition_sse(rows, total, partition, k),
                          reference_partition_sse(rows, total, partition, k))
+
+
+def test_refill_equals_its_reference_bit_for_bit():
+    """Coincident centers send every point to the lowest index, so the
+    first assignment refills K - 1 clusters of each restart, on rows
+    whose costs round: the step and the Lloyd run from there equal
+    their reference forms in every bit."""
+    rows = np.random.default_rng(5).standard_normal((40, 3))
+    restarts, k = 3, 4
+    centers = np.repeat(rows[:restarts, None, :], k, axis=1)
+    offsets = k * np.arange(restarts)[:, None]
+    moved, expected_moved = centers.copy(), centers.copy()
+    step = _assign(rows, moved, offsets)
+    expected = reference_assign(rows, expected_moved, offsets)
+    assert step[3] and expected[3]
+    for got, want in zip(step[:3], expected[:3]):
+        assert same_bits(got, want)
+    assert same_bits(moved, expected_moved)
+    labels, costs = _lloyd(rows, centers.copy(), SELECT_MAX_ITER)
+    expected_labels, expected_costs = reference_lloyd(rows, centers.copy(),
+                                                      SELECT_MAX_ITER)
+    assert same_bits(labels, expected_labels)
+    assert same_bits(costs, expected_costs)
 
 
 def one_column_index(col):
