@@ -181,13 +181,16 @@ _MEASURE_NAMES = {m.lower(): m for m in MEASURES}
 
 
 def _spectral_matrix(config, dataset):
-    """The dissimilarity matrix the resolved spectral settings ask for."""
+    """The dissimilarity matrix the resolved spectral settings ask for;
+    a setting the measure leaves unused is not in ``config``."""
+    options = {key: config[key] for key in ("omega0", "normalization",
+                                            "theta") if key in config}
+    if "omin" in config:
+        options["grid"] = make_scale_grid(config["omin"], config["omax"],
+                                          config["voices"])
     return build_dissimilarity_matrix(
         dataset, measure=_MEASURE_NAMES[config["measure"]],
-        grid=make_scale_grid(config["omin"], config["omax"],
-                             config["voices"]),
-        omega0=config["omega0"], normalization=config["normalization"],
-        theta=config["theta"], threads=config["threads"])
+        threads=config["threads"], **options)
 
 
 def cmd_dissim(config):
@@ -344,6 +347,23 @@ _COMMANDS = {
 }
 
 
+#: The settings of the continuous wavelet transform, which every
+#: measure but euclid-raw takes.
+_CWT = ("omin", "omax", "voices", "omega0", "normalization")
+
+
+def _measure_unused(measure):
+    """The spectral settings a matrix of ``measure`` leaves unused: why."""
+    unused = {}
+    if measure != "mca":
+        unused["theta"] = "applies only to measure='mca'"
+    if measure == "euclid-raw":
+        unused.update(dict.fromkeys(
+            _CWT, "does not apply with measure='euclid-raw': no transform "
+                  "is taken"))
+    return unused
+
+
 def _unused(command, config):
     """Each setting a run with the merged ``config`` leaves unused: why."""
     if command == "cluster" and config["pipeline"] == "features":
@@ -356,7 +376,11 @@ def _unused(command, config):
             unused.update(dict.fromkeys(
                 _SPECTRAL, "does not apply with dissim_input: no matrix "
                            "is computed"))
+        else:
+            unused.update(_measure_unused(config["measure"]))
         return unused
+    if command == "dissim":
+        return _measure_unused(config["measure"])
     if command == "select" and config["kmax"] is not None:
         return {"k": "does not apply with kmax: the search covers K = 2..kmax"}
     if command == "simulate" and config["model"] == "sinus":

@@ -2,26 +2,27 @@
 dissimilarity matrices, and cluster-count detection via the transformed
 distortion jump.
 
-k-means has one engine, which subset selection
-(:mod:`waveclust.feature_selection`) shares and the jump rule runs as
-``kmeans`` once per cluster count: k-means++ seeding and Lloyd
-iterations run all restarts at once, and each step measures its squared
-distances with one ``cdist`` call over every restart's centers. The
-nearest center is the ``argmin`` over the last axis of that call's own
-(n, restarts, k) output, which NumPy scans without a copy; the labels
-are then made a C-contiguous (restarts, n) array, because the cost's
-pairwise sum adds in an order its operand's layout sets. Each step
-moves the centers in buffers made once per run: the cluster sums are a
-0/1 one-hot matrix, written as one scatter of ones into a zeroed buffer,
-times the rows, a BLAS product, kept because a ``bincount`` sum is not
-guaranteed to round as BLAS does. SciPy's ``cdist`` is imported on the
-first distance a k-means run measures, not with the module, so PAM and
-the import of the package need no SciPy.
-``kmeans`` seeds all its restarts from one random stream derived from
-``seed``; the minimum-cost restart wins, ties to the lowest restart
-index. PAM is fully deterministic: a greedy BUILD initialization
-followed by best-improvement SWAP steps until no single medoid/non-medoid
-exchange lowers the total dissimilarity.
+k-means has one engine and one driver. The driver, ``_best_restarts``,
+seeds every restart once by k-means++, runs the engine from those seeds
+at each cluster count it is given and keeps each count's best restart;
+``kmeans``, the jump rule and subset selection
+(:mod:`waveclust.feature_selection`) all run through it, and its
+docstring states the prefix property and the tie rule they rely on. The
+engine runs all restarts' Lloyd iterations at once, and each step
+measures its squared distances with one ``cdist`` call over every
+restart's centers. The nearest center is the ``argmin`` over the last
+axis of that call's own (n, restarts, k) output, which NumPy scans
+without a copy; the labels are then made a C-contiguous (restarts, n)
+array, because the cost's pairwise sum adds in an order its operand's
+layout sets. Each step moves the centers in buffers made once per run:
+the cluster sums are a 0/1 one-hot matrix, written as one scatter of
+ones into a zeroed buffer, times the rows, a BLAS product, kept because
+a ``bincount`` sum is not guaranteed to round as BLAS does. SciPy's
+``cdist`` is imported on the first distance a k-means run measures, not
+with the module, so PAM and the import of the package need no SciPy.
+PAM is fully deterministic: a greedy BUILD initialization followed by
+best-improvement SWAP steps until no single medoid/non-medoid exchange
+lowers the total dissimilarity.
 """
 
 from dataclasses import dataclass
@@ -99,9 +100,8 @@ def _feature_rows(features):
 def _plus_plus_centers(rows, k, restarts, rng):
     """k-means++ centers of ``restarts`` runs at once, shape (restarts, k, p).
 
-    Centers are added one at a time, each from one vector of draws, so
-    the first K centers of a k-center seeding equal the K-center seeding
-    drawn from the same stream.
+    Centers are added one at a time, each from one vector of draws; the
+    driver ``_best_restarts`` states the prefix property this gives.
     """
     n, p = rows.shape
     centers = np.empty((restarts, k, p))
@@ -225,26 +225,56 @@ def _lloyd(rows, centers, max_iter):
     return labels, costs
 
 
+def _check_restarts(restarts):
+    """The restart count's one rule: at least one."""
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+
+
+def _best_restarts(rows, ks, restarts, rng, max_iter):
+    """The best of ``restarts`` k-means runs at each K in ``ks``.
+
+    Yields one ``(labels, cost, centers)`` per K, in the order of
+    ``ks``: the labels (n,), the within-cluster sum of squares and the
+    centers (K, p) of the minimum-cost restart, ties in cost to the
+    lowest restart index. Each K's runs are at most ``max_iter`` Lloyd
+    steps of ``_lloyd``, made when the caller asks for that K, so a
+    caller that keeps only costs holds one K's arrays at a time.
+
+    Every restart is seeded once, with ``max(ks)`` k-means++ centers
+    drawn from ``rng``, and the runs for K start from a copy of the
+    first K of them, C-contiguous like a K-center seeding. This is exact,
+    not an approximation. k-means++ adds centers one at a time, each
+    from draws that do not depend on how many will follow, so the first
+    K centers of a k-center seeding equal the K-center seeding drawn
+    from the same stream (the prefix property), and each K's result
+    equals a driver run with ``ks=[K]`` from that stream, bit for bit.
+    """
+    _check_restarts(restarts)
+    seeds = _plus_plus_centers(rows, max(ks), restarts, rng)
+    for k in ks:
+        centers = seeds[:, :k].copy()
+        labels, costs = _lloyd(rows, centers, max_iter)
+        r = int(np.argmin(costs))
+        yield labels[r], float(costs[r]), centers[r]
+
+
 def kmeans(features, k, restarts=20, seed=0):
     """Best-of-restarts k-means.
 
     All restarts are seeded by k-means++ from one stream,
     ``derived_rng(seed, "kmeans")``, and iterate together for at most
     ``MAX_ITER`` Lloyd steps. The minimum-cost restart wins; ties in cost
-    go to the lowest restart index.
+    go to the lowest restart index (see ``_best_restarts``).
     """
     rows = _feature_rows(features)
     n = rows.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    centers = _plus_plus_centers(rows, k, restarts,
-                                 derived_rng(seed, "kmeans"))
-    labels, costs = _lloyd(rows, centers, MAX_ITER)
-    best = int(np.argmin(costs))
-    return Partition(labels=labels[best], k=k, cost=float(costs[best]),
-                     centers=centers[best], method="kmeans")
+    [(labels, cost, centers)] = _best_restarts(
+        rows, [k], restarts, derived_rng(seed, "kmeans"), MAX_ITER)
+    return Partition(labels=labels, k=k, cost=cost, centers=centers,
+                     method="kmeans")
 
 
 @dataclass
@@ -271,15 +301,20 @@ def choose_k_by_jump(features, k_max, restarts=10, seed=0):
     """Pick the cluster count at the largest jump of d_K ** (-p/2).
 
     Each K's distortion is the cost of ``kmeans(features, K, restarts,
-    seed)`` divided by n * p, for K = 1..``k_max``.
+    seed)`` divided by n * p, for K = 1..``k_max``. The restarts are
+    seeded once per call, with ``k_max`` centers from ``kmeans``'s
+    stream, and each K runs from the first K of them; by the prefix
+    property (see ``_best_restarts``) every cost is ``kmeans``'s, bit
+    for bit.
     """
     rows = _feature_rows(features)
     n, p = rows.shape
     if not 2 <= k_max <= n:
         raise ValueError(f"k_max must be in 2..{n} (the number of rows), "
                          f"got {k_max}")
-    distortions = np.array([kmeans(rows, k, restarts, seed).cost
-                            for k in range(1, k_max + 1)]) / (n * p)
+    best = _best_restarts(rows, range(1, k_max + 1), restarts,
+                          derived_rng(seed, "kmeans"), MAX_ITER)
+    distortions = np.array([cost for _, cost, _ in best]) / (n * p)
     with np.errstate(over="ignore", divide="ignore"):
         transformed = distortions ** (-p / 2.0)
     finite = np.isfinite(transformed)

@@ -143,8 +143,12 @@ def shadow_values(space, partition):
 
 
 def _shadows(dists, labels):
-    """Shadow values from (n, K) center distances and assigned labels."""
+    """Shadow values from (n, K) center distances and assigned labels;
+    the labels must number the n observations."""
     n = dists.shape[0]
+    if labels.size != n:
+        raise ValueError(f"the partition has {labels.size} labels for {n} "
+                         f"observations")
     d1 = dists[np.arange(n), labels]
     masked = dists.copy()
     masked[np.arange(n), labels] = np.inf

@@ -13,9 +13,11 @@ blocks of at most 2**14 values, so the pass holds one block at a time.
 The threshold is NumPy's ``"linear"`` quantile rule on the sorted
 reference, taken in plain floats with the bits of ``np.quantile``.
 Selection then searches all non-empty subsets of the surviving columns:
-k-means (the engine of :mod:`waveclust.clustering`, capped at
-``SELECT_MAX_ITER`` Lloyd steps) is run on each subset's columns (each
-standardized to [0, 1]), the induced partition is scored by its
+one call of the k-means driver (``_best_restarts`` in
+:mod:`waveclust.clustering`, capped at ``SELECT_MAX_ITER`` Lloyd steps;
+its docstring states the prefix property that lets one seeding serve
+every K) clusters each subset's columns (each standardized to [0, 1])
+at every K the search covers, each induced partition is scored by its
 within-cluster sum of squares over *all* screened columns, and the
 subset minimizing ``SSE * (1 + penalty * size)`` wins. Scoring every
 candidate partition in the common screened space keeps subset scores
@@ -44,7 +46,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .clustering import _feature_rows, _lloyd, _plus_plus_centers
+from .clustering import _best_restarts, _check_restarts, _feature_rows
 from .rng import _master_seed, derived_rng
 
 #: Internal seed for the uniform-surrogate reference distribution.
@@ -205,20 +207,17 @@ def _subset_sses(standardized, total, screened, ks, restarts, seed, subset):
 
     ``standardized`` holds the screened columns, in the order of
     ``screened``, and ``total`` is its sum of squares; ``subset`` names
-    original column indices. The subset draws its stream once and seeds
-    ``max(ks)`` centers per restart; the run for K starts from a copy of
-    the first K of them. The result depends only on the arguments, so
-    any process may compute it.
+    original column indices. The subset's stream, derived from the seed
+    and the subset alone, drives one ``_best_restarts`` call over every
+    K (its docstring states the prefix property that makes each K's run
+    the one a K-only search would make). The result depends only on the
+    arguments, so any process may compute it.
     """
     rows = standardized[:, [screened.index(j) for j in subset]]
     rng = derived_rng(seed, "select", sum(1 << j for j in subset))
-    seeds = _plus_plus_centers(rows, max(ks), restarts, rng)
-    sses = []
-    for k in ks:
-        labels, costs = _lloyd(rows, seeds[:, :k].copy(), SELECT_MAX_ITER)
-        sses.append(_partition_sse(standardized, total,
-                                   labels[int(np.argmin(costs))], k))
-    return sses
+    best = _best_restarts(rows, ks, restarts, rng, SELECT_MAX_ITER)
+    return [_partition_sse(standardized, total, labels, k)
+            for k, (labels, _, _) in zip(ks, best)]
 
 
 def _usable_cpus():
@@ -275,6 +274,9 @@ def _search(features, ks, screen_quantile, penalty, restarts, seed):
         raise ValueError(f"k must be at most the number of rows, {n}")
     if n_features > 16:
         raise ValueError("exhaustive search supports at most 16 features")
+    # Checked before screening, so a search that screens every column
+    # out rejects the count as one that runs k-means does.
+    _check_restarts(restarts)
     index = _clusterability_rows(values.T)
     threshold = screening_threshold(n, screen_quantile)
     screened = tuple(int(j) for j in np.flatnonzero(index >= threshold))
@@ -338,15 +340,12 @@ def select_features_stable(features, k_max, screen_quantile=0.5,
     selected subset (ties to the lexicographically smallest).
 
     Every K shares one pass: the columns are screened once, and each
-    subset draws its random stream once and seeds ``k_max`` k-means++
-    centers per restart. The run for K starts from the first K of those
-    centers. This is exact, not an approximation: k-means++ adds centers
-    one at a time, each from draws that do not depend on how many will
-    follow, and the stream is derived from the seed and the subset alone,
-    never from K. So the first K centers are the ones a K-only search
-    would seed, and each report equals ``select_features(features, K)``
-    bit for bit. Lloyd iterations stop at convergence or at a fixed cap
-    of ``SELECT_MAX_ITER`` (40) per run.
+    subset's k-means runs are one ``_best_restarts`` call over K =
+    2..k_max, seeded once from a stream derived from the seed and the
+    subset alone, never from K. By the driver's prefix property each
+    report equals ``select_features(features, K)`` bit for bit. Lloyd
+    iterations stop at convergence or at a fixed cap of
+    ``SELECT_MAX_ITER`` (40) per run.
 
     A search of at least ``_PARALLEL_MIN_RUNS`` (subset, K) runs scores
     its subsets in a pool of forked workers, one per usable CPU, when

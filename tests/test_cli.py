@@ -448,6 +448,37 @@ def test_choose_k_names_k_max_above_row_count(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("structured", [True, False],
+                         ids=["structured", "screened-out"])
+@pytest.mark.parametrize("command", [
+    ("select", "--k", 2, "--output", "selection.json"),
+    ("select", "--kmax", 3, "--output", "selection.json"),
+    ("choose-k", "--kmax", 3, "--output", "scan.csv"),
+    ("cluster", "--pipeline", "features", "--k", 2, "--output", "part.csv"),
+], ids=["select-k", "select-kmax", "choose-k", "cluster"])
+def test_zero_restarts_exit_two_and_write_nothing(tmp_path, capsys,
+                                                  monkeypatch, command,
+                                                  structured):
+    monkeypatch.chdir(tmp_path)
+    # Two tight blobs screen every column in; noise screens them all out,
+    # so a search would run no k-means.
+    rows = np.random.default_rng(0).normal(size=(40, 3))
+    rows *= 0.1 if structured else 1.0
+    if structured:
+        rows[20:] += 5.0
+    Path("features.csv").write_text(
+        "# kind=logitRC wavelet=symmlet6\n"
+        + "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+    screened = wc.select_features(rows, 2).screened_in
+    assert len(screened) == (3 if structured else 0)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert run(command[0], "--input", "features.csv", *command[1:],
+               "--restarts", 0) == 2
+    assert capsys.readouterr().err == "error: restarts must be at least 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 @pytest.mark.parametrize("command", [
     ("select", "--kmax", 3, "--output", "selection.json"),
@@ -568,7 +599,7 @@ def test_table_defaults_mirror_the_library():
 
 
 _SPECTRAL_CONFIG = {"normalization": "L1", "omax": 6, "omega0": 6.0,
-                    "omin": 1, "theta": 0.95, "voices": 8}
+                    "omin": 1, "voices": 8}
 _SIMULATION_CONFIG = {"labels_output": None, "length": 1024,
                       "model": "benchmark", "n": 25, "rho": 0.8, "seed": 0,
                       "sigma": 1.0}
@@ -576,9 +607,11 @@ _SIMULATION_CONFIG = {"labels_output": None, "length": 1024,
 
 #: Each command with only its required flags, and the manifest ``config``
 #: it records. These are the defaults manifests held before the settings
-#: table existed; keeping them keeps manifests byte-identical. The one
-#: exception is the spectrum ``cluster`` run, whose unset ``measure`` was
-#: recorded as null and is now recorded as the ``"wer"`` it computes.
+#: table existed; keeping them keeps manifests byte-identical. The
+#: exceptions are the spectrum ``cluster`` run, whose unset ``measure`` was
+#: recorded as null and is now recorded as the ``"wer"`` it computes, and
+#: the ``theta`` of the two WER runs, which only MCA reads and which is no
+#: longer recorded.
 _REQUIRED_ONLY = [
     (["slice", "--input", "signal.csv", "--output", "sliced.csv",
       "--delta", 32], "sliced.csv",
@@ -648,6 +681,7 @@ def inputs(tmp_path, monkeypatch):
 
 
 _SPECTRAL_KEYS = "measure omin omax voices omega0 normalization theta threads"
+_CWT_KEYS = "omin omax voices omega0 normalization"
 
 #: One run of each kind, less its output, and the table settings it
 #: leaves unused.
@@ -656,7 +690,17 @@ _RUNS = {
                          "dissim_input " + _SPECTRAL_KEYS),
     "cluster-matrix": (["cluster", "--pipeline", "spectrum", "--input",
                         "curves.csv", "--k", 2, "--voices", 4],
-                       "restarts seed"),
+                       "restarts seed theta"),
+    "cluster-raw": (["cluster", "--pipeline", "spectrum", "--measure",
+                     "euclid-raw", "--input", "curves.csv", "--k", 2],
+                    "restarts seed theta " + _CWT_KEYS),
+    "dissim-wer": (["dissim", "--input", "curves.csv"], "theta"),
+    "dissim-mca": (["dissim", "--measure", "mca", "--input", "curves.csv",
+                    "--theta", 0.9], ""),
+    "dissim-features": (["dissim", "--measure", "euclid-features",
+                         "--input", "curves.csv", "--omax", 4], "theta"),
+    "dissim-raw": (["dissim", "--measure", "euclid-raw", "--input",
+                    "curves.csv"], "theta " + _CWT_KEYS),
     "cluster-read": (["cluster", "--pipeline", "spectrum", "--dissim-input",
                       "dissim.csv", "--input", "curves.csv", "--k", 2],
                      "restarts seed " + _SPECTRAL_KEYS),
@@ -689,8 +733,22 @@ def test_manifest_records_exactly_the_settings_its_run_uses(inputs, kind):
      "applies only to pipeline='features'"),
     (_RUNS["cluster-read"][0], "restarts", 4,
      "applies only to pipeline='features'"),
+    # Only MCA reads theta; euclid-raw takes no transform.
+    (_RUNS["dissim-wer"][0], "theta", 0.5, "applies only to measure='mca'"),
+    (_RUNS["cluster-matrix"][0], "theta", 0.5,
+     "applies only to measure='mca'"),
+    (_RUNS["dissim-raw"][0], "omin", 2,
+     "does not apply with measure='euclid-raw': no transform is taken"),
+    (_RUNS["dissim-raw"][0], "normalization", "L2",
+     "does not apply with measure='euclid-raw': no transform is taken"),
+    (_RUNS["cluster-raw"][0], "omega0", 5.0,
+     "does not apply with measure='euclid-raw': no transform is taken"),
 ], ids=["select-k-with-kmax", "simulate-rho-with-sinus",
-        "spectrum-seed", "spectrum-restarts-with-dissim-input"])
+        "spectrum-seed", "spectrum-restarts-with-dissim-input",
+        "dissim-theta-with-wer", "spectrum-theta-with-wer",
+        "dissim-omin-with-euclid-raw",
+        "dissim-normalization-with-euclid-raw",
+        "spectrum-omega0-with-euclid-raw"])
 def test_a_given_unused_setting_exits_two(inputs, capsys, argv, key, value,
                                           reason):
     config = inputs / "config.json"

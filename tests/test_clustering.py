@@ -90,6 +90,15 @@ def test_kmeans_rejects_k_above_n():
         kmeans(np.zeros((3, 2)), 4)
 
 
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_kmeans_and_jump_reject_fewer_than_one_restart(restarts):
+    rows, _ = blobs(3, np.eye(2) * 3.0, 5)
+    for call in (lambda: kmeans(rows, 2, restarts=restarts),
+                 lambda: choose_k_by_jump(rows, 4, restarts=restarts)):
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            call()
+
+
 @pytest.mark.parametrize("labels, message", [
     ([0.5, 1.7, 0.2, 1.1], "labels must be integers, got 0.5"),
     ([0, 1, np.nan, 1], "labels must be integers, got nan"),

@@ -222,6 +222,21 @@ def test_shadow_requires_two_clusters():
         shadow_values(features, part)
 
 
+@pytest.mark.parametrize("n_labels", [10, 40])
+def test_shadow_names_a_label_count_unlike_the_rows(n_labels):
+    features = derived_rng(9, "count").normal(size=(30, 2))
+    labels = np.arange(n_labels) % 2
+    message = f"the partition has {n_labels} labels for 30 observations"
+    centered = Partition(labels=labels, k=2, cost=1.0, centers=features[:2])
+    with pytest.raises(ValueError, match=message):
+        shadow_values(features, centered)
+    values = np.abs(np.subtract.outer(features[:, 0], features[:, 0]))
+    medoids = Partition(labels=labels, k=2, cost=1.0,
+                        medoids=np.array([0, 1]), method="pam")
+    with pytest.raises(ValueError, match=message):
+        shadow_values(values, medoids)
+
+
 # --- neighborhood graph ---
 
 def two_blobs(seed=4, spread=0.05):
@@ -293,3 +308,14 @@ def test_graph_requires_centers():
     part = pam(DissimilarityMatrix(values, "euclid-raw"), 2)
     with pytest.raises(ValueError):
         neighborhood_graph(values, part)
+
+
+@pytest.mark.parametrize("n_labels", [10, 40])
+def test_graph_names_a_label_count_unlike_the_rows(n_labels):
+    features = two_blobs(seed=9, spread=0.3)[:30]
+    labels = np.arange(n_labels) % 2
+    part = Partition(labels=labels, k=2, cost=1.0,
+                     centers=np.array([[0.0, 0.0], [10.0, 0.0]]))
+    with pytest.raises(ValueError, match=f"the partition has {n_labels} "
+                                         "labels for 30 observations"):
+        neighborhood_graph(features, part)

@@ -187,6 +187,20 @@ def test_selection_rejects_k_above_rows():
         select_features_stable(X, 13)
 
 
+@pytest.mark.parametrize("structured", [True, False],
+                         ids=["structured", "screened-out"])
+def test_selection_rejects_fewer_than_one_restart(structured):
+    """The restart count is checked before screening, so a search that
+    screens every column out (and so runs no k-means) rejects it too."""
+    X = (planted_two_columns(20) if structured
+         else derived_rng(14, "noise").normal(size=(150, 5)))
+    assert bool(select_features(X, 2, seed=14).screened_in) == structured
+    for call in (lambda: select_features(X, 2, restarts=0),
+                 lambda: select_features_stable(X, 3, restarts=0)):
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            call()
+
+
 # --- the worker pool ---
 
 def _benchmark_features(seed):

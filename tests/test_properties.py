@@ -19,6 +19,7 @@ from scipy.spatial.distance import cdist
 from test_clustering import swap_is_optimal
 from waveclust import (
     build_dissimilarity_matrix,
+    choose_k_by_jump,
     cwt_morlet,
     dwt_forward,
     dwt_inverse,
@@ -287,6 +288,27 @@ def test_engine_equals_its_allocating_form_bit_for_bit(run):
     for partition in (*labels, np.zeros(rows.shape[0], dtype=int)):
         assert same_bits(_partition_sse(rows, total, partition, k),
                          reference_partition_sse(rows, total, partition, k))
+
+
+@SMALL
+@given(engine_runs(), st.data())
+def test_one_seeding_serves_every_k_bit_for_bit(run, data):
+    """The prefix property the k-means driver rests on: the first K
+    centers of a k_max-center seeding are the K-center seeding of the
+    same stream, and the jump rule, which seeds once for K = 1..k_max,
+    gives every K the cost of a separate ``kmeans`` run, in every bit."""
+    rows, k, restarts, _ = run
+    n, p = rows.shape
+    k_max = data.draw(st.integers(max(2, k), n), label="k_max")
+    seed = k * 7 + restarts
+    wide = _plus_plus_centers(rows, k_max, restarts,
+                              derived_rng(seed, "property"))
+    assert same_bits(wide[:, :k], _plus_plus_centers(
+        rows, k, restarts, derived_rng(seed, "property")))
+    _, curve = choose_k_by_jump(rows, k_max, restarts=restarts, seed=seed)
+    separate = np.array([kmeans(rows, j, restarts=restarts, seed=seed).cost
+                         for j in range(1, k_max + 1)]) / (n * p)
+    assert same_bits(curve.distortions, separate)
 
 
 def test_refill_equals_its_reference_bit_for_bit():
