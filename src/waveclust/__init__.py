@@ -72,7 +72,7 @@ from .feature_selection import (
     select_features,
     select_features_stable,
 )
-from .rng import derived_rng, derived_seed_sequence
+from .rng import derived_rng
 from .simulation import (
     FarModel,
     far_operator,

@@ -13,7 +13,7 @@ manifest next to the primary output recording the resolved
 configuration, the seed, and SHA-256 digests of all inputs and outputs.
 Manifests contain no timestamps and the math is deterministic for a
 fixed seed, so identical invocations produce byte-identical artifacts
-regardless of the worker-pool size.
+regardless of the number of threads or CPUs they run on.
 
 Exit codes: 0 success, 1 usage error (unknown flags, bad values),
 2 data error (missing or malformed files, inconsistent configuration).

@@ -48,10 +48,6 @@ class ScaleGrid:
             raise ValueError("voices must be a positive integer")
 
     @property
-    def voices_per_octave(self):
-        return self.voices
-
-    @property
     def n_scales(self):
         return (self.octave_max - self.octave_min) * self.voices + 1
 

@@ -28,18 +28,22 @@ multiplicative penalty arbitrates the remaining ties in favor of fewer
 features.
 
 A subset's k-means runs depend only on the standardized columns, the
-seed and the subset, so a large search scores its subsets in a pool of
-forked worker processes, one per usable CPU. The pool is used only when
-the search holds at least ``_PARALLEL_MIN_RUNS`` (subset, K) runs and
-forking is safe (the platform offers ``"fork"``, the caller is not a
-daemonic process and runs no other thread); otherwise the subsets are
-scored in the calling process. Either way the results are reduced in
-one fixed subset order, so every report is identical for any worker
-count. :mod:`multiprocessing` is imported only when a pool is opened.
+seed and the subset, so a large search splits its subsets over one
+process per usable CPU: the caller scores every ``w``-th subset from the
+first, and one forked child per other CPU scores every ``w``-th from its
+own offset and sends its scores back over a one-way pipe. The split is
+made only when the search holds at least ``_PARALLEL_MIN_RUNS`` (subset,
+K) runs and forking is safe (the platform offers ``"fork"``, the caller
+is not a daemonic process and runs no other thread); otherwise the
+subsets are scored in the calling process. Either way the scores are
+put back in subset order and reduced in that one fixed order, so every
+report is identical for any worker count. :mod:`multiprocessing` is
+imported only when a search forks.
 """
 
 import os
 import threading
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
@@ -59,13 +63,15 @@ _REFERENCE_BLOCK_CELLS = 1 << 14
 #: Lloyd iteration cap of each subset k-means run.
 SELECT_MAX_ITER = 40
 #: Fewest (subset, K) runs a search must hold before its subsets are
-#: scored in a worker pool. Measured on a 2-CPU machine, one BLAS
-#: thread: a fork pool that maps two trivial items costs 4.3-7.7 ms
-#: (median 4.8) to start and stop, one run takes 0.29 ms on average
-#: over K = 2..20 (0.12 ms at K = 2), and two workers broke even with
-#: one process at 126-189 runs of one search (0.50x at 63 runs, 0.97x
-#: at 126, 1.07x at 189, 1.39x at 315 and 1.65-1.73x at 567-1197).
-_PARALLEL_MIN_RUNS = 200
+#: split over the usable CPUs. Measured on a 2-CPU machine, one BLAS
+#: thread, on 75-row searches: forking one child for a trivial share
+#: costs 2.2-6.0 ms (median 2.5), one run takes 0.29 ms on average over
+#: K = 2..20 (0.12 ms at K = 2), and two workers broke even with one
+#: process at 24-35 runs mixing several K and at about 63 runs of K = 2
+#: alone (0.76x at 31 runs of K = 2, 0.96-1.11x at 63, 1.13x at 45 runs
+#: over K = 2..4, 1.44-1.54x at 126 over K = 2..3 and 1.65-1.70x at
+#: 186-189).
+_PARALLEL_MIN_RUNS = 64
 
 
 def _clusterability_rows(rows):
@@ -228,18 +234,56 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _map_subsets(job, subsets, runs):
-    """``job`` of every subset, in order, from a forked pool if it pays.
+def _score_share(job, share, sender):
+    """A forked child's work: send ``(True, scores)`` of its share of the
+    subsets, or ``(False, exception)`` if scoring raised, to the caller."""
+    try:
+        message = (True, list(map(job, share)))
+    except Exception as exc:
+        message = (False, exc)
+    sender.send(message)
 
-    The pool has one worker per usable CPU, at most one per subset, and
-    is used only when the search holds at least ``_PARALLEL_MIN_RUNS``
-    (subset, K) runs and forking is safe: the platform offers ``"fork"``,
-    the caller is not a daemonic process (which cannot have children),
-    and no other thread is alive to be copied mid-operation. Otherwise
-    the subsets are scored here, one after another. ``Pool.map`` returns
-    results in input order, so the two routes give identical lists.
-    Workers are forked, not spawned: a spawned worker would import NumPy,
-    SciPy and this package again, which costs more than most searches.
+
+def _receive(receiver):
+    """A child's scores, or the exception its share raised, re-raised
+    here with its own type. A child that died before sending closes its
+    end of the pipe, so the read raises instead of waiting."""
+    try:
+        ok, value = receiver.recv()
+    except EOFError:
+        raise RuntimeError("a subset-search worker process exited before "
+                           "sending its scores") from None
+    if not ok:
+        raise value
+    return value
+
+
+def _stop(child):
+    child.terminate()
+    child.join()
+    child.close()
+
+
+def _map_subsets(job, subsets, runs):
+    """``job`` of every subset, in order, split over the usable CPUs if
+    it pays.
+
+    With ``w`` workers (one per usable CPU, at most one per subset), the
+    caller scores ``subsets[0::w]`` itself while ``w - 1`` forked,
+    daemonic children score ``subsets[i::w]`` for ``i = 1..w-1``, each
+    sending its list back over its own one-way pipe. The split is made
+    only when the search holds at least ``_PARALLEL_MIN_RUNS`` (subset,
+    K) runs and forking is safe: the platform offers ``"fork"``, the
+    caller is not a daemonic process (which cannot have children), and
+    no other thread is alive to be copied mid-operation. Otherwise the
+    subsets are scored here, one after another. The shares are
+    interleaved back into subset order, so the two routes give identical
+    lists. A child's exception is re-raised here with its own type, a
+    child that dies makes the search raise ``RuntimeError``, and on every
+    exit each child is terminated and joined. Children are forked, not
+    spawned: a spawned child would import NumPy, SciPy and this package
+    again, which costs more than most searches, and a forked one reads
+    the job from the memory it shares with the caller, unpickled.
     """
     workers = min(_usable_cpus(), len(subsets))
     if workers < 2 or runs < _PARALLEL_MIN_RUNS:
@@ -249,11 +293,32 @@ def _map_subsets(job, subsets, runs):
             or multiprocessing.current_process().daemon
             or threading.active_count() != 1):
         return list(map(job, subsets))
-    # Import SciPy's cdist before forking, so the workers inherit it
+    # Import SciPy's cdist before forking, so the children inherit it
     # instead of each importing it for its first distance.
     import scipy.spatial.distance  # noqa: F401
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        return pool.map(job, subsets)
+    context = multiprocessing.get_context("fork")
+    receivers = []
+    with ExitStack() as stack:
+        for offset in range(1, workers):
+            receiver, sender = context.Pipe(duplex=False)
+            stack.callback(receiver.close)
+            # The caller closes its copy of the sending end at once, so
+            # the read sees end-of-file when the child dies, and no later
+            # child inherits it.
+            with sender:
+                child = context.Process(
+                    target=_score_share,
+                    args=(job, subsets[offset::workers], sender),
+                    daemon=True)
+                child.start()
+            stack.callback(_stop, child)
+            receivers.append(receiver)
+        shares = [list(map(job, subsets[::workers]))]
+        shares += [_receive(receiver) for receiver in receivers]
+    scores = [None] * len(subsets)
+    for offset, share in enumerate(shares):
+        scores[offset::workers] = share
+    return scores
 
 
 def _search(features, ks, screen_quantile, penalty, restarts, seed):
@@ -275,8 +340,11 @@ def _search(features, ks, screen_quantile, penalty, restarts, seed):
     if n_features > 16:
         raise ValueError("exhaustive search supports at most 16 features")
     # Checked before screening, so a search that screens every column
-    # out rejects the count as one that runs k-means does.
+    # out rejects them as one that runs k-means does.
     _check_restarts(restarts)
+    if not 0 <= penalty < float("inf"):
+        raise ValueError(
+            f"penalty must be finite and nonnegative, got {penalty!r}")
     index = _clusterability_rows(values.T)
     threshold = screening_threshold(n, screen_quantile)
     screened = tuple(int(j) for j in np.flatnonzero(index >= threshold))
@@ -347,11 +415,11 @@ def select_features_stable(features, k_max, screen_quantile=0.5,
     iterations stop at convergence or at a fixed cap of
     ``SELECT_MAX_ITER`` (40) per run.
 
-    A search of at least ``_PARALLEL_MIN_RUNS`` (subset, K) runs scores
-    its subsets in a pool of forked workers, one per usable CPU, when
-    forking is safe (see the module docstring). The subsets are reduced
-    in the same order either way, so the reports are identical for any
-    worker count, including one.
+    A search of at least ``_PARALLEL_MIN_RUNS`` (subset, K) runs splits
+    its subsets over one process per usable CPU, the caller and one
+    forked child per other CPU, when forking is safe (see the module
+    docstring). The subsets are reduced in the same order either way, so
+    the reports are identical for any worker count, including one.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")

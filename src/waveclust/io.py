@@ -282,7 +282,11 @@ def write_distortion(path, curve):
 
 
 def _json_dump(path, payload):
-    _write_lines(path, [json.dumps(payload, sort_keys=True, indent=2)])
+    """``payload`` as JSON. A non-finite float raises ``ValueError``
+    before the file is opened, so no artifact holds ``NaN`` or
+    ``Infinity``, which JSON does not define."""
+    _write_lines(path, [json.dumps(payload, sort_keys=True, indent=2,
+                                   allow_nan=False)])
 
 
 def _json_safe(value):

@@ -20,8 +20,8 @@ def _master_seed(seed):
     return seed
 
 
-def derived_seed_sequence(seed, *labels):
-    """Build a SeedSequence for the stream identified by ``labels``.
+def derived_rng(seed, *labels):
+    """Generator seeded from the stream identified by ``(seed, labels)``.
 
     Labels may be strings or integers; strings are hashed with CRC32 so the
     derivation is stable across platforms and sessions.
@@ -32,9 +32,4 @@ def derived_seed_sequence(seed, *labels):
             keys.append(zlib.crc32(label.encode("utf-8")))
         else:
             keys.append(int(label) & 0xFFFFFFFF)
-    return np.random.SeedSequence(keys)
-
-
-def derived_rng(seed, *labels):
-    """Generator seeded from the (seed, labels) derivation."""
-    return np.random.default_rng(derived_seed_sequence(seed, *labels))
+    return np.random.default_rng(np.random.SeedSequence(keys))

@@ -460,8 +460,19 @@ def test_zero_restarts_exit_two_and_write_nothing(tmp_path, capsys,
                                                   monkeypatch, command,
                                                   structured):
     monkeypatch.chdir(tmp_path)
-    # Two tight blobs screen every column in; noise screens them all out,
-    # so a search would run no k-means.
+    _write_blob_features(structured)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert run(command[0], "--input", "features.csv", *command[1:],
+               "--restarts", 0) == 2
+    assert capsys.readouterr().err == "error: restarts must be at least 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def _write_blob_features(structured):
+    """features.csv in the working directory. Two tight blobs screen
+    every column in; noise screens them all out, so a search would run
+    no k-means."""
     rows = np.random.default_rng(0).normal(size=(40, 3))
     rows *= 0.1 if structured else 1.0
     if structured:
@@ -471,11 +482,25 @@ def test_zero_restarts_exit_two_and_write_nothing(tmp_path, capsys,
         + "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
     screened = wc.select_features(rows, 2).screened_in
     assert len(screened) == (3 if structured else 0)
+
+
+@pytest.mark.parametrize("structured", [True, False],
+                         ids=["structured", "screened-out"])
+@pytest.mark.parametrize("penalty", ["nan", "inf", "-5"])
+@pytest.mark.parametrize("search", [("--k", 3), ("--kmax", 3)],
+                         ids=["k", "kmax"])
+def test_a_bad_penalty_exits_two_and_writes_nothing(tmp_path, capsys,
+                                                    monkeypatch, search,
+                                                    penalty, structured):
+    monkeypatch.chdir(tmp_path)
+    _write_blob_features(structured)
     before = sorted(p.name for p in tmp_path.iterdir())
     capsys.readouterr()
-    assert run(command[0], "--input", "features.csv", *command[1:],
-               "--restarts", 0) == 2
-    assert capsys.readouterr().err == "error: restarts must be at least 1\n"
+    assert run("select", "--input", "features.csv", *search, "--penalty",
+               penalty, "--output", "selection.json") == 2
+    assert capsys.readouterr().err == (
+        f"error: penalty must be finite and nonnegative, got "
+        f"{float(penalty)!r}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 

@@ -155,7 +155,7 @@ def test_cosine_peak_scale(period):
     power = (np.abs(spec.matrix) ** 2).sum(axis=1)
     a_peak = grid.scales[np.argmax(power)]
     a_theory = period * spec.omega0 / (2.0 * np.pi)
-    assert abs(np.log2(a_peak / a_theory)) <= 1.0 / grid.voices_per_octave
+    assert abs(np.log2(a_peak / a_theory)) <= 1.0 / grid.voices
 
 
 def test_coi_flags_rows_beyond_half_length():

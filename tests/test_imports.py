@@ -35,7 +35,7 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_multiprocessing():
-    # Subset selection imports it when it opens a worker pool.
+    # Subset selection imports it when a search forks.
     code = "import sys, waveclust; print('multiprocessing' in sys.modules)"
     assert run_fresh(code) == "False"
 

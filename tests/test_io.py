@@ -642,6 +642,16 @@ def test_file_digest_stable(tmp_path):
     assert io.file_digest(path) == expected
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   -float("inf")])
+def test_json_refuses_a_non_finite_value_and_writes_nothing(tmp_path,
+                                                             value):
+    path = tmp_path / "manifest.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        io.write_manifest(path, {"config": {"penalty": value}})
+    assert not path.exists()
+
+
 def test_manifest_json_is_sorted_and_round_trips(tmp_path):
     path = tmp_path / "manifest.json"
     io.write_manifest(path, {"command": "features", "seed": 7,
