@@ -236,25 +236,30 @@ def _usable_cpus():
 
 def _score_share(job, share, sender):
     """A forked child's work: send ``(True, scores)`` of its share of the
-    subsets, or ``(False, exception)`` if scoring raised, to the caller."""
+    subsets, or ``(False, (exception, traceback text))`` if scoring
+    raised, to the caller."""
     try:
         message = (True, list(map(job, share)))
     except Exception as exc:
-        message = (False, exc)
+        import traceback
+        message = (False, (exc, traceback.format_exc()))
     sender.send(message)
 
 
 def _receive(receiver):
     """A child's scores, or the exception its share raised, re-raised
-    here with its own type. A child that died before sending closes its
-    end of the pipe, so the read raises instead of waiting."""
+    here with its own type and caused by the child's traceback. A child
+    that died before sending closes its end of the pipe, so the read
+    raises instead of waiting."""
     try:
         ok, value = receiver.recv()
     except EOFError:
         raise RuntimeError("a subset-search worker process exited before "
                            "sending its scores") from None
     if not ok:
-        raise value
+        error, trace = value
+        raise error from RuntimeError(
+            f"in a subset-search worker process:\n{trace}")
     return value
 
 
@@ -278,9 +283,10 @@ def _map_subsets(job, subsets, runs):
     no other thread is alive to be copied mid-operation. Otherwise the
     subsets are scored here, one after another. The shares are
     interleaved back into subset order, so the two routes give identical
-    lists. A child's exception is re-raised here with its own type, a
-    child that dies makes the search raise ``RuntimeError``, and on every
-    exit each child is terminated and joined. Children are forked, not
+    lists. A child's exception is re-raised here with its own type and
+    the child's traceback as its cause, a child that dies makes the
+    search raise ``RuntimeError``, and on every exit each child is
+    terminated and joined. Children are forked, not
     spawned: a spawned child would import NumPy, SciPy and this package
     again, which costs more than most searches, and a forked one reads
     the job from the memory it shares with the caller, unpickled.

@@ -336,8 +336,8 @@ def test_split_search_leaves_no_child_and_no_descriptor(forked_searches):
 
 # Runs a two-worker search of bench seed 5's features (63 subsets x 2 K)
 # with ``_subset_sses`` replaced by one that does ``action`` on the
-# subsets ``when`` picks, and prints what the search raised and how many
-# children are left.
+# subsets ``when`` picks, and prints what the search raised, whether its
+# cause holds a child's traceback, and how many children are left.
 _PLANTED_SEARCH = """
 import multiprocessing, os, time
 import waveclust as wc
@@ -360,6 +360,9 @@ try:
     wc.select_features_stable(X, 3, seed=5)
 except Exception as exc:
     print(type(exc).__name__, exc)
+    if exc.__cause__ is not None:
+        print("cause holds the child's traceback:",
+              'in planted' in str(exc.__cause__))
 print("children left:", len(multiprocessing.active_children()))
 """
 
@@ -389,7 +392,8 @@ def _planted_search(when, action):
 def test_a_childs_exception_reaches_the_caller_with_its_type():
     assert _planted_search(
         "in_child and size == 2", "raise ValueError('planted')") == [
-            "ValueError planted", "children left: 0"]
+            "ValueError planted", "cause holds the child's traceback: True",
+            "children left: 0"]
 
 
 def test_a_child_that_dies_makes_the_search_raise():
