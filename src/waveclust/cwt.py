@@ -116,9 +116,19 @@ class Spectrum:
 def _morlet_bank(grid, n, omega0, p):
     """``conj(fft(psi_a))`` of every scale of the grid, shape (n_scales, n),
     and the normalizers ``a ** p``, shape (n_scales, 1). Cached per
-    (grid, n, omega0, p) and read-only, since every caller shares them."""
-    bank = np.array([np.conj(np.fft.fft(morlet_kernel(a, n, omega0=omega0)))
-                     for a in grid.scales])
+    (grid, n, omega0, p) and read-only, since every caller shares them.
+
+    ``omega0 * u`` overflows for an omega0 near the float maximum, which
+    leaves a nan in the bank: that is a ``ValueError``, raised before
+    NumPy warns of the overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        bank = np.array([
+            np.conj(np.fft.fft(morlet_kernel(a, n, omega0=omega0)))
+            for a in grid.scales])
+    if not np.isfinite(bank).all():
+        raise ValueError(f"omega0 = {omega0!r} overflows the Morlet kernel "
+                         f"on {n} samples")
     bank.flags.writeable = False
     # Scalar powers, as in the defining sum: an array power may take
     # sqrt for p = 1/2 and round differently.
@@ -141,10 +151,19 @@ def cwt_morlet(curve, grid=None, omega0=6.0, normalization="L1"):
     result equals the transform of curve ``i`` alone, bit for bit. The
     curves are checked as a :class:`FunctionalDataset`, so a nan or inf
     sample is an error rather than a field of nan.
+
+    ``omega0`` must be finite and positive: the Morlet above is the
+    analytic wavelet, oscillating at a positive frequency, only for
+    omega0 > 0. At 0 it is a plain Gaussian, which is no wavelet, and a
+    negative omega0 mirrors its spectrum onto the negative frequencies.
+    An omega0 so large that the kernel overflows is an error too.
     """
     rows = FunctionalDataset(curve).curves
     if rows.shape[-1] < 8:
         raise ValueError("curves must have at least 8 samples")
+    if not 0 < omega0 < float("inf"):
+        raise ValueError(f"omega0 must be finite and positive, got "
+                         f"{omega0!r}")
     grid = grid if grid is not None else ScaleGrid()
     if grid.scales[0] < 1.0:
         raise ValueError("smallest scale must be at least one sample")

@@ -21,6 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Every resample J up to this is accepted whatever the input length:
+#: 2**10 points per curve cost little (see ``resample_dyadic``).
+_RESAMPLE_J_ANY_LENGTH = 10
+
 
 @dataclass
 class SampledSignal:
@@ -188,6 +192,10 @@ def _resample_rows(curves, J):
     J = _integer(J, "J")
     if J < 1:
         raise ValueError("J must be a positive integer")
+    most = max(_RESAMPLE_J_ANY_LENGTH, (n - 1).bit_length() + 1)
+    if J > most:
+        raise ValueError(f"J must be at most {most} for curves of {n} "
+                         f"samples, got {J}")
     target = 2 ** J
     if target == n:
         return curves.copy()
@@ -210,6 +218,16 @@ def resample_dyadic(curve, J):
     :class:`FunctionalDataset` first, so a nan or inf sample is an error
     at every length, the dyadic one included. A fractional ``J`` is an
     error.
+
+    ``J`` is bounded relative to the input length N, and checked before
+    anything is allocated: it may be at most ``ceil(log2(N)) + 1``, one
+    octave above the smallest dyadic grid that holds every sample (so
+    ``2**J < 4 * N``), or at most 10 at any N. A spline through N
+    samples carries no detail finer than its own grid, so a finer
+    output grid only interpolates, while its size doubles with each J:
+    J = 40 would ask for 8 TiB per curve. The floor of 10 keeps every
+    grid up to 1024 points, which costs at most 8 KB per curve, open to
+    short curves. J = 6, for 48- to 64-sample days, is valid either way.
     """
     if np.ndim(curve) != 1:
         raise ValueError("curve must be one-dimensional")

@@ -13,14 +13,16 @@ benchmarked against naive ones.
 
 All pair computations are pure. ``build_dissimilarity_matrix`` makes
 one ``cwt_morlet`` call, into the (n, J_s, N) stack every spectral
-measure reads, and computes the matrix one row at a time (optionally on
-a thread pool over rows, whose module is imported only when a pool
-runs), writing each row into the upper triangle and the lower as it
-arrives. Both spectral measures have a row formula, which the pair
-functions call with a one-element row. WER and the
-coherence are ratios, so they first divide each field by a power of
-two near its largest magnitude, an exact step that keeps curves at any
-level in range; MCA's values depend on level, so it is not rescaled
+measure reads, and computes the matrix one row at a time, writing each
+row into the upper triangle and the lower. A build of at least
+``_PARALLEL_MIN_PAIRS`` pairs (per measure) with ``threads`` above 1
+splits its rows over forked processes
+(:func:`waveclust.parallel.split_map`), which hand them back in row
+order. Both spectral measures have a row formula, which the pair
+functions call with a one-element row. WER and the coherence are
+ratios, so they first divide each field by a power of two near its
+largest magnitude, an exact step that keeps curves at any level in
+range; MCA's values depend on level, so it is not rescaled
 and names a pair whose covariance or distance leaves the float range.
 For WER, all curves' auto-spectra are smoothed in one call and a row's
 cross-spectra in one more. The smoother
@@ -43,6 +45,7 @@ import numpy as np
 from .cwt import ScaleGrid, cwt_morlet, smooth_spectrum
 from .data import FunctionalDataset
 from .errors import DegenerateInputError
+from .parallel import split_map
 
 #: Smoothed auto-spectra at or below this are treated as identically zero.
 _AUTO_FLOOR = 1e-300
@@ -53,6 +56,21 @@ FLAT_MAGNITUDE_RTOL = 1e-12
 
 #: Measure tags accepted by build_dissimilarity_matrix.
 MEASURES = ("WER", "MCA", "euclid-features", "euclid-raw")
+
+#: Fewest pairs a build of each measure must hold before its rows are
+#: split over worker processes. Measured on a 2-CPU machine, one BLAS
+#: thread, on the first build of a fresh process at two workers, on days
+#: of 64 samples and 33 scales, against the same build in one process
+#: (the split's first use imports multiprocessing, about 11 ms, and each
+#: fork and pipe cost about 2.5 ms more): WER lost at 2415 pairs (184
+#: against 168 ms), won at 3486 (171 against 233) and 9730 (321 against
+#: 586); MCA broke even at 210 (44 ms) and won at 378 (69 against 76);
+#: euclid-features lost at 31125 (183 against 163) and won at 44850
+#: (206 against 231); euclid-raw, whose pairs are 64-sample differences,
+#: never won up to 1460 curves (1 065 570 pairs). Larger fields cost
+#: more per pair, so they break even at fewer pairs.
+_PARALLEL_MIN_PAIRS = {"WER": 3000, "MCA": 300, "euclid-features": 40000,
+                       "euclid-raw": float("inf")}
 
 
 @dataclass
@@ -440,10 +458,12 @@ def build_dissimilarity_matrix(dataset, measure="WER", grid=None,
         ``DegenerateInputError`` naming it.
     grid, omega0, normalization : CWT settings for spectral measures.
     theta : inertia threshold for MCA.
-    threads : size of the worker pool over matrix rows (curve i against
-        every curve after it), at least 1. The result is identical for
-        any thread count (rows are independent and each lands in its own
-        slots).
+    threads : the most processes the matrix rows (curve i against every
+        curve after it) are split over, at least 1. The split uses at
+        most one process per usable CPU, and a build of fewer than its
+        measure's ``_PARALLEL_MIN_PAIRS`` runs in the calling process. The
+        result is identical for any count (rows are independent and each
+        lands in its own slots).
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; pick from {MEASURES}")
@@ -478,20 +498,10 @@ def build_dissimilarity_matrix(dataset, measure="WER", grid=None,
             return _mca_row(fields[i], fields[i + 1:], conj_fields[i + 1:],
                             theta, row=i)
 
+    split = n * (n - 1) // 2 >= _PARALLEL_MIN_PAIRS[measure]
+    workers = threads if split else 1
     values = np.zeros((n, n))
-
-    def fill(rows):
-        for i, d in enumerate(rows):
-            values[i, i + 1:] = d
-            values[i + 1:, i] = d
-
-    # At one thread the rows run on the caller's thread, with no pool: a
-    # pool thread there raised peak memory by about 5 MB, and importing
-    # the pool costs about 3.5 ms.
-    if threads == 1:
-        fill(map(row, range(n - 1)))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fill(pool.map(row, range(n - 1)))
+    for i, d in enumerate(split_map(row, range(n - 1), workers)):
+        values[i, i + 1:] = d
+        values[i + 1:, i] = d
     return DissimilarityMatrix(values=values, measure=measure)

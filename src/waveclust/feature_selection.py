@@ -28,22 +28,16 @@ multiplicative penalty arbitrates the remaining ties in favor of fewer
 features.
 
 A subset's k-means runs depend only on the standardized columns, the
-seed and the subset, so a large search splits its subsets over one
-process per usable CPU: the caller scores every ``w``-th subset from the
-first, and one forked child per other CPU scores every ``w``-th from its
-own offset and sends its scores back over a one-way pipe. The split is
-made only when the search holds at least ``_PARALLEL_MIN_RUNS`` (subset,
-K) runs and forking is safe (the platform offers ``"fork"``, the caller
-is not a daemonic process and runs no other thread); otherwise the
-subsets are scored in the calling process. Either way the scores are
-put back in subset order and reduced in that one fixed order, so every
-report is identical for any worker count. :mod:`multiprocessing` is
-imported only when a search forks.
+seed and the subset, so a search of at least ``_PARALLEL_MIN_RUNS``
+(subset, K) runs maps its subsets through
+:func:`waveclust.parallel.split_map`, over one process per usable CPU:
+the caller scores every ``w``-th subset from the first, and one forked
+child per other CPU scores every ``w``-th from its own offset, when
+forking is safe. A smaller search is scored in the calling process.
+Either way the scores come back in subset order and are reduced in that
+one fixed order, so every report is identical for any worker count.
 """
 
-import os
-import threading
-from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
@@ -51,6 +45,7 @@ from itertools import combinations
 import numpy as np
 
 from .clustering import _best_restarts, _check_restarts, _feature_rows
+from .parallel import split_map
 from .rng import _master_seed, derived_rng
 
 #: Internal seed for the uniform-surrogate reference distribution.
@@ -226,107 +221,6 @@ def _subset_sses(standardized, total, screened, ks, restarts, seed, subset):
             for k, (labels, _, _) in zip(ks, best)]
 
 
-def _usable_cpus():
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _score_share(job, share, sender):
-    """A forked child's work: send ``(True, scores)`` of its share of the
-    subsets, or ``(False, (exception, traceback text))`` if scoring
-    raised, to the caller."""
-    try:
-        message = (True, list(map(job, share)))
-    except Exception as exc:
-        import traceback
-        message = (False, (exc, traceback.format_exc()))
-    sender.send(message)
-
-
-def _receive(receiver):
-    """A child's scores, or the exception its share raised, re-raised
-    here with its own type and caused by the child's traceback. A child
-    that died before sending closes its end of the pipe, so the read
-    raises instead of waiting."""
-    try:
-        ok, value = receiver.recv()
-    except EOFError:
-        raise RuntimeError("a subset-search worker process exited before "
-                           "sending its scores") from None
-    if not ok:
-        error, trace = value
-        raise error from RuntimeError(
-            f"in a subset-search worker process:\n{trace}")
-    return value
-
-
-def _stop(child):
-    child.terminate()
-    child.join()
-    child.close()
-
-
-def _map_subsets(job, subsets, runs):
-    """``job`` of every subset, in order, split over the usable CPUs if
-    it pays.
-
-    With ``w`` workers (one per usable CPU, at most one per subset), the
-    caller scores ``subsets[0::w]`` itself while ``w - 1`` forked,
-    daemonic children score ``subsets[i::w]`` for ``i = 1..w-1``, each
-    sending its list back over its own one-way pipe. The split is made
-    only when the search holds at least ``_PARALLEL_MIN_RUNS`` (subset,
-    K) runs and forking is safe: the platform offers ``"fork"``, the
-    caller is not a daemonic process (which cannot have children), and
-    no other thread is alive to be copied mid-operation. Otherwise the
-    subsets are scored here, one after another. The shares are
-    interleaved back into subset order, so the two routes give identical
-    lists. A child's exception is re-raised here with its own type and
-    the child's traceback as its cause, a child that dies makes the
-    search raise ``RuntimeError``, and on every exit each child is
-    terminated and joined. Children are forked, not
-    spawned: a spawned child would import NumPy, SciPy and this package
-    again, which costs more than most searches, and a forked one reads
-    the job from the memory it shares with the caller, unpickled.
-    """
-    workers = min(_usable_cpus(), len(subsets))
-    if workers < 2 or runs < _PARALLEL_MIN_RUNS:
-        return list(map(job, subsets))
-    import multiprocessing
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon
-            or threading.active_count() != 1):
-        return list(map(job, subsets))
-    # Import SciPy's cdist before forking, so the children inherit it
-    # instead of each importing it for its first distance.
-    import scipy.spatial.distance  # noqa: F401
-    context = multiprocessing.get_context("fork")
-    receivers = []
-    with ExitStack() as stack:
-        for offset in range(1, workers):
-            receiver, sender = context.Pipe(duplex=False)
-            stack.callback(receiver.close)
-            # The caller closes its copy of the sending end at once, so
-            # the read sees end-of-file when the child dies, and no later
-            # child inherits it.
-            with sender:
-                child = context.Process(
-                    target=_score_share,
-                    args=(job, subsets[offset::workers], sender),
-                    daemon=True)
-                child.start()
-            stack.callback(_stop, child)
-            receivers.append(receiver)
-        shares = [list(map(job, subsets[::workers]))]
-        shares += [_receive(receiver) for receiver in receivers]
-    scores = [None] * len(subsets)
-    for offset, share in enumerate(shares):
-        scores[offset::workers] = share
-    return scores
-
-
 def _search(features, ks, screen_quantile, penalty, restarts, seed):
     """Screen once, then score every subset against every K in ``ks``.
 
@@ -362,11 +256,18 @@ def _search(features, ks, screen_quantile, penalty, restarts, seed):
     total = float(np.sum(standardized * standardized))
     job = partial(_subset_sses, standardized, total, screened, ks, restarts,
                   seed)
+    # Below the break-even the search runs here; above it, on every
+    # usable CPU (``split_map`` caps the workers at one per CPU).
+    workers = 1
+    if len(subsets) * len(ks) >= _PARALLEL_MIN_RUNS:
+        # Import SciPy's cdist before forking, so the children inherit it
+        # instead of each importing it for its first distance.
+        import scipy.spatial.distance  # noqa: F401
+        workers = len(subsets)
 
     best_by_size = {k: {} for k in ks}
     picks = {k: ((), float("nan"), float("inf")) for k in ks}
-    for subset, sses in zip(subsets, _map_subsets(
-            job, subsets, len(subsets) * len(ks))):
+    for subset, sses in zip(subsets, split_map(job, subsets, workers)):
         size = len(subset)
         for k, sse in zip(ks, sses):
             by_size = best_by_size[k]
@@ -423,9 +324,10 @@ def select_features_stable(features, k_max, screen_quantile=0.5,
 
     A search of at least ``_PARALLEL_MIN_RUNS`` (subset, K) runs splits
     its subsets over one process per usable CPU, the caller and one
-    forked child per other CPU, when forking is safe (see the module
-    docstring). The subsets are reduced in the same order either way, so
-    the reports are identical for any worker count, including one.
+    forked child per other CPU, when forking is safe (see
+    :func:`waveclust.parallel.split_map`). The subsets are reduced in
+    the same order either way, so the reports are identical for any
+    worker count, including one.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")

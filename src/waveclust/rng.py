@@ -2,7 +2,7 @@
 
 Every stochastic routine in the package draws from a stream derived here,
 so a pipeline is reproducible from one integer seed regardless of how many
-worker threads execute it.
+worker processes execute it.
 """
 
 import zlib

@@ -1,6 +1,7 @@
 import inspect
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -501,6 +502,49 @@ def test_a_bad_penalty_exits_two_and_writes_nothing(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"error: penalty must be finite and nonnegative, got "
         f"{float(penalty)!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("omega0, message", [
+    ("0", "omega0 must be finite and positive, got 0.0"),
+    ("-6", "omega0 must be finite and positive, got -6.0"),
+    ("1e308", "omega0 = 1e+308 overflows the Morlet kernel on 64 samples"),
+])
+@pytest.mark.parametrize("command", [
+    ("dissim", "--measure", "wer"),
+    ("dissim", "--measure", "mca"),
+    ("cluster", "--pipeline", "spectrum", "--k", 2),
+], ids=["dissim-wer", "dissim-mca", "cluster"])
+def test_an_omega0_outside_its_domain_exits_two_and_writes_nothing(
+        tmp_path, capsys, monkeypatch, command, omega0, message):
+    monkeypatch.chdir(tmp_path)
+    io.write_dataset("curves.csv", wc.FunctionalDataset(
+        np.random.default_rng(2).normal(size=(4, 64))))
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(*command, "--input", "curves.csv", "--omin", 1, "--omax",
+                   4, "--voices", 4, "--omega0", omega0, "--output",
+                   "out.csv") == 2
+    assert caught == []
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_a_resample_j_above_its_bound_exits_two_and_writes_nothing(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    io.write_dataset("days.csv", wc.FunctionalDataset(
+        np.random.default_rng(1).normal(size=(10, 48)), 48))
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    for j in (11, 40):
+        assert run("features", "--input", "days.csv", "--resample-j", j,
+                   "--output", "features.csv") == 2
+        assert capsys.readouterr().err == (
+            f"error: J must be at most 10 for curves of 48 samples, "
+            f"got {j}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -170,6 +173,22 @@ def test_rejects_short_input_and_subunit_scales():
         cwt_morlet(np.arange(4.0), make_scale_grid(1, 2, 1))
     with pytest.raises(ValueError):
         cwt_morlet(np.arange(16.0), make_scale_grid(-2, 1, 1))
+
+
+@pytest.mark.parametrize("omega0, message", [
+    (0.0, "omega0 must be finite and positive, got 0.0"),
+    (-6.0, "omega0 must be finite and positive, got -6.0"),
+    (np.nan, "omega0 must be finite and positive, got nan"),
+    (np.inf, "omega0 must be finite and positive, got inf"),
+    (1e308, "omega0 = 1e+308 overflows the Morlet kernel on 64 samples"),
+])
+def test_rejects_an_omega0_outside_its_domain_before_any_warning(omega0,
+                                                                 message):
+    curve = np.random.default_rng(12).normal(size=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cwt_morlet(curve, make_scale_grid(1, 4, 4), omega0=omega0)
 
 
 def test_kernel_is_unit_scale_morlet_sample():

@@ -194,6 +194,24 @@ def test_resample_rejects_a_fractional_J(J):
         resample_dyadic(ds.curves[0], J)
 
 
+@pytest.mark.parametrize("n, most", [
+    (4, 10), (48, 10), (64, 10), (512, 10), (513, 11), (1024, 11),
+    (1025, 12)])
+def test_resample_bounds_J_by_the_input_length(n, most):
+    """J may reach one octave above the smallest dyadic grid holding the
+    input, or 10 at any length; above that it is refused before the
+    output is allocated."""
+    curve = np.random.default_rng(n).normal(size=n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # downsampling warns
+        assert resample_dyadic(curve, most).shape == (2 ** most,)
+    for J in (most + 1, 40, 10 ** 6):
+        with pytest.raises(ValueError, match=(
+                f"^J must be at most {most} for curves of {n} samples, "
+                f"got {J}$")):
+            resample_dataset(FunctionalDataset(curve), J)
+
+
 @pytest.mark.parametrize("J", [6, 6.0, np.int64(6), np.uint8(6)])
 def test_resample_accepts_integral_J(J):
     ds = FunctionalDataset(np.random.default_rng(6).normal(size=(3, 48)), 48)

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import threading
 import tracemalloc
 
@@ -19,8 +21,9 @@ from waveclust import (
     wavelet_coherence,
     wer_distance,
 )
-from waveclust import dissimilarity
-from waveclust.dissimilarity import _mca_decomposition, _mca_directions
+from waveclust import dissimilarity, parallel
+from waveclust.dissimilarity import (MEASURES, _mca_decomposition,
+                                     _mca_directions)
 from test_imports import run_fresh
 
 GRID = make_scale_grid(1, 5, 8)
@@ -252,20 +255,74 @@ def test_matrix_determinism_and_thread_invariance():
                 f"{measure} at threads={threads}"))
 
 
-def test_rows_run_on_the_calling_thread_at_one_thread(monkeypatch):
-    """At one thread no pool thread runs a row: one cost a second malloc
-    arena, about 5 MB of peak memory on a small build."""
+@pytest.fixture
+def split_rows(monkeypatch):
+    """Every build of two or more workers splits its rows: no pair gate,
+    and three usable CPUs."""
+    monkeypatch.setattr(dissimilarity, "_PARALLEL_MIN_PAIRS",
+                        dict.fromkeys(dissimilarity.MEASURES, 0))
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+
+
+def test_rows_run_on_the_calling_thread_at_one_thread(monkeypatch, forks,
+                                                      split_rows):
+    """At one thread no other process or thread runs a row, whatever the
+    build's size: a pool thread there cost a second malloc arena, about
+    5 MB of peak memory on a small build, and a fork costs more."""
     ran_on = set()
     wer_row = dissimilarity._wer_row
 
     def recording_row(*args, **kwargs):
-        ran_on.add(threading.get_ident())
+        ran_on.add((os.getpid(), threading.get_ident()))
         return wer_row(*args, **kwargs)
 
     monkeypatch.setattr(dissimilarity, "_wer_row", recording_row)
     build_dissimilarity_matrix(far_dataset(32, n=4), measure="WER",
                                grid=make_scale_grid(1, 4, 4), threads=1)
-    assert ran_on == {threading.get_ident()}
+    assert ran_on == {(os.getpid(), threading.get_ident())}
+    assert forks == []
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+def test_split_builds_equal_the_serial_bytes(forks, split_rows, measure):
+    ds = far_dataset(33, n=9)
+    grid = make_scale_grid(1, 4, 4)
+    serial = build_dissimilarity_matrix(ds, measure=measure, grid=grid)
+    for threads in (1, 2, 3):
+        split = build_dissimilarity_matrix(ds, measure=measure, grid=grid,
+                                           threads=threads)
+        assert split.values.tobytes() == serial.values.tobytes(), threads
+    assert forks == ["fork", "fork"]
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_a_degenerate_pair_in_a_childs_row_is_named(forks, split_rows,
+                                                    threads):
+    """Curves 1 and 3 at 1e-100 give every pair but (1, 3) a covariance
+    in range, so only row 1, a child's, fails; its error reaches the
+    caller with its type, its message and the child's traceback."""
+    curves = np.random.default_rng(35).normal(size=(5, 64))
+    curves[[1, 3]] *= 1e-100
+    grid = make_scale_grid(1, 4, 4)
+    match = r"^pair \(1, 3\): cross covariance underflows"
+    with pytest.raises(DegenerateInputError, match=match):
+        build_dissimilarity_matrix(curves, measure="MCA", grid=grid)
+    with pytest.raises(DegenerateInputError, match=match) as raised:
+        build_dissimilarity_matrix(curves, measure="MCA", grid=grid,
+                                   threads=threads)
+    assert "_mca_decomposition" in str(raised.value.__cause__)
+    assert forks == ["fork"]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_build_below_its_gate_forks_nothing(monkeypatch, forks):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+    ds = far_dataset(34, n=8)
+    for measure in MEASURES:
+        assert 8 * 7 // 2 < dissimilarity._PARALLEL_MIN_PAIRS[measure]
+        build_dissimilarity_matrix(ds, measure=measure,
+                                   grid=make_scale_grid(1, 4, 4), threads=3)
+    assert forks == []
 
 
 @pytest.mark.parametrize("threads", [0, -1])
@@ -276,13 +333,17 @@ def test_threads_below_one_rejected(threads):
 
 
 def test_spectral_matrices_do_not_depend_on_any_thread_count():
-    """WER and MCA bytes are equal at 1 and 2 row threads, and at 1 and 2
-    BLAS threads. BLAS reads its thread count when it loads, so each
-    BLAS setting runs in a fresh interpreter."""
+    """WER and MCA bytes are equal at 1 and 2 row workers, with the rows
+    split whatever the build's size, and at 1 and 2 BLAS threads. BLAS
+    reads its thread count when it loads, so each BLAS setting runs in a
+    fresh interpreter."""
     code = """
 import hashlib
 import numpy as np
 import waveclust as wc
+from waveclust import dissimilarity, parallel
+dissimilarity._PARALLEL_MIN_PAIRS = dict.fromkeys(dissimilarity.MEASURES, 0)
+parallel.usable_cpus = lambda: 2
 rng = np.random.default_rng(40)
 cases = [(rng.normal(size=(10, 256)).cumsum(axis=1), wc.make_scale_grid()),
          (rng.normal(size=(16, 64)), wc.make_scale_grid(1, 5, 8))]

@@ -1,16 +1,11 @@
 import multiprocessing
-import os
-import signal
-import subprocess
-import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from waveclust import feature_selection
+from waveclust import feature_selection, parallel
 from waveclust import (
     clusterability_index,
     feature_matrix,
@@ -234,32 +229,18 @@ def _stable_fields(result):
                    for k, r in reports.items()}
 
 
-@pytest.fixture
-def forked_searches(monkeypatch):
-    """Counts the searches that fork children."""
-    opened = []
-    get_context = multiprocessing.get_context
-
-    def counting(method=None):
-        opened.append(method)
-        return get_context(method)
-
-    monkeypatch.setattr(multiprocessing, "get_context", counting)
-    return opened
-
-
 @pytest.mark.parametrize("seed, screened", [(5, 6), (11, 7)])
-def test_reports_identical_for_any_worker_count(monkeypatch, forked_searches,
-                                                seed, screened):
+def test_reports_identical_for_any_worker_count(monkeypatch, forks, seed,
+                                                screened):
     X = _benchmark_features(seed)
     results = {}
     for workers in (1, 2, 3):
-        monkeypatch.setattr(feature_selection, "_usable_cpus",
+        monkeypatch.setattr(parallel, "usable_cpus",
                             lambda workers=workers: workers)
         final, reports = select_features_stable(X, 20, seed=seed)
         results[workers] = _stable_fields((final, reports))
     assert len(reports[20].screened_in) == screened
-    assert forked_searches == ["fork", "fork"]
+    assert forks == ["fork", "fork"]
     assert results[2] == results[1]
     assert results[3] == results[1]
 
@@ -267,9 +248,9 @@ def test_reports_identical_for_any_worker_count(monkeypatch, forked_searches,
 def _serial_reference(monkeypatch, X, k_max, seed):
     """The stable selection with one worker. Afterwards the search sees
     two CPUs, so only the condition under test can keep it serial."""
-    monkeypatch.setattr(feature_selection, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     reference = _stable_fields(select_features_stable(X, k_max, seed=seed))
-    monkeypatch.setattr(feature_selection, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     return reference
 
 
@@ -283,8 +264,7 @@ def test_daemonic_caller_searches_serially(monkeypatch):
     assert _stable_fields(result) == reference
 
 
-def test_search_with_another_live_thread_is_serial(monkeypatch,
-                                                   forked_searches):
+def test_search_with_another_live_thread_is_serial(monkeypatch, forks):
     X = _benchmark_features(5)
     reference = _serial_reference(monkeypatch, X, 5, 5)
     release = threading.Event()
@@ -296,116 +276,26 @@ def test_search_with_another_live_thread_is_serial(monkeypatch,
         release.set()
         waiter.join(timeout=30)
     assert not waiter.is_alive()
-    assert forked_searches == []
+    assert forks == []
     assert _stable_fields(result) == reference
 
 
-def test_search_without_fork_is_serial(monkeypatch, forked_searches):
+def test_search_without_fork_is_serial(monkeypatch, forks):
     X = _benchmark_features(5)
     reference = _serial_reference(monkeypatch, X, 5, 5)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                         lambda: ["spawn"])
     assert _stable_fields(select_features_stable(X, 5, seed=5)) == reference
-    assert forked_searches == []
+    assert forks == []
 
 
-def test_search_below_the_run_threshold_is_serial(monkeypatch, forked_searches):
+def test_search_below_the_run_threshold_is_serial(monkeypatch, forks):
     # Six screened columns: 63 subsets x 1 K = 63 runs, below the
     # threshold; one more K crosses it.
     X = _benchmark_features(5)
     assert 63 * 1 < feature_selection._PARALLEL_MIN_RUNS <= 63 * 2
     reference = _serial_reference(monkeypatch, X, 2, 5)
     assert _stable_fields(select_features_stable(X, 2, seed=5)) == reference
-    assert forked_searches == []
+    assert forks == []
     select_features_stable(X, 3, seed=5)
-    assert forked_searches == ["fork"]
-
-
-def test_split_search_leaves_no_child_and_no_descriptor(forked_searches):
-    """Connections and processes emit no ResourceWarning when leaked, so
-    the search's pipes and children are counted directly."""
-    X = _benchmark_features(5)
-    fds = Path("/proc/self/fd")
-    before = len(list(fds.iterdir())) if fds.is_dir() else None
-    select_features_stable(X, 5, seed=5)
-    assert forked_searches == ["fork"]
-    assert multiprocessing.active_children() == []
-    if before is not None:
-        assert len(list(fds.iterdir())) == before
-
-
-# Runs a two-worker search of bench seed 5's features (63 subsets x 2 K)
-# with ``_subset_sses`` replaced by one that does ``action`` on the
-# subsets ``when`` picks, and prints what the search raised, whether its
-# cause holds a child's traceback, and how many children are left.
-_PLANTED_SEARCH = """
-import multiprocessing, os, time
-import waveclust as wc
-from waveclust import feature_selection
-
-dataset, _ = wc.gen_benchmark(seed=5)
-X = wc.feature_matrix(dataset, kind="logitRC").values
-scored = feature_selection._subset_sses
-caller = os.getpid()
-
-def planted(*args):
-    in_child, size = os.getpid() != caller, len(args[-1])
-    if {when}:
-        {action}
-    return scored(*args)
-
-feature_selection._subset_sses = planted
-feature_selection._usable_cpus = lambda: 2
-try:
-    wc.select_features_stable(X, 3, seed=5)
-except Exception as exc:
-    print(type(exc).__name__, exc)
-    if exc.__cause__ is not None:
-        print("cause holds the child's traceback:",
-              'in planted' in str(exc.__cause__))
-print("children left:", len(multiprocessing.active_children()))
-"""
-
-
-def _planted_search(when, action):
-    """The planted search's output, from a fresh interpreter that must
-    finish within 60 s. Its process group is killed on a timeout, so no
-    forked child outlives a failed test."""
-    source_root = str(Path(feature_selection.__file__).resolve().parents[1])
-    inherited = os.environ.get("PYTHONPATH")
-    path = source_root + os.pathsep + inherited if inherited else source_root
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _PLANTED_SEARCH.format(when=when,
-                                                      action=action)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env={**os.environ, "PYTHONPATH": path}, start_new_session=True)
-    try:
-        out, err = proc.communicate(timeout=60)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        raise
-    assert proc.returncode == 0, err
-    return out.splitlines()
-
-
-def test_a_childs_exception_reaches_the_caller_with_its_type():
-    assert _planted_search(
-        "in_child and size == 2", "raise ValueError('planted')") == [
-            "ValueError planted", "cause holds the child's traceback: True",
-            "children left: 0"]
-
-
-def test_a_child_that_dies_makes_the_search_raise():
-    # The child scores its size-1 subsets, then exits without sending.
-    assert _planted_search("in_child and size == 2", "os._exit(3)") == [
-        "RuntimeError a subset-search worker process exited before "
-        "sending its scores", "children left: 0"]
-
-
-def test_a_failing_caller_share_stops_every_child():
-    # The child would sleep far past the timeout unless it is ended.
-    assert _planted_search(
-        "in_child or size == 3",
-        "time.sleep(120) if in_child else 1 / 0") == [
-            "ZeroDivisionError division by zero", "children left: 0"]
+    assert forks == ["fork"]

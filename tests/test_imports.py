@@ -57,19 +57,24 @@ def test_screening_threshold_loads_no_numpy_ma():
 
 
 def test_threaded_wer_build_works_first_in_a_fresh_process():
-    code = """
+    # With no pair gate, two workers split the rows over a forked child:
+    # the split's first use imports multiprocessing, and still no SciPy.
+    code = f"""
 import sys
 import numpy as np
 import waveclust as wc
+from waveclust import dissimilarity, parallel
+dissimilarity._PARALLEL_MIN_PAIRS = dict.fromkeys(dissimilarity.MEASURES, 0)
+parallel.usable_cpus = lambda: 2
 curves = np.random.default_rng(0).normal(size=(5, 32)).cumsum(axis=1)
 grid = wc.make_scale_grid(1, 3, 4)
-pooled = wc.build_dissimilarity_matrix(curves, measure="WER", grid=grid,
-                                       threads=2)
+split = wc.build_dissimilarity_matrix(curves, measure="WER", grid=grid,
+                                      threads=2)
 serial = wc.build_dissimilarity_matrix(curves, measure="WER", grid=grid)
-assert pooled.values.tobytes() == serial.values.tobytes()
-print('concurrent.futures' in sys.modules)
+assert split.values.tobytes() == serial.values.tobytes()
+print('multiprocessing' in sys.modules, {SCIPY_MODULES})
 """
-    assert run_fresh(code) == "True"
+    assert run_fresh(code) == "True []"
 
 
 def test_spectral_route_loads_no_scipy():
