@@ -61,12 +61,14 @@ MEASURES = ("WER", "MCA", "euclid-features", "euclid-raw")
 #: split over worker processes. Measured on a 2-CPU machine, one BLAS
 #: thread, on the first build of a fresh process at two workers, on days
 #: of 64 samples and 33 scales, against the same build in one process
-#: (the split's first use imports multiprocessing, about 11 ms, and each
-#: fork and pipe cost about 2.5 ms more): WER lost at 2415 pairs (184
-#: against 168 ms), won at 3486 (171 against 233) and 9730 (321 against
-#: 586); MCA broke even at 210 (44 ms) and won at 378 (69 against 76);
-#: euclid-features lost at 31125 (183 against 163) and won at 44850
-#: (206 against 231); euclid-raw, whose pairs are 64-sample differences,
+#: (medians of 5; the split imports nothing, and each fork and pipe cost
+#: about 2.5 ms): WER lost at 1225 and 1770 pairs (99 against 87 ms, 135
+#: against 119), lost or won at 2415 in two sessions (179 against 162,
+#: 142 against 159) and won at 3486 (160 against 274); MCA lost at 136
+#: and 210 (50 against 33, 64 against 49) and won at 378 (74 against
+#: 82); euclid-features lost at 19900 (133 against 111), was level or
+#: won at 31125 (204 against 207, 129 against 186) and won at 44850
+#: (154 against 260); euclid-raw, whose pairs are 64-sample differences,
 #: never won up to 1460 curves (1 065 570 pairs). Larger fields cost
 #: more per pair, so they break even at fewer pairs.
 _PARALLEL_MIN_PAIRS = {"WER": 3000, "MCA": 300, "euclid-features": 40000,

@@ -28,8 +28,8 @@ multiplicative penalty arbitrates the remaining ties in favor of fewer
 features.
 
 A subset's k-means runs depend only on the standardized columns, the
-seed and the subset, so a search of at least ``_PARALLEL_MIN_RUNS``
-(subset, K) runs maps its subsets through
+seed and the subset, so a search whose (subset, K) runs times rows
+reach ``_PARALLEL_MIN_RUN_ROWS`` maps its subsets through
 :func:`waveclust.parallel.split_map`, over one process per usable CPU:
 the caller scores every ``w``-th subset from the first, and one forked
 child per other CPU scores every ``w``-th from its own offset, when
@@ -57,16 +57,18 @@ _REFERENCE_COUNT = 200
 _REFERENCE_BLOCK_CELLS = 1 << 14
 #: Lloyd iteration cap of each subset k-means run.
 SELECT_MAX_ITER = 40
-#: Fewest (subset, K) runs a search must hold before its subsets are
-#: split over the usable CPUs. Measured on a 2-CPU machine, one BLAS
-#: thread, on 75-row searches: forking one child for a trivial share
-#: costs 2.2-6.0 ms (median 2.5), one run takes 0.29 ms on average over
-#: K = 2..20 (0.12 ms at K = 2), and two workers broke even with one
-#: process at 24-35 runs mixing several K and at about 63 runs of K = 2
-#: alone (0.76x at 31 runs of K = 2, 0.96-1.11x at 63, 1.13x at 45 runs
-#: over K = 2..4, 1.44-1.54x at 126 over K = 2..3 and 1.65-1.70x at
-#: 186-189).
-_PARALLEL_MIN_RUNS = 64
+#: Fewest (subset, K) runs times rows a search must hold before its
+#: subsets are split over the usable CPUs: a run's cost grows with the
+#: rows it clusters. Measured on a 2-CPU machine, one BLAS thread, on
+#: 75-row searches: forking one child for a trivial share costs 2.2-6.0
+#: ms (median 2.5), one run takes 0.29 ms on average over K = 2..20
+#: (0.12 ms at K = 2), and two workers broke even with one process at
+#: 24-35 runs mixing several K and at about 63 runs of K = 2 alone
+#: (0.76x at 31 runs of K = 2, 0.96-1.11x at 63, 0.78x at 21 runs over
+#: K = 2..4, 1.13x at 45, 1.44-1.54x at 126 over K = 2..3 and
+#: 1.65-1.70x at 186-189). On 365 rows, 21 runs over K = 2..4 won
+#: 1.21-1.29x. 64 runs of 75 rows keeps every 75-row decision.
+_PARALLEL_MIN_RUN_ROWS = 64 * 75
 
 
 def _clusterability_rows(rows):
@@ -259,7 +261,7 @@ def _search(features, ks, screen_quantile, penalty, restarts, seed):
     # Below the break-even the search runs here; above it, on every
     # usable CPU (``split_map`` caps the workers at one per CPU).
     workers = 1
-    if len(subsets) * len(ks) >= _PARALLEL_MIN_RUNS:
+    if len(subsets) * len(ks) * n >= _PARALLEL_MIN_RUN_ROWS:
         # Import SciPy's cdist before forking, so the children inherit it
         # instead of each importing it for its first distance.
         import scipy.spatial.distance  # noqa: F401
@@ -322,9 +324,9 @@ def select_features_stable(features, k_max, screen_quantile=0.5,
     iterations stop at convergence or at a fixed cap of
     ``SELECT_MAX_ITER`` (40) per run.
 
-    A search of at least ``_PARALLEL_MIN_RUNS`` (subset, K) runs splits
-    its subsets over one process per usable CPU, the caller and one
-    forked child per other CPU, when forking is safe (see
+    A search of at least ``_PARALLEL_MIN_RUN_ROWS`` (subset, K) runs
+    times rows splits its subsets over one process per usable CPU, the
+    caller and one forked child per other CPU, when forking is safe (see
     :func:`waveclust.parallel.split_map`). The subsets are reduced in
     the same order either way, so the reports are identical for any
     worker count, including one.

@@ -66,8 +66,7 @@ class FarModel:
             raise ValueError("rho must lie in [0, 1) for stationarity")
         if self.m < 8:
             raise ValueError("grid size m must be at least 8")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        _check_sigma(self.sigma)
         if self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")
         if self.bandwidth is None:
@@ -157,12 +156,27 @@ def far_operator(model):
     return np.diag(a) if model.kernel == "diagonal" else a
 
 
+def _check_n_curves(n_curves):
+    if n_curves < 1:
+        raise ValueError(f"n_curves must be at least 1, got {n_curves}")
+
+
+def _check_sigma(sigma):
+    """The noise scale's one rule: finite and nonnegative (zero draws
+    noiseless curves), checked before anything is drawn."""
+    if not 0 <= sigma < float("inf"):
+        raise ValueError(
+            f"sigma must be finite and nonnegative, got {sigma!r}")
+
+
 def gen_sinus(n_curves, length=1024, sigma=1.0, seed=0):
     """Noisy two-sine curves: sin(5 pi x / L) + sin(2 pi x / L) + noise.
 
     Returns ``(dataset, labels)`` with all labels 0; x runs over the
     integer sample positions 0 .. length - 1.
     """
+    _check_n_curves(n_curves)
+    _check_sigma(sigma)
     if length < 8:
         raise ValueError("length must be at least 8")
     rng = derived_rng(seed, "sinus")
@@ -186,8 +200,7 @@ def gen_far(n_curves, length=1024, model=None, seed=0):
     bits at every thread count. Returns ``(dataset, labels)`` with all
     labels 0.
     """
-    if n_curves < 1:
-        raise ValueError(f"n_curves must be at least 1, got {n_curves}")
+    _check_n_curves(n_curves)
     model = model if model is not None else FarModel(m=length)
     if model.m != length:
         raise ValueError(f"model grid size {model.m} != length {length}")

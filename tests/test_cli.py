@@ -594,6 +594,30 @@ def test_simulate_names_a_curve_count_below_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model", ["far-full", "sinus", "benchmark"])
+@pytest.mark.parametrize("n", [0, -1])
+def test_every_model_names_a_curve_count_below_one(tmp_path, capsys, model,
+                                                   n):
+    out = tmp_path / "curves.csv"
+    assert run("simulate", "--model", model, "--n", n, "--length", 64,
+               "--output", out) == 2
+    assert capsys.readouterr().err == ("error: n_curves must be at least 1, "
+                                       f"got {n}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["far-diagonal", "sinus", "benchmark"])
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+def test_simulate_names_a_noise_scale_out_of_its_domain(tmp_path, capsys,
+                                                        model, sigma):
+    out = tmp_path / "curves.csv"
+    assert run("simulate", "--model", model, "--sigma", sigma, "--length",
+               64, "--output", out) == 2
+    assert capsys.readouterr().err == (
+        f"error: sigma must be finite and nonnegative, got {float(sigma)!r}\n")
+    assert not out.exists()
+
+
 def test_missing_required_field_exits_two(tmp_path):
     assert run("features", "--output", tmp_path / "out.csv") == 2
 

@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 import threading
 import tracemalloc
@@ -312,7 +311,8 @@ def test_a_degenerate_pair_in_a_childs_row_is_named(forks, split_rows,
                                    threads=threads)
     assert "_mca_decomposition" in str(raised.value.__cause__)
     assert forks == ["fork"]
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no child left, not even exited
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_build_below_its_gate_forks_nothing(monkeypatch, forks):

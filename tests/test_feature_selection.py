@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -254,13 +255,23 @@ def _serial_reference(monkeypatch, X, k_max, seed):
     return reference
 
 
-def test_daemonic_caller_searches_serially(monkeypatch):
-    # A pool worker is daemonic and may not start children; forking there
-    # would raise, so the search must stay in the worker.
+#: The forks fixture's record, as a forked pool worker inherits it.
+_worker_forks = None
+
+
+def _select_in_a_worker(X):
+    return select_features_stable(X, 5, seed=5), list(_worker_forks)
+
+
+def test_search_in_a_pool_worker_splits(monkeypatch, forks):
+    # A pool worker is a daemonic process, which multiprocessing forbids
+    # to start children; the split forks with os.fork, which allows it.
     X = _benchmark_features(5)
     reference = _serial_reference(monkeypatch, X, 5, 5)
+    monkeypatch.setitem(globals(), "_worker_forks", forks)
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        result = pool.apply(select_features_stable, (X, 5), {"seed": 5})
+        result, worker_forks = pool.apply(_select_in_a_worker, (X,))
+    assert worker_forks == ["fork"]
     assert _stable_fields(result) == reference
 
 
@@ -283,19 +294,31 @@ def test_search_with_another_live_thread_is_serial(monkeypatch, forks):
 def test_search_without_fork_is_serial(monkeypatch, forks):
     X = _benchmark_features(5)
     reference = _serial_reference(monkeypatch, X, 5, 5)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                        lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     assert _stable_fields(select_features_stable(X, 5, seed=5)) == reference
     assert forks == []
 
 
+def _three_column_year(seed):
+    """365 rows of three two-cluster columns, which all pass screening."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, size=365)
+    return rng.normal(size=(365, 3)) + 6.0 * labels[:, None]
+
+
 def test_search_below_the_run_threshold_is_serial(monkeypatch, forks):
-    # Six screened columns: 63 subsets x 1 K = 63 runs, below the
-    # threshold; one more K crosses it.
-    X = _benchmark_features(5)
-    assert 63 * 1 < feature_selection._PARALLEL_MIN_RUNS <= 63 * 2
-    reference = _serial_reference(monkeypatch, X, 2, 5)
-    assert _stable_fields(select_features_stable(X, 2, seed=5)) == reference
-    assert forks == []
-    select_features_stable(X, 3, seed=5)
-    assert forks == ["fork"]
+    """The threshold counts runs times rows. At 75 rows six screened
+    columns give 63 subsets x 1 K = 63 runs, below it; at 365 rows three
+    give 7 runs. Either way one more K crosses it."""
+    for X, runs in ((_benchmark_features(5), 63), (_three_column_year(5), 7)):
+        rows = X.shape[0]
+        assert runs * rows < feature_selection._PARALLEL_MIN_RUN_ROWS
+        assert 2 * runs * rows >= feature_selection._PARALLEL_MIN_RUN_ROWS
+        reference = _serial_reference(monkeypatch, X, 2, 5)
+        result = select_features_stable(X, 2, seed=5)
+        assert 2 ** len(result[1][2].screened_in) - 1 == runs
+        assert _stable_fields(result) == reference
+        assert forks == []
+        select_features_stable(X, 3, seed=5)
+        assert forks == ["fork"]
+        forks.clear()

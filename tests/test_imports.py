@@ -35,13 +35,14 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_multiprocessing():
-    # Subset selection imports it when a search forks.
+    # The split forks with os.fork; nothing in the package imports it.
     code = "import sys, waveclust; print('multiprocessing' in sys.modules)"
     assert run_fresh(code) == "False"
 
 
 def test_import_loads_no_thread_pool():
-    # build_dissimilarity_matrix imports it when it runs a row pool.
+    # The package runs no thread pool: its loops split over forked
+    # processes (waveclust.parallel).
     code = ("import sys, waveclust\n"
             "print('concurrent.futures' in sys.modules)")
     assert run_fresh(code) == "False"
@@ -57,8 +58,8 @@ def test_screening_threshold_loads_no_numpy_ma():
 
 
 def test_threaded_wer_build_works_first_in_a_fresh_process():
-    # With no pair gate, two workers split the rows over a forked child:
-    # the split's first use imports multiprocessing, and still no SciPy.
+    # With no pair gate, two workers split the rows over a forked child,
+    # which imports neither multiprocessing nor SciPy.
     code = f"""
 import sys
 import numpy as np
@@ -74,7 +75,7 @@ serial = wc.build_dissimilarity_matrix(curves, measure="WER", grid=grid)
 assert split.values.tobytes() == serial.values.tobytes()
 print('multiprocessing' in sys.modules, {SCIPY_MODULES})
 """
-    assert run_fresh(code) == "True []"
+    assert run_fresh(code) == "False []"
 
 
 def test_spectral_route_loads_no_scipy():

@@ -2,7 +2,6 @@
 dissimilarity builder share. Its fork-safety gate is tested through the
 search, in test_feature_selection.py."""
 
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -49,14 +48,16 @@ def test_one_worker_forks_nothing(monkeypatch, forks, workers, cpus, items):
 
 
 def test_a_split_leaves_no_child_and_no_descriptor(monkeypatch, forks):
-    """Connections and processes emit no ResourceWarning when leaked, so
-    the split's pipes and children are counted directly."""
+    """Pipes and processes emit no ResourceWarning when leaked, so the
+    split's descriptors are counted directly, and ``waitpid`` finds no
+    child, running or exited, of this process."""
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
     fds = Path("/proc/self/fd")
     before = len(list(fds.iterdir())) if fds.is_dir() else None
     split_map(_square, range(10), 3)
     assert forks == ["fork"]
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
     if before is not None:
         assert len(list(fds.iterdir())) == before
 
@@ -64,13 +65,16 @@ def test_a_split_leaves_no_child_and_no_descriptor(monkeypatch, forks):
 # Splits ``job`` over eight items and two workers, with ``action`` done
 # on the items ``when`` picks (the child's share is items 1, 3, 5, 7),
 # and prints the results or what the split raised, whether its cause
-# holds a child's traceback, and how many children are left.
+# holds a child's traceback, and whether any child or descriptor is
+# left. A child that returned into this code would print again.
 _PLANTED_SPLIT = """
-import multiprocessing, os, time
+import os, sys, time
 from waveclust import parallel
 
 parallel.usable_cpus = lambda: 2
 caller = os.getpid()
+descriptors = lambda: len(os.listdir("/proc/self/fd"))
+before = descriptors() if os.path.isdir("/proc/self/fd") else None
 
 def job(item):
     in_child = os.getpid() != caller
@@ -80,12 +84,18 @@ def job(item):
 
 try:
     print(parallel.split_map(job, range(8), 2))
-except Exception as exc:
+except BaseException as exc:
     print(type(exc).__name__, exc)
     if exc.__cause__ is not None:
         print("cause holds the child's traceback:",
               'in job' in str(exc.__cause__))
-print("children left:", len(multiprocessing.active_children()))
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child is left")
+except ChildProcessError:
+    print("no child left")
+if before is not None and descriptors() != before:
+    print("descriptors left:", descriptors() - before)
 """
 
 
@@ -115,14 +125,24 @@ def test_a_childs_exception_reaches_the_caller_with_its_type():
     assert _planted_split(
         "in_child and item == 5", "raise ValueError('planted')") == [
             "ValueError planted", "cause holds the child's traceback: True",
-            "children left: 0"]
+            "no child left"]
 
 
 def test_a_child_that_dies_makes_the_split_raise():
     # The child computes items 1 and 3, then exits without sending.
     assert _planted_split("in_child and item == 5", "os._exit(3)") == [
         "RuntimeError a worker process exited before sending its results",
-        "children left: 0"]
+        "no child left"]
+
+
+@pytest.mark.parametrize("action", ["sys.exit(0)", "raise KeyboardInterrupt"])
+def test_a_child_that_exits_makes_the_split_raise(action):
+    """A child's ``SystemExit`` or ``KeyboardInterrupt`` ends the child
+    without a message: it neither returns into the caller's code nor
+    reaches the caller as its own exception."""
+    assert _planted_split("in_child and item == 5", action) == [
+        "RuntimeError a worker process exited before sending its results",
+        "no child left"]
 
 
 def test_a_failing_caller_share_stops_every_child():
@@ -130,4 +150,4 @@ def test_a_failing_caller_share_stops_every_child():
     assert _planted_split(
         "in_child or item == 4",
         "time.sleep(120) if in_child else 1 / 0") == [
-            "ZeroDivisionError division by zero", "children left: 0"]
+            "ZeroDivisionError division by zero", "no child left"]

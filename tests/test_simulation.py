@@ -184,6 +184,21 @@ def test_far_validates_model():
         gen_far(0, length=64, model=model)
 
 
+@pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+def test_noise_scale_is_finite_and_nonnegative(sigma):
+    match = "sigma must be finite and nonnegative"
+    with pytest.raises(ValueError, match=match):
+        FarModel(kernel="full", rho=0.5, m=64, sigma=sigma)
+    with pytest.raises(ValueError, match=match):
+        gen_sinus(2, length=64, sigma=sigma)
+
+
+@pytest.mark.parametrize("n_curves", [0, -1])
+def test_sinus_needs_a_curve(n_curves):
+    with pytest.raises(ValueError, match="n_curves must be at least 1"):
+        gen_sinus(n_curves, length=64)
+
+
 # --- benchmark assembly ---
 
 def test_benchmark_shape_and_labels():
