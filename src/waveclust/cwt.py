@@ -175,8 +175,10 @@ def cwt_morlet(curve, grid=None, omega0=6.0, normalization="L1"):
         raise ValueError(f"unknown normalization: {normalization!r}")
     bank, norm = _morlet_bank(grid, rows.shape[-1], omega0, p)
     # C order keeps each field contiguous, whatever the curves' layout.
-    fields = np.fft.ifft(np.multiply(np.fft.fft(rows)[:, None, :], bank,
-                                     order="C"), axis=-1)
+    product = np.multiply(np.fft.fft(rows)[:, None, :], bank, order="C")
+    # In place: the inverse transform writes over the product it reads,
+    # which halves the call's allocation peak and keeps its bits.
+    fields = np.fft.ifft(product, axis=-1, out=product)
     fields /= norm
     return Spectrum(matrix=fields if np.ndim(curve) == 2 else fields[0],
                     grid=grid, omega0=omega0, normalization=normalization)
@@ -235,7 +237,22 @@ def smooth_spectrum(values, grid):
     values = np.asarray(values)
     if values.ndim < 2 or values.shape[-2] != grid.n_scales:
         raise ValueError("row count must match the scale grid")
-    time_hat, box = _smoothing_kernels(grid, values.shape[-1])
-    out = np.fft.ifft(np.fft.fft(values, axis=-1) * time_hat, axis=-1)
-    out = np.matmul(box, out.view(float)).view(complex)
+    work = np.empty(values.shape, complex)
+    out = _smooth(values, grid, work, np.empty(values.shape, complex))
     return out if np.iscomplexobj(values) else out.real
+
+
+def _smooth(values, grid, work, out):
+    """``smooth_spectrum`` of ``values`` through two complex arrays of its
+    shape: the time FFT goes into ``work`` (which may be ``values``
+    itself), is multiplied there by the Gaussians' FFTs and transformed
+    back in place, and the scale boxcar writes its real and imaginary
+    parts into ``out``, which is returned. A caller that smooths many
+    stacks can hand the same two arrays to every call, so no call
+    allocates a field."""
+    time_hat, box = _smoothing_kernels(grid, values.shape[-1])
+    np.fft.fft(values, axis=-1, out=work)
+    work *= time_hat
+    np.fft.ifft(work, axis=-1, out=work)
+    np.matmul(box, work.view(float), out=out.view(float))
+    return out

@@ -24,8 +24,9 @@ ratios, so they first divide each field by a power of two near its
 largest magnitude, an exact step that keeps curves at any level in
 range; MCA's values depend on level, so it is not rescaled
 and names a pair whose covariance or distance leaves the float range.
-For WER, all curves' auto-spectra are smoothed in one call and a row's
-cross-spectra in one more. The smoother
+For WER, the auto-spectra and each row's cross-spectra are smoothed in
+chunks of at most ``_WER_CHUNK`` fields, through two buffers a build
+allocates once and every chunk reuses. The smoother
 (``cwt.smooth_spectrum``) works in time by FFT and across scales by one
 real boxcar matrix, whose window wraps circularly around the ends of
 the scale grid and weights every scale outside it by exactly zero. For
@@ -35,14 +36,15 @@ squared singular values lam^2 from one batched ``eigh`` of Q Q^H,
 checked against ||Q||_F^2 together. No full SVD is taken: per distinct
 retained D, the row forms exactly D right vectors v_j = Q^H u_j / lam_j
 and its patterns with one batched product pair. No measure holds more
-than one row of cross fields or differences.
+than one row of cross fields or differences, and WER no more than two
+chunks of them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cwt import ScaleGrid, cwt_morlet, smooth_spectrum
+from .cwt import ScaleGrid, _smooth, cwt_morlet, smooth_spectrum
 from .data import FunctionalDataset
 from .errors import DegenerateInputError
 from .parallel import split_map
@@ -70,9 +72,30 @@ MEASURES = ("WER", "MCA", "euclid-features", "euclid-raw")
 #: won at 31125 (204 against 207, 129 against 186) and won at 44850
 #: (154 against 260); euclid-raw, whose pairs are 64-sample differences,
 #: never won up to 1460 curves (1 065 570 pairs). Larger fields cost
-#: more per pair, so they break even at fewer pairs.
+#: more per pair, so they break even at fewer pairs. WER was re-measured
+#: after its rows got faster (chunked smoothing), with
+#: ``parallel.last_split``, in two sessions, 5 runs per side, on days of
+#: 64 samples (1225 to 7140 pairs) and of 256 samples on octaves 3-7
+#: (435 to 4005 pairs): the split's median lost at most sizes and was
+#: at most 4% ahead at the rest (3486, 4005 and 4950 pairs), and in
+#: each of the 85 split runs its record's wall time was 1.01-1.30 times
+#: the caller's and the child's CPU time added: the shares ran one
+#: after the other. Neither session had the second CPU for a split
+#: this short, so the gate stayed at 3000.
 _PARALLEL_MIN_PAIRS = {"WER": 3000, "MCA": 300, "euclid-features": 40000,
                        "euclid-raw": float("inf")}
+
+#: Most fields, or pairs, a WER computation smooths at once. Its two
+#: chunk buffers are allocated once per build and reused by every chunk,
+#: so no row maps and faults in pages of its own. Chosen by the CPU
+#: time of builds alternated in one process (2-CPU machine, one BLAS
+#: thread): on 49 days of 64 samples and 33 scales, 16 fields beat 8 in
+#: 139 of 210 alternations and 32 in 69 of 100; on 120 days it beat 8
+#: in 20 of 30 and 32 in 20 of 24; on 365 days it beat 32 in 3 of 4 and
+#: split 10 runs with 8; on 120 days of 256 samples, 8 won one session
+#: (4 of 5) and tied another (3 of 6). 8, 16 and 32 stayed within 10%
+#: of each other everywhere, and 64 was slower than 32 at 49 days.
+_WER_CHUNK = 16
 
 
 @dataclass
@@ -172,25 +195,69 @@ def _scaled_to_unit(fields):
     return fields
 
 
-def _auto_sums(fields, grid):
-    """Per-scale time sums of the smoothed auto-spectra of a sequence of
-    fields, shape (len(fields), n_scales), from one smoothing call.
+def _wer_buffers(fields):
+    """The two complex buffers a WER computation on the stack ``fields``
+    smooths its chunks in, each with room for ``_WER_CHUNK`` fields, or
+    for all of them when there are fewer."""
+    shape = (min(len(fields), _WER_CHUNK),) + fields.shape[1:]
+    return np.empty(shape, complex), np.empty(shape, complex)
+
+
+def _smoothed_sums(lefts, rights, grid, buffers):
+    """Per-scale time sums of |S(w conj(x))|, shape (len(rights),
+    n_scales), for each pair (w, x) of the sequences ``lefts`` and
+    ``rights``, given ``_wer_buffers``.
+
+    The pairs go through the two buffers in chunks of as many as they
+    hold: each chunk's products are copied into the first buffer, which
+    ``cwt._smooth`` transforms in place and smooths into the second, and
+    only then are the chunk's sums taken. Each field's sums depend on
+    that field alone, so they have the bits of any other chunking, or of
+    one ``smooth_spectrum`` call over every product at once.
+
+    Each product keeps the expression ``w * np.conj(x)`` and is then
+    copied into its slot. At 256 KiB or more per field (J_s * N >=
+    16 384) NumPy elides the conjugate temporary and computes the
+    product as ``np.multiply(conj_temp, w, out=conj_temp)``, operands
+    swapped, and the swapped operands round otherwise than
+    ``np.multiply(w, np.conj(x), out=slot)`` would.
+    """
+    work, smoothed = buffers
+    sums = np.empty((len(rights), grid.n_scales))
+    for start in range(0, len(rights), len(work)):
+        stop = min(start + len(work), len(rights))
+        chunk, out = work[:stop - start], smoothed[:stop - start]
+        for slot, w, x in zip(chunk, lefts[start:stop], rights[start:stop]):
+            slot[...] = w * np.conj(x)
+        _smooth(chunk, grid, chunk, out)
+        # The first buffer is free again: its first half takes the moduli,
+        # contiguous, so no chunk allocates them.
+        moduli = chunk.reshape(-1).view(float)[:out.size].reshape(out.shape)
+        sums[start:stop] = np.abs(out, out=moduli).sum(axis=-1)
+    return sums
+
+
+def _auto_sums(fields, grid, buffers):
+    """Per-scale time sums of the smoothed auto-spectra of the stack
+    ``fields``, shape (len(fields), n_scales), smoothed in chunks through
+    ``buffers`` (see ``_smoothed_sums``).
 
     Each product is formed on its own field with a fresh conjugate, as
     ``_wer_row`` forms each cross term (not abs()**2, which rounds
     differently) so that for x = z the smoothed fields agree bitwise,
     WER^2 is exactly 1 and the distance exactly 0.
     """
-    return np.abs(smooth_spectrum(np.stack([w * np.conj(w) for w in fields]),
-                                  grid)).sum(axis=-1)
+    return _smoothed_sums(fields, fields, grid, buffers)
 
 
-def _wer_row(w, auto, others, auto_others, grid, row=None):
-    """WER distances from field ``w`` to each field in the sequence
-    ``others``, given the ``_auto_sums`` of all of them.
+def _wer_row(w, auto, others, auto_others, grid, buffers, row=None):
+    """WER distances from field ``w`` to each field of the stack
+    ``others``, given the ``_auto_sums`` of all of them; the cross-spectra
+    are smoothed in chunks through ``buffers`` (see ``_smoothed_sums``).
 
     When ``row`` is given, ``w`` is curve ``row`` and ``others`` are the
-    curves after it, and an error names the first pair that fails.
+    curves after it, and an error names the first pair that fails, before
+    any cross-spectrum is formed.
     """
     den = (auto * auto_others).sum(axis=-1)
     bad = np.flatnonzero(den <= 0)
@@ -201,9 +268,8 @@ def _wer_row(w, auto, others, auto_others, grid, row=None):
     # One product per pair, each with a fresh conjugate as in _auto_sums:
     # a product over the whole stack, or a held conjugate stack, rounds
     # otherwise.
-    cross = np.abs(smooth_spectrum(np.stack([w * np.conj(x) for x in others]),
-                                   grid))
-    cross_sums = cross.sum(axis=-1)
+    cross_sums = _smoothed_sums(np.broadcast_to(w, others.shape), others,
+                                grid, buffers)
     wer2 = (cross_sums * cross_sums).sum(axis=-1) / den
     j_s, n = w.shape
     return np.sqrt(j_s * n * np.maximum(0.0, 1.0 - wer2))
@@ -228,9 +294,10 @@ def wer_distance(wz, wx):
     """
     _check_same_layout(wz, wx)
     fields = _scaled_to_unit(np.stack([wz.matrix, wx.matrix]))
-    auto = _auto_sums(fields, wz.grid)
+    buffers = _wer_buffers(fields)
+    auto = _auto_sums(fields, wz.grid, buffers)
     return float(_wer_row(fields[0], auto[0], fields[1:], auto[1:],
-                          wz.grid)[0])
+                          wz.grid, buffers)[0])
 
 
 @dataclass
@@ -488,11 +555,13 @@ def build_dissimilarity_matrix(dataset, measure="WER", grid=None,
         def row(i):
             return np.linalg.norm(rows[i + 1:] - rows[i], axis=1)
     elif measure == "WER":
-        auto = _auto_sums(_scaled_to_unit(fields), grid)
+        fields = _scaled_to_unit(fields)
+        buffers = _wer_buffers(fields)
+        auto = _auto_sums(fields, grid, buffers)
 
         def row(i):
             return _wer_row(fields[i], auto[i], fields[i + 1:],
-                            auto[i + 1:], grid, row=i)
+                            auto[i + 1:], grid, buffers, row=i)
     else:
         conj_fields = np.conj(fields)
 

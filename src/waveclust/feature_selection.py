@@ -68,6 +68,12 @@ SELECT_MAX_ITER = 40
 #: K = 2..4, 1.13x at 45, 1.44-1.54x at 126 over K = 2..3 and
 #: 1.65-1.70x at 186-189). On 365 rows, 21 runs over K = 2..4 won
 #: 1.21-1.29x. 64 runs of 75 rows keeps every 75-row decision.
+#: Re-measured with ``parallel.last_split`` in two later sessions on the
+#: same machine, 10 alternated pairs each: the 365-row split lost both
+#: times (29.7 and 32.4 ms against 20.9 and 22.0 serial), but its
+#: record showed the shares running one after the other (25.0 ms of
+#: wall for 10.6 + 12.2 ms of CPU, and 27.2 for 11.8 + 12.9): the
+#: second CPU was away, which no gate can fix, so the value stayed.
 _PARALLEL_MIN_RUN_ROWS = 64 * 75
 
 

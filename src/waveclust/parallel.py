@@ -14,12 +14,42 @@ Each caller decides when a split pays (a break-even measured for its
 own jobs) and how many workers it may use; ``split_map`` adds the
 limits every split shares: one worker per usable CPU and per item, and
 forking only when it is safe, with ``os.fork`` and ``os.pipe`` alone.
+
+Wall time alone cannot say whether a split paid: on a machine whose
+second CPU comes and goes, two balanced shares can take twice their
+CPU time. So each split that forks leaves a :class:`SplitRecord` in
+``last_split``, with its wall time beside the CPU time of every share.
 """
 
 import os
 import pickle
 import signal
 import threading
+import time
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class SplitRecord:
+    """What one split that forked took.
+
+    ``shares`` holds the items per share, the caller's first;
+    ``wall_s`` the wall time from the first fork until every child was
+    reaped; ``caller_cpu_s`` the caller's ``time.process_time()`` over
+    its own share; and ``child_cpu_s`` each child's user plus system
+    seconds, as ``os.wait4`` reports them when it reaps the child.
+    """
+
+    workers: int
+    shares: tuple
+    wall_s: float
+    caller_cpu_s: float
+    child_cpu_s: tuple
+
+
+#: The record of the last split this process forked for, or None. A
+#: split that raised leaves the one before it.
+last_split = None
 
 
 def usable_cpus():
@@ -88,26 +118,37 @@ def split_map(job, items, workers):
     another. A child's exception is re-raised here with its own type and
     the child's traceback as its cause, a child that dies makes the map
     raise ``RuntimeError``, and on every exit each child is killed and
-    reaped. Children are forked, not spawned: a spawned child would
-    import NumPy and this package again, which costs more than most
-    loops, and a forked one reads the job and its data from the memory
-    it shares with the caller, unpickled; only the results are pickled.
+    reaped. A split that forks and returns leaves its
+    :class:`SplitRecord` in ``last_split``. Children are forked, not
+    spawned: a spawned child would import NumPy and this package again,
+    which costs more than most loops, and a forked one reads the job and
+    its data from the memory it shares with the caller, unpickled; only
+    the results are pickled.
     """
     workers = min(workers, usable_cpus(), len(items))
     if (workers < 2 or not hasattr(os, "fork")
             or threading.active_count() != 1):
         return list(map(job, items))
-    children = []
+    global last_split
+    began = time.perf_counter()
+    children, child_cpu = [], []
     try:
         for offset in range(1, workers):
             children.append(_fork(job, items[offset::workers]))
+        caller_cpu = time.process_time()
         shares = [list(map(job, items[::workers]))]
+        caller_cpu = time.process_time() - caller_cpu
         shares += [_receive(pipe) for _, pipe in children]
     finally:
         for pid, pipe in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            usage = os.wait4(pid, 0)[2]
+            child_cpu.append(usage.ru_utime + usage.ru_stime)
+    last_split = SplitRecord(
+        workers=workers, shares=tuple(len(share) for share in shares),
+        wall_s=time.perf_counter() - began, caller_cpu_s=caller_cpu,
+        child_cpu_s=tuple(child_cpu))
     results = [None] * len(items)
     for offset, share in enumerate(shares):
         results[offset::workers] = share

@@ -207,19 +207,27 @@ def test_identical_pair_wer_matrix_is_zero():
 
 
 def test_identical_long_curves_are_exactly_zero_apart():
-    """On 41 x 512 fields, and on 33 x 75 ones, whose odd J_s * N puts
-    the fields of a build's stack at every alignment, each cross product
-    must round like the auto product. A product over a whole stack of
-    fields, or conjugates sliced from a held conjugate stack, can take
-    another rounding path, depending on the arrays' alignment, and then
-    leaves a distance of ~1e-6 between a curve and its copy."""
+    """On 41 x 512 fields, whose products NumPy computes with the
+    conjugate temporary elided, and on 33 x 75 ones, whose odd J_s * N
+    puts the fields of a build's stack at every alignment, each cross
+    product must round like the auto product. A product over a whole
+    stack of fields, or conjugates sliced from a held conjugate stack,
+    can take another rounding path, depending on the arrays' alignment,
+    and then leaves a distance of ~1e-6 between a curve and its copy.
+    Each copy sits more than one chunk of pairs after its curve, at a
+    different place in the row's second chunk, and the auto-spectra of
+    curve and copy are smoothed in different chunks."""
+    chunk = dissimilarity._WER_CHUNK
     for length, grid in ((512, make_scale_grid()),
                          (75, make_scale_grid(1, 5, 8))):
-        curves = np.random.default_rng(37).normal(size=(10, length))
-        mat = build_dissimilarity_matrix(np.repeat(curves, 2, axis=0),
-                                         measure="WER", grid=grid)
-        assert_array_equal(np.diag(mat.values, 1)[::2], np.zeros(10))
-        for curve in curves:
+        curves = np.random.default_rng(37).normal(size=(chunk + 8, length))
+        mat = build_dissimilarity_matrix(
+            np.vstack([curves, curves[7::-1]]), measure="WER", grid=grid)
+        for i in range(8):
+            copy = len(curves) + 7 - i
+            assert copy - i > chunk
+            assert mat.values[i, copy] == 0.0, (length, i)
+        for curve in curves[:8]:
             spec = cwt_morlet(curve, grid)
             assert wer_distance(spec, spec) == 0.0
 
@@ -236,16 +244,21 @@ def test_matrix_symmetry_zero_diagonal(measure):
     assert (mat.values >= 0.0).all()
 
 
-def test_matrix_determinism_and_thread_invariance():
+def test_matrix_determinism_and_thread_invariance(split_rows):
     """Every off-diagonal entry is the pair function's value, bitwise, for
-    WER and MCA at any pool size."""
-    ds = far_dataset(32, n=8)
-    grid = make_scale_grid(1, 4, 4)
-    spec = [cwt_morlet(c, grid) for c in ds.curves]
-    for measure, pair in (("WER", wer_distance), ("MCA", mca_distance)):
-        expected = np.zeros((8, 8))
-        for i in range(8):
-            for j in range(i + 1, 8):
+    WER and MCA at any worker count, with the rows split whatever the
+    build's size. The WER build has more curves than a chunk holds pairs
+    plus one, so its first rows span two chunks, and its auto-spectra
+    are smoothed in two chunks too."""
+    for measure, pair, n in (
+            ("WER", wer_distance, dissimilarity._WER_CHUNK + 4),
+            ("MCA", mca_distance, 8)):
+        ds = far_dataset(32, n=n)
+        grid = make_scale_grid(1, 4, 4)
+        spec = [cwt_morlet(c, grid) for c in ds.curves]
+        expected = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
                 expected[i, j] = expected[j, i] = pair(spec[i], spec[j])
         for threads in (1, 2, 4):
             mat = build_dissimilarity_matrix(ds, measure=measure, grid=grid,
@@ -382,14 +395,34 @@ def test_euclid_builds_stay_linear_in_memory():
 
 
 def test_spectral_builds_stay_linear_in_memory():
-    """WER and MCA hold a few n x J_s x N stacks (one is 16.8 MB here)
-    and one row of cross fields, never n^2 fields: 100 curves of 256
-    samples on the default 41-scale grid peak near 64 and 52 MiB, where
-    all cross fields at once would take 1.6 GB."""
+    """WER and MCA hold a few n x J_s x N stacks (one is 16.8 MB here),
+    never n^2 fields: WER one stack and two buffers of a chunk of cross
+    fields each, MCA one row of cross fields. 100 curves of 256 samples
+    on the default 41-scale grid peak near 24 and 50 MiB, where all cross
+    fields at once would take 1.6 GB."""
     curves = np.random.default_rng(36).normal(size=(100, 256))
     for measure in ("WER", "MCA"):
         peak = build_peak_bytes(curves, measure)
         assert peak < 100 * 2 ** 20, f"{measure} peaked at {peak} bytes"
+
+
+@pytest.mark.parametrize("n", [60, 240])
+def test_wer_build_memory_does_not_grow_with_its_rows(n):
+    """A WER build holds its field stack and two chunk buffers, whatever
+    its row count: its allocation peak stays under 2.5 times the stack's
+    bytes (about 1.7 times at 60 curves and 1.5 at 240, where the peak
+    is the transform's). Smoothing each row as one fresh stack of cross
+    fields peaked at about 4 times."""
+    grid = make_scale_grid(1, 5, 8)
+    curves = np.random.default_rng(38).normal(size=(n, 64))
+    stack = n * grid.n_scales * 64 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        build_dissimilarity_matrix(curves, measure="WER", grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * stack, f"peaked at {peak / stack:.2f} stacks"
 
 
 def day_curves(seed, n=14, length=64):

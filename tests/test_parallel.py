@@ -47,6 +47,30 @@ def test_one_worker_forks_nothing(monkeypatch, forks, workers, cpus, items):
     assert forks == []
 
 
+def _busy(item):
+    return sum(range(20000 * (item + 1)))
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_split_records_its_workers_and_cpu_time(monkeypatch, forks, cpus):
+    """Each child's CPU time comes from ``os.wait4`` as it is reaped, and
+    the caller's from its own share; a child that computed its share took
+    some."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "last_split", None)
+    assert split_map(_busy, range(8), 3) == list(map(_busy, range(8)))
+    record = parallel.last_split
+    assert record.workers == cpus
+    assert sum(record.shares) == 8 and len(record.shares) == cpus
+    assert record.shares[0] == len(range(8)[::cpus])
+    assert len(record.child_cpu_s) == cpus - 1
+    assert all(cpu > 0 for cpu in record.child_cpu_s), record
+    assert record.caller_cpu_s > 0 and record.wall_s > 0
+    split_map(_busy, range(8), 1)  # no fork, no new record
+    assert parallel.last_split is record
+    assert forks == ["fork"]
+
+
 def test_a_split_leaves_no_child_and_no_descriptor(monkeypatch, forks):
     """Pipes and processes emit no ResourceWarning when leaked, so the
     split's descriptors are counted directly, and ``waitpid`` finds no
