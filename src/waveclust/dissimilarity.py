@@ -215,11 +215,15 @@ def _smoothed_sums(lefts, rights, grid, buffers):
     that field alone, so they have the bits of any other chunking, or of
     one ``smooth_spectrum`` call over every product at once.
 
-    Each product keeps the expression ``w * np.conj(x)`` and is then
-    copied into its slot. At 256 KiB or more per field (J_s * N >=
-    16 384) NumPy elides the conjugate temporary and computes the
-    product as ``np.multiply(conj_temp, w, out=conj_temp)``, operands
-    swapped, and the swapped operands round otherwise than
+    Each product is formed on its own pair with a fresh conjugate (not
+    abs()**2 for an auto-spectrum, which rounds differently, nor one
+    product over a whole stack or a held conjugate stack), so that for
+    x = z the cross and auto sums agree bitwise, WER^2 is exactly 1 and
+    the distance exactly 0. It keeps the expression ``w * np.conj(x)``
+    and is then copied into its slot. At 256 KiB or more per field
+    (J_s * N >= 16 384) NumPy elides the conjugate temporary and
+    computes the product as ``np.multiply(conj_temp, w, out=conj_temp)``,
+    operands swapped, and the swapped operands round otherwise than
     ``np.multiply(w, np.conj(x), out=slot)`` would.
     """
     work, smoothed = buffers
@@ -230,30 +234,15 @@ def _smoothed_sums(lefts, rights, grid, buffers):
         for slot, w, x in zip(chunk, lefts[start:stop], rights[start:stop]):
             slot[...] = w * np.conj(x)
         _smooth(chunk, grid, chunk, out)
-        # The first buffer is free again: its first half takes the moduli,
-        # contiguous, so no chunk allocates them.
-        moduli = chunk.reshape(-1).view(float)[:out.size].reshape(out.shape)
-        sums[start:stop] = np.abs(out, out=moduli).sum(axis=-1)
+        sums[start:stop] = np.abs(out).sum(axis=-1)
     return sums
-
-
-def _auto_sums(fields, grid, buffers):
-    """Per-scale time sums of the smoothed auto-spectra of the stack
-    ``fields``, shape (len(fields), n_scales), smoothed in chunks through
-    ``buffers`` (see ``_smoothed_sums``).
-
-    Each product is formed on its own field with a fresh conjugate, as
-    ``_wer_row`` forms each cross term (not abs()**2, which rounds
-    differently) so that for x = z the smoothed fields agree bitwise,
-    WER^2 is exactly 1 and the distance exactly 0.
-    """
-    return _smoothed_sums(fields, fields, grid, buffers)
 
 
 def _wer_row(w, auto, others, auto_others, grid, buffers, row=None):
     """WER distances from field ``w`` to each field of the stack
-    ``others``, given the ``_auto_sums`` of all of them; the cross-spectra
-    are smoothed in chunks through ``buffers`` (see ``_smoothed_sums``).
+    ``others``, given the auto-spectrum sums of all of them
+    (``_smoothed_sums`` of the fields with themselves); the cross-spectra
+    are smoothed in chunks through ``buffers``.
 
     When ``row`` is given, ``w`` is curve ``row`` and ``others`` are the
     curves after it, and an error names the first pair that fails, before
@@ -265,9 +254,6 @@ def _wer_row(w, auto, others, auto_others, grid, buffers, row=None):
         raise DegenerateInputError(_pair_prefix(row, bad[0]) + "zero "
                                    "auto-spectra: the WER distance is "
                                    "undefined")
-    # One product per pair, each with a fresh conjugate as in _auto_sums:
-    # a product over the whole stack, or a held conjugate stack, rounds
-    # otherwise.
     cross_sums = _smoothed_sums(np.broadcast_to(w, others.shape), others,
                                 grid, buffers)
     wer2 = (cross_sums * cross_sums).sum(axis=-1) / den
@@ -295,7 +281,7 @@ def wer_distance(wz, wx):
     _check_same_layout(wz, wx)
     fields = _scaled_to_unit(np.stack([wz.matrix, wx.matrix]))
     buffers = _wer_buffers(fields)
-    auto = _auto_sums(fields, wz.grid, buffers)
+    auto = _smoothed_sums(fields, fields, wz.grid, buffers)
     return float(_wer_row(fields[0], auto[0], fields[1:], auto[1:],
                           wz.grid, buffers)[0])
 
@@ -557,7 +543,7 @@ def build_dissimilarity_matrix(dataset, measure="WER", grid=None,
     elif measure == "WER":
         fields = _scaled_to_unit(fields)
         buffers = _wer_buffers(fields)
-        auto = _auto_sums(fields, grid, buffers)
+        auto = _smoothed_sums(fields, fields, grid, buffers)
 
         def row(i):
             return _wer_row(fields[i], auto[i], fields[i + 1:],

@@ -375,11 +375,11 @@ print(digest.hexdigest())
     assert len(digests) == 1
 
 
-def build_peak_bytes(curves, measure):
+def build_peak_bytes(curves, measure, grid=None):
     """Allocation peak of one matrix build, from tracemalloc."""
     tracemalloc.start()
     try:
-        build_dissimilarity_matrix(curves, measure=measure)
+        build_dissimilarity_matrix(curves, measure=measure, grid=grid)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -410,18 +410,13 @@ def test_spectral_builds_stay_linear_in_memory():
 def test_wer_build_memory_does_not_grow_with_its_rows(n):
     """A WER build holds its field stack and two chunk buffers, whatever
     its row count: its allocation peak stays under 2.5 times the stack's
-    bytes (about 1.7 times at 60 curves and 1.5 at 240, where the peak
+    bytes (about 1.8 times at 60 curves and 1.5 at 240, where the peak
     is the transform's). Smoothing each row as one fresh stack of cross
     fields peaked at about 4 times."""
     grid = make_scale_grid(1, 5, 8)
     curves = np.random.default_rng(38).normal(size=(n, 64))
     stack = n * grid.n_scales * 64 * np.dtype(complex).itemsize
-    tracemalloc.start()
-    try:
-        build_dissimilarity_matrix(curves, measure="WER", grid=grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = build_peak_bytes(curves, "WER", grid)
     assert peak < 2.5 * stack, f"peaked at {peak / stack:.2f} stacks"
 
 
