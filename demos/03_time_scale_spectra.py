@@ -11,12 +11,7 @@ Run:  python demos/03_time_scale_spectra.py
 
 import numpy as np
 
-from waveclust import (
-    cwt_morlet,
-    make_scale_grid,
-    time_averaged_coherence,
-    wavelet_coherence,
-)
+from waveclust import cwt_morlet, make_scale_grid, wavelet_coherence
 
 N = 512
 rng = np.random.default_rng(3)
@@ -62,7 +57,7 @@ print(f"coherence with independent noise:        "
       f"mean {field_noise.values.mean():.3f}")
 
 print("\nper-scale time-averaged coherence (lagged copy), coarse to fine:")
-profile = time_averaged_coherence(w_curve, w_lag)[::-1]
+profile = (field.values ** 2).mean(axis=1)[::-1]
 scales = grid.scales[::-1]
 for j in range(0, grid.n_scales, 8):
     bar = "#" * int(round(40 * profile[j]))

@@ -23,7 +23,6 @@ from .cwt import (
     Spectrum,
     cwt_morlet,
     make_scale_grid,
-    morlet_kernel,
     smooth_spectrum,
 )
 from .data import (
@@ -40,7 +39,6 @@ from .dissimilarity import (
     build_dissimilarity_matrix,
     mca_analysis,
     mca_distance,
-    time_averaged_coherence,
     wavelet_coherence,
     wer_distance,
 )
@@ -49,7 +47,6 @@ from .dwt import (
     WaveletDecomposition,
     WaveletFilter,
     dwt_forward,
-    dwt_inverse,
     energy_contributions,
     feature_matrix,
     get_filter,

@@ -7,9 +7,11 @@ parser, the config-file check and the manifest all read that table; a
 run takes, defaults and records only the settings it uses (``_unused``).
 
 ``main`` resolves a subcommand's settings from flags, optionally
-underlaid by a JSON config file (flags win). The subcommand writes its
-artifacts and returns its input and output paths, and ``main`` drops a
-manifest next to the primary output recording the resolved
+underlaid by a JSON config file (flags win). Before any data is read,
+it refuses a run that would write over a file it reads or write one
+file twice (``_check_written``). The subcommand writes its artifacts
+and returns its input and output paths, and ``main`` drops a manifest
+next to the primary output recording the resolved
 configuration, the seed, and SHA-256 digests of all inputs and outputs.
 Manifests contain no timestamps and the math is deterministic for a
 fixed seed, so identical invocations produce byte-identical artifacts
@@ -21,6 +23,7 @@ Exit codes: 0 success, 1 usage error (unknown flags, bad values),
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -81,7 +84,7 @@ def _resolve_config(args):
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 loaded = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"config file {path}: invalid JSON ({exc})")
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {path}: top level must be a "
@@ -234,34 +237,43 @@ def _partition_from_labels(values, labels):
     return part
 
 
+def _diagnose_outputs(config):
+    """The files ``diagnose`` writes, by name."""
+    prefix = config["output_prefix"]
+    outputs = {"shadows": prefix + ".shadows.csv",
+               "graph_dot": prefix + ".graph.dot",
+               "graph_csv": prefix + ".graph.csv"}
+    if config["truth"]:
+        outputs["validation"] = prefix + ".validation.json"
+    return outputs
+
+
 def cmd_diagnose(config):
     features = io.read_features(config["input"])
     labels, _ = io.read_partition(config["partition"])
     if labels.size != features.n_curves:
         raise ValueError("partition length does not match the feature rows")
+    inputs = {"features": config["input"],
+              "partition": config["partition"]}
+    report = None
+    if config["truth"]:
+        # Before the first write, so a bad truth file leaves no artifact.
+        report = validation_report(labels, io.read_labels(config["truth"]))
+        inputs["truth"] = config["truth"]
     part = _partition_from_labels(features.values, labels)
     shadows = shadow_values(features.values, part)
     graph = neighborhood_graph(features.values, part)
-    prefix = config["output_prefix"]
-    outputs = {"shadows": prefix + ".shadows.csv",
-               "graph_dot": prefix + ".graph.dot",
-               "graph_csv": prefix + ".graph.csv"}
+    outputs = _diagnose_outputs(config)
     io.write_shadows(outputs["shadows"], shadows)
     io.write_graph_dot(outputs["graph_dot"], graph)
     io.write_graph_csv(outputs["graph_csv"], graph, labels)
-    inputs = {"features": config["input"],
-              "partition": config["partition"]}
-    if config["truth"]:
-        truth = io.read_labels(config["truth"])
-        report = validation_report(labels, truth)
-        outputs["validation"] = prefix + ".validation.json"
-        io.write_validation(outputs["validation"], report)
-        inputs["truth"] = config["truth"]
-        print(f"misclassified {report.misclassified} "
-              f"(rate {report.rate:.4f}), ARI {report.adjusted_rand:.4f}")
-    else:
+    if report is None:
         print(f"mean shadow {float(np.mean(shadows)):.4f} over "
               f"{labels.size} observations")
+    else:
+        io.write_validation(outputs["validation"], report)
+        print(f"misclassified {report.misclassified} "
+              f"(rate {report.rate:.4f}), ARI {report.adjusted_rand:.4f}")
     return inputs, outputs
 
 
@@ -388,6 +400,38 @@ def _unused(command, config):
     return {}
 
 
+#: The settings that name a file a run reads.
+_READS = ("input", "partition", "truth", "dissim_input")
+
+
+def _written(command, config):
+    """The files a run writes: its artifacts, the primary one first, and
+    then its manifest."""
+    if command == "diagnose":
+        paths = list(_diagnose_outputs(config).values())
+    else:
+        paths = [config["output"]]
+        if config.get("labels_output"):
+            paths.append(config["labels_output"])
+    return paths + [paths[0] + ".manifest.json"]
+
+
+def _check_written(written, config, config_path):
+    """Refuse a run that would write over a file it reads, its config
+    file included, or write one file twice. Paths are compared once
+    resolved, so ``./a.csv`` and a link to it are ``a.csv``."""
+    read = {os.path.realpath(path)
+            for path in [config_path, *map(config.get, _READS)] if path}
+    seen = set()
+    for path in written:
+        real = os.path.realpath(path)
+        if real in read:
+            raise ValueError(f"{path} is both read and written by this run")
+        if real in seen:
+            raise ValueError(f"{path} would be written twice by this run")
+        seen.add(real)
+
+
 def build_parser():
     parser = _Parser(prog="waveclust",
                      description="Wavelet-based clustering of sampled "
@@ -412,8 +456,10 @@ def main(argv=None):
         return exc.code or 0
     try:
         config = _resolve_config(args)
+        written = _written(args.command, config)
+        _check_written(written, config, args.config)
         inputs, outputs = _COMMANDS[args.command][0](config)
-        io.write_manifest(outputs[next(iter(outputs))] + ".manifest.json",
+        io.write_manifest(written[-1],
                           _manifest(args.command, config, inputs, outputs))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ Rows whose scale exceeds N/2 are dominated by wraparound and carry a
 cone-of-influence flag rather than trustworthy coefficients.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -80,16 +80,12 @@ class Spectrum:
     """CWT coefficients of one curve, an (n_scales, N) complex matrix, or
     of a stack of curves, (n, n_scales, N), as a build holds them; any
     other shape, or a nan or inf, is an error.
-
-    ``coi_flag[j]`` is True where row ``j``'s scale exceeds N/2, meaning
-    the periodized kernel wraps enough to contaminate the whole row.
     """
 
     matrix: np.ndarray
     grid: ScaleGrid
     omega0: float = 6.0
     normalization: str = "L1"
-    coi_flag: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix)
@@ -100,8 +96,6 @@ class Spectrum:
         if not np.isfinite(self.matrix).all():
             raise ValueError("spectrum values must be finite (found nan or "
                              "inf)")
-        if self.coi_flag is None:
-            self.coi_flag = self.grid.scales > self.n_samples / 2
 
     @property
     def n_scales(self):
@@ -110,6 +104,12 @@ class Spectrum:
     @property
     def n_samples(self):
         return self.matrix.shape[-1]
+
+    @property
+    def coi_flag(self):
+        """Per scale, whether it exceeds N/2: the periodized kernel then
+        wraps enough to contaminate the whole row."""
+        return self.grid.scales > self.n_samples / 2
 
 
 @lru_cache(maxsize=16)

@@ -17,7 +17,7 @@ coefficients, which are summed as ``PPoly`` sums them.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,16 +58,13 @@ class SampledSignal:
 class FunctionalDataset:
     """Ordered collection of curves sampled on a shared grid.
 
-    ``curves`` is an (n, N) array, one curve per row. ``origin_index``
-    records, per curve, the position of its first sample in the source
-    signal when the dataset was produced by slicing. ``remainder`` is the
-    number of trailing source samples the slicer dropped.
+    ``curves`` is an (n, N) array, one curve per row, all finite.
+    ``remainder``, given by keyword only, is the number of trailing
+    source samples the slicer dropped.
     """
 
     curves: np.ndarray
-    segment_length: int | None = None
-    origin_index: np.ndarray | None = None
-    remainder: int = 0
+    remainder: int = field(default=0, kw_only=True)
 
     def __post_init__(self):
         self.curves = np.atleast_2d(np.asarray(self.curves, dtype=float))
@@ -78,12 +75,6 @@ class FunctionalDataset:
             raise ValueError("curves need at least two samples")
         if not np.all(np.isfinite(self.curves)):
             raise ValueError("curve values must all be finite")
-        if self.segment_length is None:
-            self.segment_length = width
-        if self.origin_index is not None:
-            self.origin_index = np.asarray(self.origin_index, dtype=int)
-            if self.origin_index.shape != (n,):
-                raise ValueError("origin_index must hold one entry per curve")
 
     @property
     def n_curves(self):
@@ -131,12 +122,8 @@ def slice_series(signal, delta):
     n = len(signal) // delta
     used = n * delta
     curves = signal.values[:used].reshape(n, delta)
-    return FunctionalDataset(
-        curves=curves.copy(),
-        segment_length=delta,
-        origin_index=np.arange(n) * delta,
-        remainder=len(signal) - used,
-    )
+    return FunctionalDataset(curves=curves.copy(),
+                             remainder=len(signal) - used)
 
 
 def _natural_spline(curves, targets):
@@ -240,9 +227,5 @@ def resample_dataset(dataset, J):
     One spline call fits all curves at once, and downsampling warns once
     per dataset; each row equals ``resample_dyadic`` of that curve.
     """
-    return FunctionalDataset(
-        curves=_resample_rows(dataset.curves, J),
-        segment_length=dataset.segment_length,
-        origin_index=dataset.origin_index,
-        remainder=dataset.remainder,
-    )
+    return FunctionalDataset(curves=_resample_rows(dataset.curves, J),
+                             remainder=dataset.remainder)

@@ -170,15 +170,6 @@ def wavelet_coherence(wz, wx):
     return CoherenceField(values=np.clip(r, 0.0, 1.0), grid=grid)
 
 
-def time_averaged_coherence(wz, wx):
-    """Per-scale time average of the squared coherence field.
-
-    A diagnostic profile over scales; not used by any distance here.
-    """
-    field = wavelet_coherence(wz, wx)
-    return (field.values ** 2).mean(axis=1)
-
-
 def _pair_prefix(row, k):
     """Error prefix naming pair k of matrix row ``row``, if one is given."""
     return "" if row is None else f"pair ({row}, {row + 1 + k}): "

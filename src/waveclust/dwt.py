@@ -145,27 +145,6 @@ def dwt_forward(curves, wavelet="symmlet6"):
     return WaveletDecomposition(approx=approx[:, 0], details=details, filter=filt)
 
 
-def _synthesis_step(approx, detail, filt):
-    """Invert one pyramid stage: scatter-add the transposed analysis maps."""
-    half = approx.shape[1]
-    n = 2 * half
-    out = np.zeros((approx.shape[0], n))
-    base = 2 * np.arange(half)
-    for l, (h_l, g_l) in enumerate(zip(filt.lowpass, filt.highpass)):
-        cols = (base + l) % n
-        np.add.at(out, (slice(None), cols), h_l * approx + g_l * detail)
-    return out
-
-
-def dwt_inverse(decomposition):
-    """Reconstruct the curves from a :class:`WaveletDecomposition`."""
-    filt = decomposition.filter
-    approx = decomposition.approx[:, None]
-    for detail in decomposition.details:
-        approx = _synthesis_step(approx, detail, filt)
-    return approx
-
-
 def energy_contributions(decomposition):
     """Absolute scale energies: ``cont[:, j] = ||d_j||**2`` per curve.
 
@@ -220,10 +199,8 @@ class FeatureMatrix:
     """An (n_curves, J) matrix of per-scale features plus its provenance.
 
     ``kind`` is one of ``"AC"`` (absolute contributions), ``"RC"``
-    (relative) or ``"logitRC"``. ``scale_index[j]`` is the pyramid scale
-    of column ``j`` (0 = coarsest); ``level_label[j]`` is the
-    complementary resolution label ``J - j`` often used when scales are
-    counted from the finest side. Column names carry both.
+    (relative) or ``"logitRC"``. Column ``j`` holds pyramid scale ``j``
+    (0 = coarsest).
     """
 
     values: np.ndarray
@@ -238,18 +215,11 @@ class FeatureMatrix:
     def n_scales(self):
         return self.values.shape[1]
 
-    @property
-    def scale_index(self):
-        return np.arange(self.n_scales)
-
-    @property
-    def level_label(self):
-        return self.n_scales - self.scale_index
-
     def column_names(self):
-        return [
-            f"s{j}_L{lab}" for j, lab in zip(self.scale_index, self.level_label)
-        ]
+        """``s{j}_L{J - j}`` per column: its pyramid scale ``j`` and the
+        complementary resolution level ``J - j``, which counts scales
+        from the finest side."""
+        return [f"s{j}_L{self.n_scales - j}" for j in range(self.n_scales)]
 
 
 #: Accepted spellings for each feature kind (canonical name first).

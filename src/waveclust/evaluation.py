@@ -167,9 +167,10 @@ class NeighborhoodGraph:
     of the observations whose two nearest centers are exactly that pair.
     ``inner_hull``/``outer_hull`` list, per cluster, the observation
     indices on the convex hull of the members within the median
-    (respectively 2.5 x median) distance of their center. ``components``
-    holds the projection directions; ``degenerate`` flags feature
-    covariance of rank < 2, in which case the missing direction is zero.
+    (respectively 2.5 x median) distance of their center. The coordinates
+    are projections on the top two principal directions of the feature
+    rows; ``degenerate`` flags feature covariance of rank < 2, in which
+    case the missing direction is zero.
     """
 
     center_coords: np.ndarray
@@ -177,7 +178,6 @@ class NeighborhoodGraph:
     edges: dict
     inner_hull: dict
     outer_hull: dict
-    components: np.ndarray
     degenerate: bool = False
 
 
@@ -257,6 +257,5 @@ def neighborhood_graph(features, partition):
         outer_hull[k] = _hull_vertices(point_coords, outer)
     return NeighborhoodGraph(
         center_coords=center_coords, point_coords=point_coords, edges=edges,
-        inner_hull=inner_hull, outer_hull=outer_hull, components=components,
-        degenerate=degenerate,
+        inner_hull=inner_hull, outer_hull=outer_hull, degenerate=degenerate,
     )

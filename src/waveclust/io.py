@@ -23,8 +23,8 @@ less underscores (``1_0``) and non-ASCII digits. A cell holding one of
 the ASCII separators ``\\x1c``-``\\x1f``, which NumPy strips like
 whitespace and ``float`` refuses, is refused too. A cell that does not
 parse, or a row of the wrong width, is a ``ValueError`` naming the file
-and the line; an owner's error names the file. A leading row is a header
-only when none of its cells parses.
+and the line; an owner's error, or a file that is not UTF-8 text, names
+the file. A leading row is a header only when none of its cells parses.
 """
 
 import hashlib
@@ -103,9 +103,13 @@ def _data_lines(path):
     comment lines, its data lines and all its lines, stripped. A leading
     row none of whose cells parses is a header, not data; one where some
     cells parse is data, whose bad cell the reader names. So a
-    one-column file's unparsable first row is taken for a header."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = list(map(str.strip, handle))
+    one-column file's unparsable first row is taken for a header. A file
+    that is not UTF-8 text is a ``ValueError`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = list(map(str.strip, handle))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     fields = {}
     for line in text:
         if not line.startswith("#"):
@@ -176,10 +180,9 @@ def read_dataset(path):
     return _read(path, -1, lambda _, rows: FunctionalDataset(curves=rows))
 
 
-def read_signal(path, sampling_step=1.0):
+def read_signal(path):
     """A long signal: its values in reading order, in rows of any length."""
-    return _read(path, None, lambda _, values: SampledSignal(
-        values=values, sampling_step=sampling_step))
+    return _read(path, None, lambda _, values: SampledSignal(values))
 
 
 def write_labels(path, labels):

@@ -183,7 +183,7 @@ def gen_sinus(n_curves, length=1024, sigma=1.0, seed=0):
     x = np.arange(length)
     base = np.sin(5 * np.pi * x / length) + np.sin(2 * np.pi * x / length)
     curves = base + rng.normal(0.0, sigma, size=(n_curves, length))
-    dataset = FunctionalDataset(curves=curves, segment_length=length)
+    dataset = FunctionalDataset(curves=curves)
     return dataset, np.zeros(n_curves, dtype=int)
 
 
@@ -216,7 +216,7 @@ def gen_far(n_curves, length=1024, model=None, seed=0):
         state += rng.normal(0.0, model.sigma, size=model.m)
         if step >= model.burn_in:
             curves[step - model.burn_in] = state
-    dataset = FunctionalDataset(curves=curves, segment_length=length)
+    dataset = FunctionalDataset(curves=curves)
     return dataset, np.zeros(n_curves, dtype=int)
 
 
@@ -241,5 +241,5 @@ def gen_benchmark(seed=0, n_per_cluster=25, length=1024, rho=0.8,
     )
     curves = np.vstack([sinus.curves, far_diag.curves, far_full.curves])
     labels = np.repeat(np.arange(3), n_per_cluster)
-    dataset = FunctionalDataset(curves=curves, segment_length=length)
+    dataset = FunctionalDataset(curves=curves)
     return dataset, labels

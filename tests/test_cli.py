@@ -41,8 +41,7 @@ def test_slice_command(tmp_path):
 def test_features_365x64_gives_365x6(tmp_path):
     data = tmp_path / "days.csv"
     rng = np.random.default_rng(0)
-    io.write_dataset(data, wc.FunctionalDataset(rng.normal(size=(365, 64)),
-                                                64))
+    io.write_dataset(data, wc.FunctionalDataset(rng.normal(size=(365, 64))))
     out = tmp_path / "features.csv"
     assert run("features", "--input", data, "--features", "logit-rc",
                "--output", out) == 0
@@ -53,7 +52,7 @@ def test_features_365x64_gives_365x6(tmp_path):
 def test_features_resamples_non_dyadic(tmp_path):
     data = tmp_path / "days.csv"
     io.write_dataset(data, wc.FunctionalDataset(
-        np.random.default_rng(1).normal(size=(10, 48)), 48))
+        np.random.default_rng(1).normal(size=(10, 48))))
     out = tmp_path / "features.csv"
     assert run("features", "--input", data, "--resample-j", 6,
                "--output", out) == 0
@@ -536,7 +535,7 @@ def test_a_resample_j_above_its_bound_exits_two_and_writes_nothing(
         tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     io.write_dataset("days.csv", wc.FunctionalDataset(
-        np.random.default_rng(1).normal(size=(10, 48)), 48))
+        np.random.default_rng(1).normal(size=(10, 48))))
     before = sorted(p.name for p in tmp_path.iterdir())
     capsys.readouterr()
     for j in (11, 40):
@@ -874,3 +873,71 @@ def test_diagnose_rejects_bad_truth_labels(bench, tmp_path, capsys):
                    "--truth", bad, "--output-prefix", tmp_path / "d") == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "d.validation.json").exists()
+
+
+@pytest.mark.parametrize("case", ["missing", "malformed", "short"])
+def test_diagnose_checks_its_truth_before_writing(bench, tmp_path, capsys,
+                                                  case):
+    data, truth = bench
+    feats = tmp_path / "features.csv"
+    partition = tmp_path / "partition.csv"
+    run("features", "--input", data, "--output", feats)
+    run("cluster", "--input", feats, "--k", 3, "--output", partition)
+    labels = truth.read_text().splitlines()
+    bad = tmp_path / "truth.csv"
+    if case == "malformed":
+        bad.write_text("\n".join(labels[:2] + ["x"] + labels[3:]) + "\n")
+    elif case == "short":
+        bad.write_text("\n".join(labels[:-1]) + "\n")
+    capsys.readouterr()
+    assert run("diagnose", "--input", feats, "--partition", partition,
+               "--truth", bad, "--output-prefix", tmp_path / "P") == 2
+    message = {"missing": "No such file or directory",
+               "malformed": f"{bad}: line 3: could not convert",
+               "short": "prediction and truth must have equal length"}[case]
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.glob("P.*")) == []
+
+
+@pytest.mark.parametrize("argv, collision", [
+    (["features", "--input", "e.csv", "--output", "e.csv"], "read"),
+    (["features", "--input", "e.csv", "--output", "./e.csv"], "read"),
+    (["features", "--input", "e.csv", "--output", "f.csv",
+      "--config", "f.csv.manifest.json"], "read"),
+    (["benchmark", "--n", "2", "--length", "64", "--output", "X",
+      "--labels-output", "X"], "twice"),
+    (["simulate", "--n", "2", "--length", "64", "--output", "X",
+      "--labels-output", "X.manifest.json"], "twice"),
+    (["diagnose", "--input", "e.csv", "--partition", "e.csv.graph.csv",
+      "--output-prefix", "e.csv"], "read"),
+], ids=["input", "spelled-apart", "config", "labels", "labels-manifest",
+        "diagnose"])
+def test_a_run_never_writes_over_its_own_files(tmp_path, monkeypatch, capsys,
+                                               argv, collision):
+    monkeypatch.chdir(tmp_path)
+    io.write_dataset("e.csv", wc.FunctionalDataset(
+        np.random.default_rng(3).normal(size=(4, 64))))
+    Path("f.csv.manifest.json").write_text("{}")
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    assert run(*argv) == 2
+    reason = {"read": "is both read and written by this run",
+              "twice": "would be written twice by this run"}[collision]
+    assert reason in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("flag", ["--input", "--config"])
+def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys, flag):
+    good = tmp_path / "curves.csv"
+    io.write_dataset(good, wc.FunctionalDataset(
+        np.random.default_rng(2).normal(size=(4, 64))))
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff" + good.read_bytes())
+    argv = (["--input", bad] if flag == "--input"
+            else ["--input", good, "--config", bad])
+    assert run("features", *argv, "--output", tmp_path / "out.csv") == 2
+    where = f"{bad}: " if flag == "--input" else f"config file {bad}: "
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}")
+    assert "'utf-8' codec can't decode byte 0xff" in err
+    assert not (tmp_path / "out.csv").exists()

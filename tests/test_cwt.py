@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from waveclust import cwt_morlet, make_scale_grid, morlet_kernel, smooth_spectrum
+from waveclust import cwt_morlet, make_scale_grid, smooth_spectrum
+from waveclust.cwt import morlet_kernel
 from waveclust.cwt import ScaleGrid, Spectrum, _boxcar_width, _morlet_bank
 
 

@@ -16,7 +16,6 @@ from waveclust import (
     make_scale_grid,
     mca_analysis,
     mca_distance,
-    time_averaged_coherence,
     wavelet_coherence,
     wer_distance,
 )
@@ -92,13 +91,6 @@ def test_pair_measures_reject_spectra_of_other_transforms(pair, setting,
     with pytest.raises(ValueError, match=f"share one {setting}"):
         pair(cwt_morlet(curve, GRID), cwt_morlet(curve, GRID,
                                                  **{setting: value}))
-
-
-def test_time_averaged_coherence_shape_and_range():
-    wz, wx = spectra(5)
-    per_scale = time_averaged_coherence(wz, wx)
-    assert per_scale.shape == (GRID.n_scales,)
-    assert (per_scale >= 0.0).all() and (per_scale <= 1.0 + 1e-9).all()
 
 
 # --- WER distance ---
@@ -200,7 +192,7 @@ def far_dataset(seed, n=6, length=128):
 
 def test_identical_pair_wer_matrix_is_zero():
     curve = np.random.default_rng(30).normal(size=64)
-    ds = FunctionalDataset(np.vstack([curve, curve]), 64)
+    ds = FunctionalDataset(np.vstack([curve, curve]))
     mat = build_dissimilarity_matrix(ds, measure="WER",
                                      grid=make_scale_grid(1, 4, 4))
     assert_allclose(mat.values, 0.0, atol=1e-6)
@@ -543,7 +535,7 @@ def test_degenerate_pair_error_names_the_pair(measure):
     match = r"curve 2:" if measure == "euclid-features" else r"pair \(0, 2\)"
     for curve in flat:
         curves = np.vstack([rng.normal(size=64), rng.normal(size=64), curve])
-        ds = FunctionalDataset(curves, 64)
+        ds = FunctionalDataset(curves)
         with pytest.raises(DegenerateInputError, match=match):
             build_dissimilarity_matrix(ds, measure=measure,
                                        grid=make_scale_grid(1, 4, 4))

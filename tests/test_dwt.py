@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from waveclust import (
     DegenerateInputError,
     dwt_forward,
-    dwt_inverse,
     energy_contributions,
     feature_matrix,
     get_filter,
@@ -41,7 +40,7 @@ def transform_matrix(filt, n):
 
 
 @pytest.mark.parametrize("wavelet", ["haar", "symmlet6"])
-@pytest.mark.parametrize("n", [8, 16, 32, 64])
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
 def test_pyramid_matches_matrix_oracle(wavelet, n):
     filt = get_filter(wavelet)
     W = transform_matrix(filt, n)
@@ -92,25 +91,6 @@ def test_parseval_energy_identity():
     dec = dwt_forward(curves)
     total = dec.approx ** 2 + sum((d ** 2).sum(axis=1) for d in dec.details)
     assert_allclose(total, (curves ** 2).sum(axis=1), rtol=1e-10)
-
-
-def test_roundtrip_random():
-    curves = np.random.default_rng(12).normal(size=(7, 64))
-    back = dwt_inverse(dwt_forward(curves))
-    assert np.linalg.norm(back - curves) <= 1e-10 * np.linalg.norm(curves)
-
-
-def test_inverse_of_zero_decomposition():
-    dec = dwt_forward(np.zeros(16))
-    assert_allclose(dwt_inverse(dec), np.zeros((1, 16)), atol=1e-12)
-
-
-def test_inverse_of_approx_only_is_constant():
-    dec = dwt_forward(np.random.default_rng(13).normal(size=32))
-    for d in dec.details:
-        d[:] = 0.0
-    expected = dec.approx[0] * 2 ** (-5 / 2)
-    assert_allclose(dwt_inverse(dec), np.full((1, 32), expected), atol=1e-10)
 
 
 def test_rejects_non_power_of_two():

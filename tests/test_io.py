@@ -27,7 +27,6 @@ def test_dataset_round_trip(tmp_path, dataset):
     io.write_dataset(path, dataset)
     back = io.read_dataset(path)
     assert_array_equal(back.curves, dataset.curves)
-    assert back.segment_length == 64
 
 
 def test_dataset_reader_skips_header_and_comments(tmp_path):

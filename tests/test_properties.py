@@ -22,7 +22,6 @@ from waveclust import (
     choose_k_by_jump,
     cwt_morlet,
     dwt_forward,
-    dwt_inverse,
     feature_matrix,
     kmeans,
     make_scale_grid,
@@ -408,14 +407,11 @@ def dyadic_batches(draw):
 
 @SMALL
 @given(dyadic_batches(), st.sampled_from(["haar", "symmlet6"]))
-def test_dwt_parseval_and_inverse_round_trip(curves, wavelet):
-    dec = dwt_forward(curves, wavelet=wavelet)
-    coeffs = dec.coefficient_vector()
+def test_dwt_parseval(curves, wavelet):
+    coeffs = dwt_forward(curves, wavelet=wavelet).coefficient_vector()
     energy_in = (curves ** 2).sum(axis=1)
     energy_out = (coeffs ** 2).sum(axis=1)
     assert_allclose(energy_out, energy_in, rtol=1e-12, atol=0.0)
-    scale = max(float(np.abs(curves).max()), 1.0)
-    assert_allclose(dwt_inverse(dec), curves, rtol=0.0, atol=1e-12 * scale)
 
 
 @st.composite
