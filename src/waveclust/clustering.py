@@ -22,7 +22,7 @@ a ``bincount`` sum is not guaranteed to round as BLAS does. SciPy's
 with the module, so PAM and the import of the package need no SciPy.
 PAM is fully deterministic: a greedy BUILD initialization followed by
 best-improvement SWAP steps until no single medoid/non-medoid exchange
-lowers the total dissimilarity.
+lowers the total dissimilarity by more than ``SWAP_TOL`` of it.
 """
 
 from dataclasses import dataclass
@@ -35,7 +35,8 @@ from .rng import derived_rng
 #: Lloyd iteration cap of a ``kmeans`` run.
 MAX_ITER = 100
 
-#: A swap must beat the current PAM cost by more than this to be taken.
+#: A PAM swap must leave a total below the current one by more than this
+#: fraction of it, so a gain of a few rounding units never moves a medoid.
 SWAP_TOL = 1e-12
 
 
@@ -357,9 +358,11 @@ def pam(dissimilarity, k):
     ``dissimilarity`` is a :class:`DissimilarityMatrix`, taken as is, or
     an array checked as one: a nan or inf, a negative or asymmetric
     entry, or a nonzero diagonal is an error. BUILD greedily seeds the K
-    medoids, then SWAP repeatedly applies the single (medoid,
-    non-medoid) exchange that lowers the total cost the most, until no
-    exchange improves it. Both phases are deterministic. Labels assign
+    medoids. SWAP prices each (medoid, non-medoid) exchange by the total
+    cost it leaves and takes the lowest, ties to the lowest medoid
+    position and then candidate index, while it is below the current
+    total by more than ``SWAP_TOL`` of it. The current total so falls
+    strictly, and SWAP ends. Both phases are deterministic. Labels assign
     each observation to its nearest medoid, ties to the smaller medoid
     index; a medoid always belongs to its own cluster, even when another
     medoid is 0 away from it (a duplicated point).
@@ -371,33 +374,23 @@ def pam(dissimilarity, k):
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     medoids = _pam_build(d, k)
+    total = float(d[:, medoids].min(axis=1).sum())
     while k < n:
-        sub = d[:, medoids]
-        order = np.argsort(sub, axis=1)
-        d1 = sub[np.arange(n), order[:, 0]]
-        d2 = sub[np.arange(n), order[:, 1]] if k > 1 else np.full(n, np.inf)
-        nearest_pos = order[:, 0]
-        non_medoids = np.setdiff1d(np.arange(n), medoids)
-        best_delta, best_swap = -SWAP_TOL, None
+        others = np.setdiff1d(np.arange(n), medoids)
+        sub, candidates = d[:, medoids], d[:, others]
+        best_total, best_swap = total - SWAP_TOL * total, None
         for pos in range(k):
-            mine = nearest_pos == pos
-            # Cost change of replacing medoid `pos` by each candidate h:
-            # points losing their medoid fall back to min(second-nearest,
-            # h); the rest may only improve by moving to h.
-            gain_mine = (
-                np.minimum(d2[mine, None], d[np.ix_(mine, non_medoids)]).sum(0)
-                - d1[mine].sum()
-            )
-            gain_rest = np.minimum(
-                d[np.ix_(~mine, non_medoids)] - d1[~mine, None], 0.0
-            ).sum(0)
-            deltas = gain_mine + gain_rest
-            h = int(np.argmin(deltas))
-            if deltas[h] < best_delta:
-                best_delta, best_swap = float(deltas[h]), (pos, int(non_medoids[h]))
+            # Each point's distance to the medoids that stay, then the
+            # total each candidate leaves in medoid `pos`'s place.
+            rest = np.delete(sub, pos, axis=1).min(axis=1, initial=np.inf)
+            totals = np.minimum(rest[:, None], candidates).sum(axis=0)
+            h = int(np.argmin(totals))
+            if totals[h] < best_total:
+                best_total, best_swap = float(totals[h]), (pos, int(others[h]))
         if best_swap is None:
             break
         medoids[best_swap[0]] = best_swap[1]
+        total = best_total
     medoids = np.sort(np.asarray(medoids, dtype=int))
     labels = np.argmin(d[:, medoids], axis=1)
     labels[medoids] = np.arange(k)

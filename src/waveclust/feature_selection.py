@@ -284,6 +284,11 @@ def _search(features, ks, screen_quantile, penalty, restarts, seed):
             score = sse * (1.0 + penalty * size)
             if score < picks[k][2]:
                 picks[k] = (subset, sse, score)
+    for k in ks:
+        # A penalty so large that every score overflows picks what a
+        # growing penalty tends to: the best single column.
+        if screened and picks[k][2] == float("inf"):
+            picks[k] = (*best_by_size[k][1], None)
     return {
         k: SelectionReport(
             index=index.copy(), threshold=threshold, screened_in=screened,
@@ -307,7 +312,8 @@ def select_features(features, k, screen_quantile=0.5, penalty=0.05,
     screen_quantile : quantile of the uniform-surrogate index
         distribution a column must reach to survive screening.
     penalty : size penalty; the winner minimizes
-        ``SSE * (1 + penalty * |subset|)``.
+        ``SSE * (1 + penalty * |subset|)``, or is the best single column
+        when every score overflows.
     restarts, seed : k-means restarts per subset and the master seed.
     """
     return _search(features, [k], screen_quantile, penalty, restarts,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from test_imports import run_fresh
 import waveclust as wc
 from waveclust import io
 from waveclust.cli import REQUIRED, _COMMANDS, _partition_from_labels, main
@@ -122,6 +123,56 @@ def test_dissim_reuse_and_thread_invariance(bench, tmp_path):
                "--output", partition) == 0
     labels, _ = io.read_partition(partition)
     assert len(np.unique(labels)) == 3
+
+
+#: Nine two-sample curves; the last is a copy of the first. Swapping
+#: one copy for the other moves the total by one rounding unit, which a
+#: swap priced by its cost change saw as a gain both ways, forever.
+DUPLICATED_CURVE = [(-133.7, 268.8), (2072.1, -377.5), (-373.9, 1688.5),
+                    (-221.6, -882.3), (-122.2, 862.9), (-96.8, -871.8),
+                    (10.5, -283.7), (658.6, 748.0), (-133.7, 268.8)]
+
+
+@pytest.mark.parametrize("matrix", ["computed", "read"])
+def test_pam_on_a_duplicated_curve_ends(tmp_path, matrix):
+    curves = tmp_path / "curves.csv"
+    curves.write_text("".join(f"{a!r},{b!r}\n" for a, b in DUPLICATED_CURVE))
+    partition = tmp_path / "partition.csv"
+    argv = ["cluster", "--pipeline", "spectrum", "--input", str(curves),
+            "--k", "2", "--output", str(partition)]
+    if matrix == "read":
+        dissim = tmp_path / "dissim.csv"
+        assert run("dissim", "--measure", "euclid-raw", "--input", curves,
+                   "--output", dissim) == 0
+        argv += ["--dissim-input", str(dissim)]
+    else:
+        argv += ["--measure", "euclid-raw"]
+    # In a fresh process, so a SWAP that never ends fails the test.
+    run_fresh(f"from waveclust.cli import main\n"
+              f"raise SystemExit(main({argv!r}))", timeout=60)
+    labels, _ = io.read_partition(partition)
+    assert labels[0] == labels[8]
+    assert np.bincount(labels).tolist() == [8, 1]
+
+
+def test_a_penalty_that_overflows_every_score_selects_one_feature(tmp_path):
+    # At 1e308 every SSE * (1 + penalty * size) is inf. The selection is
+    # then the best single feature, as at 1e300, whose scores are finite.
+    data, features = tmp_path / "bench.csv", tmp_path / "features.csv"
+    assert run("benchmark", "--seed", 1, "--output", data) == 0
+    assert run("features", "--input", data, "--output", features) == 0
+    reports = {}
+    for penalty in ("1e300", "1e308"):
+        out = tmp_path / f"selection-{penalty}.json"
+        assert run("select", "--input", features, "--k", 3, "--penalty",
+                   penalty, "--output", out) == 0
+        reports[penalty] = json.loads(out.read_text())
+    report = reports["1e308"]
+    assert report["screened_in"] == [1, 2, 6, 7, 8, 9]
+    assert report["selected"] == reports["1e300"]["selected"] == [1]
+    assert report["selected"] == report["best_by_size"]["1"]["subset"]
+    assert report["selected_sse"] == report["best_by_size"]["1"]["sse"]
+    assert report["no_structure"] is False
 
 
 @pytest.mark.parametrize("command, flag, value", [

@@ -216,6 +216,18 @@ def test_selection_rejects_a_non_finite_or_negative_penalty(structured,
             call()
 
 
+def test_a_penalty_that_overflows_every_score_selects_the_best_column():
+    # At 1e308 every SSE * (1 + penalty * size) overflows to inf; at
+    # 1e300 the scores stay finite, and the best single column wins.
+    X = planted_two_columns(20)
+    finite = select_features(X, 2, penalty=1e300)
+    report = select_features(X, 2, penalty=1e308)
+    assert report.screened_in == (0, 1)
+    assert report.selected == finite.selected == (0,)
+    assert (report.selected, report.selected_sse) == report.best_by_size[1]
+    assert select_features_stable(X, 3, penalty=1e308)[0] == (0,)
+
+
 # --- the split over forked children ---
 
 def _benchmark_features(seed):

@@ -17,14 +17,16 @@ import waveclust
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
-def run_fresh(code, **env):
+def run_fresh(code, timeout=None, **env):
     """Run ``code`` in a new interpreter that imports this package's tree,
-    with ``env`` added to the environment; return its standard output."""
+    with ``env`` added to the environment; return its standard output.
+    A run still going after ``timeout`` seconds is killed, and the test
+    fails with ``subprocess.TimeoutExpired``."""
     source_root = str(Path(waveclust.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
     path = source_root + os.pathsep + inherited if inherited else source_root
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True,
+                          text=True, timeout=timeout,
                           env={**os.environ, **env, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()

@@ -5,6 +5,7 @@ derandomized, so every run draws the same examples."""
 import contextlib
 import io
 import json
+import signal
 import tempfile
 from pathlib import Path
 
@@ -435,6 +436,53 @@ def test_pam_is_swap_optimal_with_ties_and_duplicates(values, data):
     part = pam(values, k)
     assert np.bincount(part.labels, minlength=k).min() > 0
     assert swap_is_optimal(values, list(part.medoids), part.labels)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise ``TimeoutError`` in the block once ``seconds`` have passed."""
+    def expire(*_):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@st.composite
+def duplicated_points(draw):
+    """Points in 1-3 dimensions at a magnitude of 1e0-1e9, 5-16 drawn
+    ones each stacked at least twice, and a cluster count of 1-4. Their
+    distances are not integers, so totals round, unlike ``tied_dissimilarities``';
+    every medoid has a copy, and its cluster can be large enough for two
+    summation orders to round apart. Each coordinate is drawn on its
+    own: a filled array's repeated zeros give exact sums."""
+    m = draw(st.integers(5, 16))
+    dim = draw(st.integers(1, 3))
+    coords = draw(arrays(float, (m, dim), fill=st.nothing(),
+                         elements=st.floats(-1.0, 1.0, width=32)))
+    points = coords * 10.0 ** draw(st.integers(0, 9))
+    picks = draw(st.lists(st.integers(0, m - 1), max_size=m))
+    points = np.vstack([points, points, points[picks]])
+    return points, draw(st.integers(1, 4))
+
+
+@SMALL
+@given(duplicated_points())
+@example((np.array([[-133.7, 268.8], [2072.1, -377.5], [-373.9, 1688.5],
+                    [-221.6, -882.3], [-122.2, 862.9], [-96.8, -871.8],
+                    [10.5, -283.7], [658.6, 748.0], [-133.7, 268.8]]), 2))
+def test_pam_ends_swap_optimal_on_rounded_totals(case):
+    points, k = case
+    values = np.linalg.norm(points[:, None] - points[None], axis=2)
+    with time_limit(10):
+        part = pam(values, k)
+    assert swap_is_optimal(values, list(part.medoids), part.labels,
+                           tol=1e-12 * part.cost)
 
 
 def run_cli(*argv):
