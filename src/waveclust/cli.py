@@ -292,8 +292,8 @@ def cmd_simulate(config):
     else:
         far = FarModel(kernel=model.split("-", 1)[1], rho=config["rho"],
                        m=config["length"], sigma=config["sigma"])
-        dataset, labels = gen_far(config["n"], length=config["length"],
-                                  model=far, seed=config["seed"])
+        dataset, labels = gen_far(config["n"], model=far,
+                                  seed=config["seed"])
     io.write_dataset(config["output"], dataset)
     outputs = {"dataset": config["output"]}
     if config["labels_output"]:

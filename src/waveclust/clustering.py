@@ -63,9 +63,9 @@ class Partition:
     """A clustering of n observations into K non-empty groups.
 
     Exactly one of ``centers`` (k-means: K x p array) and ``medoids``
-    (PAM: K observation indices, ascending) is set. ``cost`` is the
-    within-cluster total: squared Euclidean distances to centers, or
-    dissimilarities to medoids.
+    (PAM: K observation indices, ascending) is set, and ``method``
+    follows from which. ``cost`` is the within-cluster total: squared
+    Euclidean distances to centers, or dissimilarities to medoids.
     """
 
     labels: np.ndarray
@@ -73,13 +73,16 @@ class Partition:
     cost: float
     centers: np.ndarray = None
     medoids: np.ndarray = None
-    method: str = "kmeans"
 
     def __post_init__(self):
         self.labels = _label_array(self.labels)
         counts = np.bincount(self.labels, minlength=self.k)
         if counts.size > self.k or np.any(counts == 0):
             raise ValueError("every cluster must be non-empty")
+
+    @property
+    def method(self):
+        return "kmeans" if self.medoids is None else "pam"
 
 
 def _cdist(*args):
@@ -274,8 +277,7 @@ def kmeans(features, k, restarts=20, seed=0):
         raise ValueError(f"k must be in 1..{n}, got {k}")
     [(labels, cost, centers)] = _best_restarts(
         rows, [k], restarts, derived_rng(seed, "kmeans"), MAX_ITER)
-    return Partition(labels=labels, k=k, cost=cost, centers=centers,
-                     method="kmeans")
+    return Partition(labels=labels, k=k, cost=cost, centers=centers)
 
 
 @dataclass
@@ -395,5 +397,4 @@ def pam(dissimilarity, k):
     labels = np.argmin(d[:, medoids], axis=1)
     labels[medoids] = np.arange(k)
     cost = float(d[np.arange(n), medoids[labels]].sum())
-    return Partition(labels=labels, k=k, cost=cost, medoids=medoids,
-                     method="pam")
+    return Partition(labels=labels, k=k, cost=cost, medoids=medoids)

@@ -63,21 +63,21 @@ class WaveletFilter:
 
 
 def get_filter(name):
-    """Return the named filter pair ("haar" or "symmlet6").
+    """Return the named filter pair, "haar" or "symmlet6" (exactly these
+    spellings; any other name is a ValueError).
 
     The highpass is the quadrature mirror of the lowpass:
     ``g[k] = (-1)**k * h[L-1-k]``.
     """
-    key = str(name).lower()
-    if key == "haar":
+    if name == "haar":
         h = _HAAR_H
-    elif key in ("symmlet6", "sym6", "la12"):
+    elif name == "symmlet6":
         h = _SYMMLET6_H
     else:
         raise ValueError(f"unknown wavelet filter: {name!r}")
     signs = (-1.0) ** np.arange(h.size)
     g = signs * h[::-1]
-    return WaveletFilter(name=key, lowpass=h, highpass=g)
+    return WaveletFilter(name=name, lowpass=h, highpass=g)
 
 
 def _analysis_step(rows, taps):
@@ -127,9 +127,9 @@ def dwt_forward(curves, wavelet="symmlet6"):
     ----------
     curves : array_like
         One curve, or an (n, N) batch of curves, with N a power of two.
-    wavelet : str or WaveletFilter
+    wavelet : str
     """
-    filt = wavelet if isinstance(wavelet, WaveletFilter) else get_filter(wavelet)
+    filt = get_filter(wavelet)
     rows = FunctionalDataset(curves).curves
     n_samples = rows.shape[1]
     J = int(n_samples).bit_length() - 1
@@ -156,7 +156,7 @@ def energy_contributions(decomposition):
     return cont
 
 
-def relative_contributions(ac, energy=None):
+def relative_contributions(ac, energy):
     """Relative and logit-relative contributions from absolute ones.
 
     Returns the pair ``(rc, logit_rc)`` where ``rc`` normalizes each
@@ -166,7 +166,7 @@ def relative_contributions(ac, energy=None):
 
     ``energy`` is each curve's total energy ``||x||**2``; by Parseval it
     is the detail energy plus the squared approximation coefficient.
-    Without it, only an exactly zero detail energy counts as constant.
+    The constant-curve rule below needs it.
 
     Raises
     ------
@@ -180,8 +180,6 @@ def relative_contributions(ac, energy=None):
     """
     ac = _feature_rows(ac)
     total = ac.sum(axis=1)
-    if energy is None:
-        energy = total
     constant = total <= CONSTANT_ENERGY_RTOL * np.asarray(energy)
     if np.any(constant):
         bad = int(np.flatnonzero(constant)[0])
@@ -222,16 +220,18 @@ class FeatureMatrix:
         return [f"s{j}_L{self.n_scales - j}" for j in range(self.n_scales)]
 
 
-#: Accepted spellings for each feature kind (canonical name first).
+#: Each feature kind's two spellings: canonical, then the CLI's.
 _KIND_ALIASES = {
-    "AC": ("AC", "ac", "absolute"),
-    "RC": ("RC", "rc", "relative"),
-    "logitRC": ("logitRC", "logitrc", "logit-rc", "logit_rc", "logit"),
+    "AC": ("AC", "ac"),
+    "RC": ("RC", "rc"),
+    "logitRC": ("logitRC", "logit-rc"),
 }
 
 
 def canonical_kind(kind):
-    """Map a feature-kind spelling to its canonical name."""
+    """Map a feature-kind spelling, canonical ("AC", "RC", "logitRC") or
+    the CLI's ("ac", "rc", "logit-rc"), to its canonical name; any other
+    spelling is a ValueError."""
     for canonical, spellings in _KIND_ALIASES.items():
         if kind in spellings:
             return canonical

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import FunctionalDataset
+from .data import FunctionalDataset, _integer
 from .rng import derived_rng
 
 
@@ -32,16 +32,17 @@ class FarModel:
 
     ``kernel`` picks the operator structure: "diagonal" uses
     ``B = diag(exp(-DIAGONAL_DECAY * i / m))``, "full" uses ``B[i, j] =
-    exp(-|i - j| / bandwidth)`` with bandwidth defaulting to m / 64.
-    The operator is ``A = rho * B / ||B||_2`` so its spectral norm is
+    exp(-|i - j| / bandwidth)`` with ``bandwidth = m / 64``. The
+    operator is ``A = rho * B / ||B||_2`` so its spectral norm is
     exactly ``rho``; ``rho < 1`` keeps the chain stationary. The full
     kernel is a Kac-Murdock-Szego matrix (Kac, Murdock & Szego 1953), so
     ``||B||_2`` comes from its tridiagonal inverse in scalar arithmetic,
     without a dense eigen-solve. It is Toeplitz too, so it is stored as
     its 2m - 1 values and never as an m x m array: ``far_operator``
-    returns a read-only strided view of them.
+    returns a read-only strided view of them. ``gen_far`` draws curves
+    of ``m`` samples.
 
-    The two defaults set the benchmark's contrast. The fast diagonal
+    The two fixed rates set the benchmark's contrast. The fast diagonal
     decay confines persistence to a thin band of leading coordinates, so
     diagonal-kernel curves are close to flat white noise in space and
     nearly independent across steps; the narrow bandwidth concentrates
@@ -56,27 +57,23 @@ class FarModel:
     rho: float = 0.8
     m: int = 1024
     sigma: float = 1.0
-    burn_in: int = 50
-    bandwidth: float = None
 
     def __post_init__(self):
         if self.kernel not in ("diagonal", "full"):
             raise ValueError("kernel must be 'diagonal' or 'full'")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1) for stationarity")
+        object.__setattr__(self, "m", _integer(self.m, "m"))
         if self.m < 8:
             raise ValueError("grid size m must be at least 8")
         _check_sigma(self.sigma)
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be nonnegative")
-        if self.bandwidth is None:
-            object.__setattr__(self, "bandwidth", self.m / 64.0)
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
 
 
 DIAGONAL_DECAY = 20.0
 """Decay rate of the diagonal kernel entries exp(-DIAGONAL_DECAY * i / m)."""
+
+BURN_IN = 50
+"""Chain steps ``gen_far`` discards before it keeps a state."""
 
 
 def _kms_norm(m, bandwidth):
@@ -119,28 +116,33 @@ def _kms_norm(m, bandwidth):
     return one_minus_r2 / lo
 
 
-@lru_cache(maxsize=8)
-def _operator(kernel, m, rho, bandwidth):
-    """The FAR operator in the form its structure allows, cached per
-    (kernel, m, rho, bandwidth) and read-only, since every caller shares
-    it: the vector of A's diagonal for the "diagonal" kernel, and for
-    the "full" kernel a Toeplitz view of its 2m - 1 values.
+def _full_kernel(m, rho, bandwidth):
+    """The full kernel's A = rho * B / ||B||_2, read-only, as a Toeplitz
+    view of its 2m - 1 values.
 
-    ``A[i, j]`` of the full kernel depends on ``|i - j|`` alone, so the
-    m values ``v[k] = rho * exp(-k / bandwidth) / ||B||_2`` (the dense
-    definition's arithmetic for each offset, so the same bits) fix it.
-    Row i of ``sliding_window_view(band, m)`` over ``band = (v[m - 1],
-    ..., v[1], v[0], v[1], ..., v[m - 1])`` is A's row m - 1 - i, so the
-    reversed window is A as an m x m strided view of 2m - 1 doubles.
+    ``A[i, j]`` depends on ``|i - j|`` alone, so the m values ``v[k] =
+    rho * exp(-k / bandwidth) / ||B||_2`` (the dense definition's
+    arithmetic for each offset, so the same bits) fix it. Row i of
+    ``sliding_window_view(band, m)`` over ``band = (v[m - 1], ..., v[1],
+    v[0], v[1], ..., v[m - 1])`` is A's row m - 1 - i, so the reversed
+    window is A as an m x m strided view of 2m - 1 doubles.
     """
-    if kernel == "diagonal":
-        a = rho * np.exp(-DIAGONAL_DECAY * np.arange(m) / m)
-        a.flags.writeable = False
-        return a
     v = rho * np.exp(-np.arange(m) / bandwidth) / _kms_norm(m, bandwidth)
     band = np.concatenate((v[:0:-1], v))
     band.flags.writeable = False
     return sliding_window_view(band, m)[::-1]
+
+
+@lru_cache(maxsize=8)
+def _operator(kernel, m, rho):
+    """The FAR operator, cached and read-only since every caller shares
+    it: A's diagonal for the "diagonal" kernel, and for the "full" kernel,
+    at bandwidth m / 64, its Toeplitz view."""
+    if kernel == "diagonal":
+        a = rho * np.exp(-DIAGONAL_DECAY * np.arange(m) / m)
+        a.flags.writeable = False
+        return a
+    return _full_kernel(m, rho, m / 64.0)
 
 
 def far_operator(model):
@@ -152,13 +154,15 @@ def far_operator(model):
     gives a dense copy. For the diagonal kernel it is ``np.diag`` of the
     cached diagonal, since the chain steps with that vector alone.
     """
-    a = _operator(model.kernel, model.m, model.rho, model.bandwidth)
+    a = _operator(model.kernel, model.m, model.rho)
     return np.diag(a) if model.kernel == "diagonal" else a
 
 
-def _check_n_curves(n_curves):
+def _n_curves(n_curves):
+    n_curves = _integer(n_curves, "n_curves")
     if n_curves < 1:
         raise ValueError(f"n_curves must be at least 1, got {n_curves}")
+    return n_curves
 
 
 def _check_sigma(sigma):
@@ -175,49 +179,46 @@ def gen_sinus(n_curves, length=1024, sigma=1.0, seed=0):
     Returns ``(dataset, labels)`` with all labels 0; x runs over the
     integer sample positions 0 .. length - 1.
     """
-    _check_n_curves(n_curves)
+    n_curves = _n_curves(n_curves)
     _check_sigma(sigma)
+    length = _integer(length, "length")
     if length < 8:
         raise ValueError("length must be at least 8")
     rng = derived_rng(seed, "sinus")
     x = np.arange(length)
     base = np.sin(5 * np.pi * x / length) + np.sin(2 * np.pi * x / length)
     curves = base + rng.normal(0.0, sigma, size=(n_curves, length))
-    dataset = FunctionalDataset(curves=curves)
-    return dataset, np.zeros(n_curves, dtype=int)
+    return FunctionalDataset(curves=curves), np.zeros(n_curves, dtype=int)
 
 
-def gen_far(n_curves, length=1024, model=None, seed=0):
-    """Curves from a discretized FAR(1) chain.
+def gen_far(n_curves, model=None, seed=0):
+    """Curves of ``model.m`` samples (``FarModel()`` by default): the
+    consecutive states of one FAR(1) chain after its first ``BURN_IN``
+    steps, temporally dependent as segments sliced from a long record
+    would be. Returns ``(dataset, labels)`` with all labels 0.
 
-    The returned curves are consecutive post-burn-in states of one chain
-    (temporally dependent, as segments sliced from a long record would
-    be). Each step applies the operator in the form its structure
-    allows: an elementwise product with the diagonal, or an ``einsum``
-    row-by-row product with the full kernel's Toeplitz view, which reads
-    its 2m - 1 values in place and gives the bits of the same ``einsum``
-    on the dense matrix. Neither calls BLAS, so the curves are the same
-    bits at every thread count. Returns ``(dataset, labels)`` with all
-    labels 0.
+    Each step applies the operator in the form its structure allows: an
+    elementwise product with the diagonal, or an ``einsum`` row-by-row
+    product with the full kernel's Toeplitz view, which reads its 2m - 1
+    values in place and gives the bits of the same ``einsum`` on the
+    dense matrix. Neither calls BLAS, so the curves are the same bits at
+    every thread count.
     """
-    _check_n_curves(n_curves)
-    model = model if model is not None else FarModel(m=length)
-    if model.m != length:
-        raise ValueError(f"model grid size {model.m} != length {length}")
-    a = _operator(model.kernel, model.m, model.rho, model.bandwidth)
+    n_curves = _n_curves(n_curves)
+    model = model if model is not None else FarModel()
+    a = _operator(model.kernel, model.m, model.rho)
     rng = derived_rng(seed, f"far-{model.kernel}")
     state = np.zeros(model.m)
     curves = np.empty((n_curves, model.m))
-    for step in range(model.burn_in + n_curves):
+    for step in range(BURN_IN + n_curves):
         if model.kernel == "diagonal":
             state = a * state
         else:
             state = np.einsum("ij,j->i", a, state)
         state += rng.normal(0.0, model.sigma, size=model.m)
-        if step >= model.burn_in:
-            curves[step - model.burn_in] = state
-    dataset = FunctionalDataset(curves=curves)
-    return dataset, np.zeros(n_curves, dtype=int)
+        if step >= BURN_IN:
+            curves[step - BURN_IN] = state
+    return FunctionalDataset(curves=curves), np.zeros(n_curves, dtype=int)
 
 
 def gen_benchmark(seed=0, n_per_cluster=25, length=1024, rho=0.8,
@@ -229,17 +230,13 @@ def gen_benchmark(seed=0, n_per_cluster=25, length=1024, rho=0.8,
     three generators draw from independent streams derived from the one
     master seed, so the output is reproducible bitwise.
     """
+    n_per_cluster = _integer(n_per_cluster, "n_per_cluster")
     sinus, _ = gen_sinus(n_per_cluster, length=length, sigma=sigma,
                          seed=seed)
-    far_diag, _ = gen_far(
-        n_per_cluster, length=length, seed=seed,
-        model=FarModel(kernel="diagonal", rho=rho, m=length, sigma=sigma),
-    )
-    far_full, _ = gen_far(
-        n_per_cluster, length=length, seed=seed,
-        model=FarModel(kernel="full", rho=rho, m=length, sigma=sigma),
-    )
+    far_diag, _ = gen_far(n_per_cluster, seed=seed, model=FarModel(
+        kernel="diagonal", rho=rho, m=length, sigma=sigma))
+    far_full, _ = gen_far(n_per_cluster, seed=seed, model=FarModel(
+        kernel="full", rho=rho, m=length, sigma=sigma))
     curves = np.vstack([sinus.curves, far_diag.curves, far_full.curves])
     labels = np.repeat(np.arange(3), n_per_cluster)
-    dataset = FunctionalDataset(curves=curves)
-    return dataset, labels
+    return FunctionalDataset(curves=curves), labels

@@ -1,10 +1,10 @@
 """Whole-system acceptance checks.
 
-Twelve numbered criteria cover the statistical behaviour of the benchmark
-pipeline, the analytic identities of both transforms, the metric and
-decomposition properties of the dissimilarities, the optimality of the
-clustering algorithms, and bitwise reproducibility of the command-line
-pipelines.  Each test prints one ``ACCEPTANCE NN <label>: PASS|FAIL`` line
+Thirteen numbered criteria cover the statistical behaviour of the
+benchmark pipeline, the analytic identities of both transforms, the metric
+and decomposition properties of the dissimilarities, the optimality of the
+clustering algorithms, bitwise reproducibility of the command-line
+pipelines, and day-type recovery by the spectral route.  Each test prints one ``ACCEPTANCE NN <label>: PASS|FAIL`` line
 so a verbose run doubles as a checklist; the assertions enforce exactly
 what the printed line reports, with all thresholds fixed in this file.
 
@@ -25,6 +25,7 @@ import pytest
 from scipy import stats
 
 import test_clustering
+import test_dissimilarity
 import test_dwt
 import test_evaluation
 
@@ -33,6 +34,7 @@ from waveclust.clustering import choose_k_by_jump, kmeans, pam
 from waveclust.cwt import cwt_morlet, make_scale_grid
 from waveclust.dissimilarity import (
     DissimilarityMatrix,
+    build_dissimilarity_matrix,
     mca_analysis,
     mca_distance,
     wavelet_coherence,
@@ -415,3 +417,32 @@ def test_12_end_to_end_determinism(tmp_path, capsys):
     elif mismatched:
         detail = f"mismatched artifacts: {mismatched}"
     _report(capsys, 12, "end-to-end determinism", ok, detail)
+
+
+# ---------------------------------------------------------------------------
+# Criterion 13: the spectral route recovers day type
+# ---------------------------------------------------------------------------
+
+def test_13_spectral_route_recovers_day_type(capsys):
+    """PAM at K = 2 on WER and euclid-features matrices of 20 records of
+    49 demand-like days (seeds 0-19) recovers weekday/weekend. At 64
+    samples, octaves 1-5 at 8 voices give 33 scales and no
+    cone-of-influence row. MCA's ARI is printed, not gated."""
+    grid = make_scale_grid(1, 5, 8)
+    truth = (np.arange(49) % 7 >= 5).astype(int)
+    aris = {"WER": [], "MCA": [], "euclid-features": []}
+    for seed in range(20):
+        curves = test_dissimilarity.day_curves(seed, n=49)
+        for measure, scores in aris.items():
+            matrix = build_dissimilarity_matrix(curves, measure=measure,
+                                                grid=grid)
+            scores.append(rand_indices(pam(matrix, 2).labels, truth)[1])
+    gated = {measure: min(aris[measure]) for measure in ("WER",
+                                                         "euclid-features")}
+    # Fixed from the first run: every record's partition is exact.
+    ok = all(worst == 1.0 for worst in gated.values())
+    _report(capsys, 13, "spectral route recovers day type", ok,
+            ", ".join(f"{measure} min ARI {worst:.3f}"
+                      for measure, worst in gated.items())
+            + f"; MCA (not gated) min {min(aris['MCA']):.3f}, "
+              f"mean {np.mean(aris['MCA']):.3f} over 20 records")

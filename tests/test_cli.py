@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 import re
 import warnings
 from pathlib import Path
@@ -153,6 +154,52 @@ def test_pam_on_a_duplicated_curve_ends(tmp_path, matrix):
     labels, _ = io.read_partition(partition)
     assert labels[0] == labels[8]
     assert np.bincount(labels).tolist() == [8, 1]
+
+
+KMEANS_RUN = """
+import hashlib, os
+os.chdir({workdir!r})
+{pin}
+from waveclust.cli import main
+for argv in (
+        ["benchmark", "--seed", "1", "--output", "b.csv"],
+        ["features", "--input", "b.csv", "--output", "f.csv"],
+        ["select", "--input", "f.csv", "--kmax", "20", "--output", "s.json"],
+        ["choose-k", "--input", "f.csv", "--kmax", "10", "--output", "d.csv"],
+        ["cluster", "--input", "f.csv", "--k", "3", "--output", "p.csv"],
+        ["cluster", "--input", "b.csv", "--k", "3", "--output", "r.csv"]):
+    assert main(argv) == 0, argv
+digest = hashlib.sha256()
+for name in sorted(os.listdir()):
+    with open(name, "rb") as handle:
+        digest.update(name.encode() + b"\\0" + handle.read())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs CPU affinity")
+def test_kmeans_commands_give_one_set_of_bytes_on_any_cpu_count(tmp_path):
+    """The k-means center update is a BLAS product, and seed 1's search
+    (63 subsets x 19 K) forks one child per other usable CPU. Neither the
+    BLAS thread count nor the CPUs a run may use change a byte of any
+    artifact or manifest of the k-means commands, the features `cluster`
+    on the 75 x 1024 raw curves included. BLAS reads its thread count
+    when it loads, so each run is a fresh interpreter."""
+    def blas(threads):
+        return dict(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                    MKL_NUM_THREADS=threads)
+
+    cpu = min(os.sched_getaffinity(0))
+    cases = {"blas-1": (blas("1"), ""), "blas-2": (blas("2"), ""),
+             "one-cpu": ({}, f"os.sched_setaffinity(0, {{{cpu}}})")}
+    digests = set()
+    for case, (env, pin) in cases.items():
+        workdir = tmp_path / case
+        workdir.mkdir()
+        code = KMEANS_RUN.format(workdir=str(workdir), pin=pin)
+        digests.add(run_fresh(code, **env).splitlines()[-1])
+    assert len(digests) == 1, digests
 
 
 def test_a_penalty_that_overflows_every_score_selects_one_feature(tmp_path):
@@ -313,8 +360,10 @@ def test_simulate_and_benchmark_same_seed_same_digests(tmp_path):
                "--output", a) == 0
     assert run("benchmark", "--seed", 7, "--n", 4, "--length", 128,
                "--output", b) == 0
-    ma = json.loads(open(str(a) + ".manifest.json").read())
-    mb = json.loads(open(str(b) + ".manifest.json").read())
+    with open(str(a) + ".manifest.json") as handle:
+        ma = json.load(handle)
+    with open(str(b) + ".manifest.json") as handle:
+        mb = json.load(handle)
     assert ma["outputs"] == mb["outputs"]
     assert a.read_bytes() == b.read_bytes()
 

@@ -127,7 +127,7 @@ TWO_CENTERS = Partition(labels=[0, 0, 1, 1], k=2, cost=0.0,
     lambda rows: shadow_values(rows, TWO_CENTERS),
     lambda rows: neighborhood_graph(rows, TWO_CENTERS),
     lambda rows: clusterability_index(np.tile(rows[:, 0], 3)),
-    lambda rows: relative_contributions(rows),
+    lambda rows: relative_contributions(rows, rows.sum(axis=1)),
 ], ids=["kmeans", "choose_k_by_jump", "select_features",
         "select_features_stable", "shadow_values", "neighborhood_graph",
         "clusterability_index", "relative_contributions"])
@@ -301,6 +301,15 @@ def test_pam_deterministic():
 def test_pam_rejects_k_above_n():
     with pytest.raises(ValueError):
         pam(block_matrix([2, 2]), 5)
+
+
+def test_a_partition_names_its_method_by_what_it_holds():
+    rows = np.array([[0.0], [0.1], [5.0], [5.1]])
+    assert kmeans(rows, 2).method == "kmeans"
+    assert pam(block_matrix([2, 2]), 2).method == "pam"
+    with pytest.raises(TypeError):
+        Partition(labels=[0, 1], k=2, cost=0.0, medoids=np.array([0, 1]),
+                  method="kmeans")
 
 
 #: Entries (0, 3) and (3, 0) that spoil a dissimilarity matrix, and the

@@ -9,6 +9,7 @@ from scipy.signal import lfilter
 
 from waveclust import (
     DegenerateInputError,
+    FarModel,
     FunctionalDataset,
     build_dissimilarity_matrix,
     cwt_morlet,
@@ -186,7 +187,7 @@ def test_mca_rejects_bad_theta_and_zero_spectra():
 # --- matrix assembly ---
 
 def far_dataset(seed, n=6, length=128):
-    ds, _ = gen_far(n, length=length, seed=seed)
+    ds, _ = gen_far(n, model=FarModel(m=length), seed=seed)
     return ds
 
 

@@ -111,25 +111,46 @@ def test_energy_scaling_quadratic():
 
 
 def test_relative_contributions_hand_values():
-    rc, logit_rc = relative_contributions(np.array([[2.0, 2.0]]))
+    rc, logit_rc = relative_contributions(np.array([[2.0, 2.0]]), 4.0)
     assert_allclose(rc, [[0.5, 0.5]])
     assert_allclose(logit_rc, [[0.0, 0.0]], atol=1e-12)
 
-    rc, logit_rc = relative_contributions(np.array([[1.0, 3.0]]))
+    rc, logit_rc = relative_contributions(np.array([[1.0, 3.0]]), 4.0)
     assert_allclose(rc, [[0.25, 0.75]])
     assert_allclose(logit_rc, [[-np.log(3.0), np.log(3.0)]], rtol=1e-12)
 
 
 def test_relative_contributions_clamps_extremes():
-    rc, logit_rc = relative_contributions(np.array([[0.0, 4.0]]))
+    rc, logit_rc = relative_contributions(np.array([[0.0, 4.0]]), 4.0)
     assert_allclose(rc, [[0.0, 1.0]])
     edge = np.log((1.0 - LOGIT_EPS) / LOGIT_EPS)
     assert_allclose(logit_rc, [[-edge, edge]], rtol=1e-9)
 
 
+def test_relative_contributions_judge_a_constant_curve_by_its_energy():
+    curve = np.full((1, 64), 3.7)
+    dec = dwt_forward(curve)
+    ac = energy_contributions(dec)
+    with pytest.raises(TypeError):
+        relative_contributions(ac)
+    with pytest.raises(DegenerateInputError, match="curve 0 is constant"):
+        relative_contributions(ac, np.sum(curve ** 2, axis=1))
+
+
+@pytest.mark.parametrize("name", ["sym6", "la12", "Haar", "SYMMLET6"])
+def test_each_filter_has_one_spelling(name):
+    with pytest.raises(ValueError, match="unknown wavelet filter"):
+        get_filter(name)
+
+
+def test_dwt_forward_takes_a_filter_name_only():
+    with pytest.raises(ValueError, match="unknown wavelet filter"):
+        dwt_forward(np.arange(8.0), get_filter("haar"))
+
+
 def test_relative_contributions_zero_energy_degenerate():
     with pytest.raises(DegenerateInputError):
-        relative_contributions(np.zeros((1, 4)))
+        relative_contributions(np.zeros((1, 4)), 0.0)
 
 
 @pytest.mark.parametrize("wavelet", ["haar", "symmlet6"])
@@ -175,6 +196,7 @@ def test_feature_matrix_column_names_report_both_labels():
 def test_kind_aliases():
     assert canonical_kind("ac") == "AC"
     assert canonical_kind("logit-rc") == "logitRC"
-    assert canonical_kind("logitrc") == "logitRC"
-    with pytest.raises(ValueError):
-        canonical_kind("nope")
+    for spelling in ("nope", "absolute", "relative", "logitrc", "logit_rc",
+                     "logit"):
+        with pytest.raises(ValueError):
+            canonical_kind(spelling)

@@ -232,7 +232,7 @@ def test_shadow_names_a_label_count_unlike_the_rows(n_labels):
         shadow_values(features, centered)
     values = np.abs(np.subtract.outer(features[:, 0], features[:, 0]))
     medoids = Partition(labels=labels, k=2, cost=1.0,
-                        medoids=np.array([0, 1]), method="pam")
+                        medoids=np.array([0, 1]))
     with pytest.raises(ValueError, match=message):
         shadow_values(values, medoids)
 

@@ -15,7 +15,7 @@ from waveclust import (
     gen_sinus,
 )
 from waveclust.rng import derived_rng
-from waveclust.simulation import _kms_norm, _operator
+from waveclust.simulation import _full_kernel, _kms_norm, _operator
 from test_imports import run_fresh
 
 
@@ -87,8 +87,7 @@ GRID = [(m, bandwidth) for m in (8, 64, 1000, 1024)
 
 @pytest.mark.parametrize("m,bandwidth", GRID)
 def test_full_operator_is_the_dense_definition_bit_for_bit(m, bandwidth):
-    a = far_operator(FarModel(kernel="full", rho=0.8, m=m,
-                              bandwidth=bandwidth))
+    a = _full_kernel(m, 0.8, bandwidth)
     offsets = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
     dense = 0.8 * np.exp(-offsets / bandwidth) / _kms_norm(m, bandwidth)
     assert a.shape == (m, m)
@@ -101,8 +100,7 @@ def test_einsum_on_the_toeplitz_view_is_the_dense_einsum(m, bandwidth):
     kernel values; its sums must be the dense matrix's bit for bit, so a
     NumPy whose einsum sums a strided operand in another order fails
     here rather than changing the curves."""
-    a = far_operator(FarModel(kernel="full", rho=0.8, m=m,
-                              bandwidth=bandwidth))
+    a = _full_kernel(m, 0.8, bandwidth)
     # A view onto 2m - 1 values, not a dense copy.
     assert a.strides == (-a.itemsize, a.itemsize)
     dense = np.array(a)
@@ -117,11 +115,11 @@ def test_einsum_on_the_toeplitz_view_is_the_dense_einsum(m, bandwidth):
 def test_full_kernel_chain_allocates_no_dense_operator():
     """A dense m = 4096 operator alone is 128 MiB."""
     # A first call's lazy set-up allocates too; it is not the operator.
-    gen_far(2, length=8, model=FarModel(kernel="full", m=8))
+    gen_far(2, model=FarModel(kernel="full", m=8))
     _operator.cache_clear()
     tracemalloc.start()
     try:
-        gen_far(2, length=4096, model=FarModel(kernel="full", m=4096))
+        gen_far(2, model=FarModel(kernel="full", m=4096))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -130,7 +128,7 @@ def test_full_kernel_chain_allocates_no_dense_operator():
 
 def test_rho_zero_gives_iid_white_noise():
     model = FarModel(kernel="diagonal", rho=0.0, m=64)
-    ds, _ = gen_far(500, length=64, model=model, seed=9)
+    ds, _ = gen_far(500, model=model, seed=9)
     assert_allclose(ds.curves.var(), 1.0, atol=0.05)
     lag1 = np.mean(np.sum(ds.curves[:-1] * ds.curves[1:], axis=1))
     assert abs(lag1) < 2.0
@@ -145,7 +143,7 @@ def test_lag1_inner_product_matches_lyapunov_solution(kernel, rel_tol):
     A = far_operator(model)
     Sigma = solve_discrete_lyapunov(A, np.eye(64))
     expected = np.trace(A @ Sigma)
-    ds, _ = gen_far(3000, length=64, model=model, seed=11)
+    ds, _ = gen_far(3000, model=model, seed=11)
     observed = np.mean(np.sum(ds.curves[:-1] * ds.curves[1:], axis=1))
     assert_allclose(observed, expected, rtol=rel_tol)
     assert expected > 0.0
@@ -155,7 +153,7 @@ def test_lag1_moment_increases_with_rho():
     moments = []
     for rho in (0.3, 0.6, 0.9):
         model = FarModel(kernel="diagonal", rho=rho, m=32)
-        ds, _ = gen_far(2000, length=32, model=model, seed=13)
+        ds, _ = gen_far(2000, model=model, seed=13)
         moments.append(np.mean(np.sum(ds.curves[:-1] * ds.curves[1:],
                                       axis=1)))
     assert moments[0] < moments[1] < moments[2]
@@ -163,11 +161,28 @@ def test_lag1_moment_increases_with_rho():
 
 def test_norms_do_not_drift():
     model = FarModel(kernel="full", rho=0.9, m=64)
-    ds, _ = gen_far(300, length=64, model=model, seed=14)
+    ds, _ = gen_far(300, model=model, seed=14)
     norms = np.linalg.norm(ds.curves, axis=1)
     early = norms[100:200].mean()
     late = norms[200:300].mean()
     assert abs(late - early) <= 0.1 * early
+
+
+def test_far_curves_take_their_length_from_the_model():
+    ds, labels = gen_far(7, model=FarModel(kernel="full", m=64))
+    assert ds.curves.shape == (7, 64)
+    assert_array_equal(labels, np.zeros(7, dtype=int))
+    assert gen_far(2)[0].curves.shape == (2, 1024)
+
+
+def test_far_takes_no_length_burn_in_or_bandwidth():
+    assert list(FarModel.__dataclass_fields__) == ["kernel", "rho", "m",
+                                                   "sigma"]
+    for setting in ({"burn_in": 50}, {"bandwidth": 16.0}):
+        with pytest.raises(TypeError):
+            FarModel(kernel="full", m=64, **setting)
+    with pytest.raises(TypeError):
+        gen_far(2, length=64)
 
 
 def test_far_validates_model():
@@ -178,10 +193,8 @@ def test_far_validates_model():
     with pytest.raises(ValueError):
         FarModel(kernel="full", rho=0.5, m=4)
     model = FarModel(kernel="full", rho=0.5, m=64)
-    with pytest.raises(ValueError):
-        gen_far(10, length=32, model=model)
     with pytest.raises(ValueError, match="n_curves must be at least 1"):
-        gen_far(0, length=64, model=model)
+        gen_far(0, model=model)
 
 
 @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
@@ -197,6 +210,26 @@ def test_noise_scale_is_finite_and_nonnegative(sigma):
 def test_sinus_needs_a_curve(n_curves):
     with pytest.raises(ValueError, match="n_curves must be at least 1"):
         gen_sinus(n_curves, length=64)
+
+
+@pytest.mark.parametrize("name, whole, call", [
+    ("n_curves", 2, lambda v: gen_sinus(v, length=64)),
+    ("length", 64, lambda v: gen_sinus(2, length=v)),
+    ("n_curves", 2, lambda v: gen_far(v, model=FarModel(m=64))),
+    ("m", 64, lambda v: gen_far(2, model=FarModel(kernel="full", m=v))),
+    ("n_per_cluster", 2, lambda v: gen_benchmark(n_per_cluster=v,
+                                                  length=64)),
+    ("length", 64, lambda v: gen_benchmark(n_per_cluster=2, length=v)),
+], ids=["sinus-n_curves", "sinus-length", "far-n_curves", "far-m",
+        "benchmark-n_per_cluster", "benchmark-length"])
+def test_simulator_sizes_follow_the_integer_rule(name, whole, call):
+    ds, labels = call(whole)
+    ds_float, labels_float = call(float(whole))
+    assert ds_float.curves.tobytes() == ds.curves.tobytes()
+    assert labels_float.tobytes() == labels.tobytes()
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got "
+                                         f"{whole + 0.5}"):
+        call(whole + 0.5)
 
 
 # --- benchmark assembly ---
